@@ -111,18 +111,14 @@ def conformal_weight(i: int, n: int, m: int) -> Fraction:
 _PAD = Fraction(2)
 
 
+_PREFACTOR_BUILDERS = {"f": frak_f, "f1": frak_f1, "f2": frak_f2}
+
+
 @lru_cache(maxsize=None)
 def _quotient(tag: str, cutoff: Fraction) -> QExpansion:
+    """The prefactor ``tag/eta`` for tag ``f``, ``f1`` or ``f2``, exact below ``cutoff``."""
     build = cutoff + _PAD
-    if tag == "f2/eta":
-        num = frak_f2(build)
-    elif tag == "f/eta":
-        num = frak_f(build)
-    elif tag == "f1/eta":
-        num = frak_f1(build)
-    else:
-        raise ValueError(tag)
-    return (num / eta(build)).truncated(cutoff)
+    return (_PREFACTOR_BUILDERS[tag](build) / eta(build)).truncated(cutoff)
 
 
 def _theta_k(m: int) -> Fraction:
@@ -141,7 +137,7 @@ def twisted_char(label: ModuleLabel, cutoff, halve: bool = False) -> QExpansion:
     m, p = label.m, 2 * label.m + 1
     k = _theta_k(m)
     build = cutoff + 1
-    pref = _quotient("f2/eta", build)
+    pref = _quotient("f2", build)
     if label.family == "RLambda":
         i = label.index - 1
         idx = ThetaIndex(Fraction(2 * (m - i) - 1, 2), k)
@@ -170,10 +166,10 @@ def untwisted_char(
     k = _theta_k(m)
     build = cutoff + 1
     if flavor == "character":
-        pref = _quotient("f/eta", build)
+        pref = _quotient("f", build)
         series, series_deriv = theta, theta_deriv
     else:
-        pref = _quotient("f1/eta", build)
+        pref = _quotient("f1", build)
         series, series_deriv = g_series, g_deriv
     if label.family == "SLambda" and label.index == m + 1:
         body = series(ThetaIndex(Fraction(0), k), build)
@@ -207,7 +203,7 @@ def ramond_irred_char(i: int, n: int, m: int, cutoff, halve: bool = False) -> QE
         h1, h2 = h2, h1
     c = central_charge(m)
     build = cutoff + 1
-    pref = _quotient("f2/eta", build)
+    pref = _quotient("f2", build)
     body = QExpansion([(h1 - c / 24, 1), (h2 - c / 24, -1)])
     return (pref * body).scale(1 if halve else 2).truncated(cutoff)
 
@@ -222,28 +218,10 @@ def fock_char(i: int, m: int, cutoff) -> QExpansion:
     if not 0 <= i <= 2 * m:
         raise ValueError(f"Fock index must lie in [0, {2 * m}] for m={m}")
     cutoff = Fraction(cutoff)
-    p = 2 * m + 1
     build = cutoff + 1
-    acc: Dict[Fraction, Fraction] = {}
-    n = 0
-    # walk outward from n = 0 in both directions; exponents grow quadratically
-    while True:
-        t = Fraction(1, 2) + i + n * p
-        e = (t - m) ** 2 / (2 * p)
-        if e >= build:
-            break
-        acc[e] = acc.get(e, Fraction(0)) + 2
-        n += 1
-    n = -1
-    while True:
-        t = Fraction(1, 2) + i + n * p
-        e = (t - m) ** 2 / (2 * p)
-        if e >= build:
-            break
-        acc[e] = acc.get(e, Fraction(0)) + 2
-        n -= 1
-    lattice_part = QExpansion(acc, cutoff=build)
-    return (_quotient("f2/eta", build) * lattice_part).truncated(cutoff)
+    # (t - m)^2 / (2(2m+1)) with t - m = (2m+1) n + (i - m + 1/2): a theta sum
+    lattice_part = theta(ThetaIndex(Fraction(2 * (i - m) + 1, 2), _theta_k(m)), build)
+    return (_quotient("f2", build) * lattice_part.scale(2)).truncated(cutoff)
 
 
 # ----------------------------------------------------------------------

@@ -478,25 +478,12 @@ def graded_dimension_M(cutoff) -> QExpansion:
     optional zero mode doubles the count of distinct-part partitions.
     Exponents are g + 1/16 - 1/48 = g + 1/24.
     """
-    cutoff = Fraction(cutoff)
-    limit = int(cutoff - Fraction(1, 24)) if cutoff > Fraction(1, 24) else -1
-    counts = _distinct_partition_counts(max(limit, 0))
-    terms = []
-    for g in range(limit + 1):
-        e = Fraction(g) + Fraction(1, 24)
-        if e < cutoff:
-            terms.append((e, Fraction(2 * counts[g])))
-    return QExpansion(terms, cutoff=cutoff)
+    return graded_dimension_M_half(cutoff).scale(2)
 
 
 def graded_dimension_M_half(cutoff) -> QExpansion:
     """Graded dimension of either parity half: distinct-part partitions only."""
     cutoff = Fraction(cutoff)
-    limit = int(cutoff - Fraction(1, 24)) if cutoff > Fraction(1, 24) else -1
-    counts = _distinct_partition_counts(max(limit, 0))
-    terms = []
-    for g in range(limit + 1):
-        e = Fraction(g) + Fraction(1, 24)
-        if e < cutoff:
-            terms.append((e, Fraction(counts[g])))
-    return QExpansion(terms, cutoff=cutoff)
+    limit = int(cutoff - Fraction(1, 24)) if cutoff > Fraction(1, 24) else 0
+    counts = _distinct_partition_counts(limit)
+    return QExpansion.from_lattice(Fraction(1, 24), 1, counts, 1, cutoff)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -26,9 +27,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .characters import ModuleLabel, twisted_char
+# _PREFACTOR_BUILDERS names the BasisFunction prefactors; perfbench/selftest.py reads it here
+from .characters import _PREFACTOR_BUILDERS, ModuleLabel, _quotient, twisted_char
 from .qseries import QExpansion
-from .specialfn import ThetaIndex, eisenstein, eta, frak_f, frak_f1, frak_f2, g_deriv, g_series, theta, theta_deriv
+from .specialfn import ThetaIndex, eisenstein, eta, g_deriv, g_series, theta, theta_deriv
 
 DEFAULT_NUMERIC_CUTOFF = Fraction(400)
 
@@ -106,13 +108,7 @@ def basis_functions(m: int) -> List[BasisFunction]:
     return out
 
 
-_PREFACTOR_BUILDERS = {"f": frak_f, "f1": frak_f1, "f2": frak_f2}
 _THETA_BUILDERS = {"theta": theta, "g": g_series, "dtheta": theta_deriv, "dg": g_deriv}
-
-
-@lru_cache(maxsize=None)
-def _prefactor_series(tag: str, cutoff: Fraction) -> QExpansion:
-    return _PREFACTOR_BUILDERS[tag](cutoff) / eta(cutoff)
 
 
 @lru_cache(maxsize=None)
@@ -121,7 +117,7 @@ def _theta_series(kind: str, j: Fraction, k: Fraction, cutoff: Fraction) -> QExp
 
 
 def evaluate_basis_function(fn: BasisFunction, tau: complex, cutoff: Fraction) -> complex:
-    pref = _prefactor_series(fn.prefactor, cutoff).evaluate(tau).value
+    pref = _quotient(fn.prefactor, cutoff).evaluate(tau).value
     part = _theta_series(fn.kind, fn.j, fn.k, cutoff).evaluate(tau).value
     return pref * part * tau ** fn.tau_power
 
@@ -159,7 +155,7 @@ def standard_grid(m: int, cutoff=DEFAULT_NUMERIC_CUTOFF, size: Optional[int] = N
     step = 0.9 / (n_re - 1)
     res = [-0.45 + step * i for i in range(n_re)]
     pts = [complex(re, im) for im in _IM_LADDER for re in res]
-    return SampleGrid(tuple(pts[: max(n, len(pts))]), Fraction(cutoff))
+    return SampleGrid(tuple(pts), Fraction(cutoff))
 
 
 def theta_transform_grid(cutoff=DEFAULT_NUMERIC_CUTOFF) -> SampleGrid:
@@ -171,10 +167,6 @@ def theta_transform_grid(cutoff=DEFAULT_NUMERIC_CUTOFF) -> SampleGrid:
 # ----------------------------------------------------------------------
 # S and T transformation laws for theta constants
 # ----------------------------------------------------------------------
-
-
-def _sqrt_principal(z: complex) -> complex:
-    return cmath.sqrt(z)
 
 
 def _phase(x: Fraction) -> complex:
@@ -200,8 +192,8 @@ def s_transform_residual(
 
     The applicable display depends on the parity class of (j, k):
 
-    * j integer, k in N+1/2: image in the theta (derivative) family itself,
-    * j and k both half-odd: image in the alternating family,
+    * k in N+1/2: image in the theta (derivative) family itself for integer
+      j, in the alternating family for half-odd j,
     * otherwise the generic law mapping onto indices (2j', 4k).
 
     Derivative variants carry one extra factor of tau.
@@ -222,26 +214,18 @@ def s_transform_residual(
         s_tau = -1 / tau
         _check_eval_bound(lhs_series, s_tau, tolerance)
         lhs = lhs_series.evaluate(s_tau).value
-        if idx.j_is_integer and k_half_odd:
-            family = theta_deriv if deriv else theta
+        if k_half_odd:
+            if idx.j_is_integer:
+                family = theta_deriv if deriv else theta
+            else:
+                family = g_deriv if deriv else g_series
             start = 1 if deriv else 0
             total = 0j
             for jp in range(start, int(two_k)):
                 series = family(ThetaIndex(Fraction(jp), k), cutoff)
                 _check_eval_bound(series, tau, tolerance)
                 total += cmath.exp(-1j * math.pi * float(j * jp / k)) * series.evaluate(tau).value
-            rhs = _sqrt_principal(-1j * tau / float(two_k)) * total
-            if deriv:
-                rhs *= tau
-        elif (not idx.j_is_integer) and k_half_odd:
-            family = g_deriv if deriv else g_series
-            start = 1 if deriv else 0
-            total = 0j
-            for jp in range(start, int(two_k)):
-                series = family(ThetaIndex(Fraction(jp), k), cutoff)
-                _check_eval_bound(series, tau, tolerance)
-                total += cmath.exp(-1j * math.pi * float(j * jp / k)) * series.evaluate(tau).value
-            rhs = _sqrt_principal(-1j * tau / float(two_k)) * total
+            rhs = cmath.sqrt(-1j * tau / float(two_k)) * total
             if deriv:
                 rhs *= tau
         else:
@@ -254,7 +238,7 @@ def s_transform_residual(
                 series = family(ThetaIndex(Fraction(2 * jp), four_k), cutoff)
                 _check_eval_bound(series, tau, tolerance)
                 total += cmath.exp(-1j * math.pi * float(jp * j / k)) * series.evaluate(tau).value
-            rhs = _sqrt_principal(-1j * tau) / math.sqrt(float(two_k)) * total
+            rhs = cmath.sqrt(-1j * tau) / math.sqrt(float(two_k)) * total
             if deriv:
                 rhs *= tau
         worst = max(worst, abs(lhs - rhs))
@@ -459,7 +443,7 @@ def closure_under_s_t(
     build = control_window + 1
     for x, fn in zip(coeffs, fns):
         series = (
-            _prefactor_series(fn.prefactor, build)
+            _quotient(fn.prefactor, build)
             * _theta_series(fn.kind, fn.j, fn.k, build)
         ).truncated(control_window).scale(complex(x))
         if fn.tau_power:
@@ -479,9 +463,25 @@ def closure_under_s_t(
 
 
 def _q_derivative(series: QExpansion) -> QExpansion:
-    return QExpansion(
-        [(e, c * e) for e, c in series.terms], cutoff=series.cutoff, domain=series.domain
-    )
+    """D = q d/dq on an exact series: entry i gains its exponent as a factor,
+    an integer numerator over the lattice denominator."""
+    offset, d, coeffs, scale = series.lattice
+    base, step = offset.numerator * d, offset.denominator
+    derived = [c * (base + i * step) for i, c in enumerate(coeffs)]
+    return QExpansion.from_lattice(offset, d, derived, scale / (step * d), series.cutoff)
+
+
+def _aligned_values(series: QExpansion, offset: Fraction, d: int, n: int) -> List[Fraction]:
+    """Coefficients of ``series`` at ``offset + i/d`` for i < n; its own
+    lattice must be a sublattice starting at or after ``offset``."""
+    own_offset, own_d, coeffs, scale = series.lattice
+    dense = [0] * n
+    if coeffs:
+        start, stride = int((own_offset - offset) * d), d // own_d
+        stop = min(n, start + len(coeffs) * stride)
+        if start < stop:
+            dense[start:stop:stride] = coeffs[: -(-(stop - start) // stride)]
+    return [Fraction(c * scale.numerator, scale.denominator) for c in dense]
 
 
 def _eisenstein_monomials(weight: int, cutoff: Fraction) -> Dict[Tuple[Tuple[str, int], ...], QExpansion]:
@@ -491,44 +491,24 @@ def _eisenstein_monomials(weight: int, cutoff: Fraction) -> Dict[Tuple[Tuple[str
     2i <= weight; a monomial is encoded by its sorted multiset of generator
     names with multiplicities.
     """
-    gens: List[Tuple[str, int]] = []
-    for w in range(2, weight + 1, 2):
-        gens.append((f"G{w}", w))
-        gens.append((f"G{w},1", w))
+    gens = [
+        (f"G{w}{level}", w, eisenstein(w // 2, variant, cutoff))
+        for w in range(2, weight + 1, 2)
+        for level, variant in (("", "full"), (",1", "level2-one"))
+    ]
     out: Dict[Tuple[Tuple[str, int], ...], QExpansion] = {}
 
-    def recurse(start: int, remaining: int, chosen: List[Tuple[str, int]]):
+    # a monomial shares its partial products with every monomial it extends
+    def extend(start: int, remaining: int, chosen: List[str], series: QExpansion):
         if remaining == 0:
-            key = tuple(sorted(_count(chosen).items()))
-            series = QExpansion.one(cutoff)
-            for name, mult in key:
-                base = _eis_by_name(name, cutoff)
-                for _ in range(mult):
-                    series = series * base
-            out[key] = series
-            return
+            out[tuple(sorted(Counter(chosen).items()))] = series
         for idx in range(start, len(gens)):
-            name, w = gens[idx]
+            name, w, gen = gens[idx]
             if w <= remaining:
-                recurse(idx, remaining - w, chosen + [(name, w)])
+                extend(idx, remaining - w, chosen + [name], series * gen)
 
-    def _count(chosen: List[Tuple[str, int]]) -> Dict[str, int]:
-        c: Dict[str, int] = {}
-        for name, _ in chosen:
-            c[name] = c.get(name, 0) + 1
-        return c
-
-    recurse(0, weight, [])
+    extend(0, weight, [], QExpansion.one(cutoff))
     return out
-
-
-@lru_cache(maxsize=None)
-def _eis_by_name(name: str, cutoff: Fraction) -> QExpansion:
-    if name.endswith(",1"):
-        w = int(name[1:-2])
-        return eisenstein(w // 2, "level2-one", cutoff)
-    w = int(name[1:])
-    return eisenstein(w // 2, "full", cutoff)
 
 
 def _solve_exact(rows: List[List[Fraction]], rhs: List[Fraction]) -> Optional[List[Fraction]]:
@@ -681,16 +661,19 @@ def find_mde(
         for j, key in columns:
             weight = 2 * (order - j)
             col_series.append(monomials_by_weight[weight][key] * derivs[j])
-        target = derivs[order]
-        exponents = sorted(
-            {e for e, _ in target.terms}
-            | {e for cs in col_series for e, _ in cs.terms}
+        window = [cs for cs in [derivs[order]] + col_series if not cs.is_zero()]
+        d = math.lcm(
+            *(cs.lattice[1] for cs in window),
+            *((cs.min_exponent - lead).denominator for cs in window),
         )
-        for e in exponents:
-            if e >= lead + span:
-                break
-            rows.append([cs.coeff(e) for cs in col_series])
-            rhs.append(-target.coeff(e))
+        n = math.ceil(span * d)
+        target = _aligned_values(derivs[order], lead, d, n)
+        dense = [_aligned_values(cs, lead, d, n) for cs in col_series]
+        for i in range(n):
+            row = [values[i] for values in dense]
+            if target[i] or any(row):
+                rows.append(row)
+                rhs.append(-target[i])
 
     solution = _solve_exact(rows, rhs)
     if solution is None:

@@ -1,17 +1,28 @@
-"""Truncated q-expansions with exact rational exponents.
+"""Truncated q-expansions stored densely on a rational exponent lattice.
 
-A :class:`QExpansion` stores finitely many terms ``c_r q^r`` with strictly
-increasing rational exponents together with a *cutoff*: every exponent below
-the cutoff is represented exactly, everything at or above it has been
-discarded.  A cutoff of ``None`` marks an exact expansion (a "polynomial")
-with no truncation at all; infinite products and reciprocals always carry a
-finite cutoff.
+A :class:`QExpansion` is a run ``coeffs`` on the lattice ``offset + (1/d) Z``
+plus a truncation *cutoff*.  Exact series hold Python ints under one common
+rational ``scale`` (the coefficient of ``q^(offset + i/d)`` is
+``scale * coeffs[i]``); complex-float series hold the complex values.  The
+run is trimmed to nonzero ends, so ``offset`` is the leading exponent.  Two
+equal series may differ in ``d`` and ``scale``, so equality and hashing go
+through :attr:`QExpansion.terms`, the ``(Fraction, coefficient)`` pairs.
 
-Coefficients live in one of two domains, exact rationals or complex floats.
-Mixed arithmetic promotes exact to complex, never the reverse.  The phase
-substitution ``tau -> tau + 1`` always lands in the complex domain: exact
-cyclotomic coefficients would be disproportionate machinery for checks that
-are numeric anyway.
+Every exponent below the cutoff is represented exactly, everything at or
+above it has been discarded; a cutoff of ``None`` marks an exact
+expansion.  Sums place both runs on a common lattice under the rational gcd
+of the scales; products are integer convolutions over the nonzero entries
+of the sparser operand; reciprocals run an integer recurrence with the
+powers of the leading entry kept in the scale; shifts, ``tau -> tau/2``
+and ``tau -> 2 tau`` move only the offset and the step.  Memory is the
+exponent span times ``d``, so the lattice suits series whose exponents share
+a small denominator, as every series of this package does.
+
+Mixed arithmetic promotes exact to complex, never the reverse; an exact
+coefficient enters as the correctly rounded float of its value.
+``tau -> tau + 1`` always lands in the complex domain: exact cyclotomic
+coefficients would be disproportionate machinery for checks that are
+numeric anyway.
 
 Cutoff propagation: addition takes the minimum of the operand cutoffs, and a
 product of ``A`` and ``B`` is exact below
@@ -23,7 +34,9 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
+from itertools import repeat
+from operator import add, mul, sub
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 ExpLike = Union[Fraction, int, str]
 CoeffLike = Union[Fraction, int, float, complex]
@@ -55,22 +68,23 @@ class EvalResult(NamedTuple):
     error_bound: float
 
 
-def _as_exp(e: ExpLike) -> Fraction:
-    return Fraction(e)
+def _common_scale(values: Iterable[Fraction]) -> Fraction:
+    """The largest rational of which every value is an integer multiple."""
+    values = list(values)
+    return Fraction(
+        math.gcd(*(v.numerator for v in values)), math.lcm(*(v.denominator for v in values))
+    )
 
 
-def _min_cutoff(a: Optional[Fraction], b: Optional[Fraction]) -> Optional[Fraction]:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+def _frac_pair(num: int, den: int) -> List[str]:
+    g = math.gcd(num, den)
+    return [str(num // g), str(den // g)]
 
 
 class QExpansion:
-    """Sorted, zero-free map exponent -> coefficient plus a truncation cutoff."""
+    """Dense coefficient run on ``offset + (1/d) Z`` plus a truncation cutoff."""
 
-    __slots__ = ("_terms", "_cutoff", "_domain")
+    __slots__ = ("_offset", "_d", "_coeffs", "_scale", "_cutoff", "_domain")
 
     def __init__(
         self,
@@ -79,55 +93,78 @@ class QExpansion:
         domain: Optional[str] = None,
     ) -> None:
         items = terms.items() if isinstance(terms, dict) else terms
-        raw: List[Tuple[Fraction, CoeffLike]] = [(_as_exp(e), c) for e, c in items]
+        raw: List[Tuple[Fraction, CoeffLike]] = [(Fraction(e), c) for e, c in items]
         if domain is None:
-            domain = EXACT
-            for _, c in raw:
-                if isinstance(c, (float, complex)):
-                    domain = COMPLEX
-                    break
+            domain = COMPLEX if any(isinstance(c, (float, complex)) for _, c in raw) else EXACT
         if domain not in (EXACT, COMPLEX):
             raise QSeriesError(f"unknown coefficient domain {domain!r}")
-        cut = _as_exp(cutoff) if cutoff is not None else None
+        cut = Fraction(cutoff) if cutoff is not None else None
         acc: Dict[Fraction, CoeffLike] = {}
         for e, c in raw:
-            if cut is not None and e >= cut:
-                continue
-            acc[e] = acc.get(e, 0) + c
-        cleaned: List[Tuple[Fraction, CoeffLike]] = []
-        for e in sorted(acc):
-            c = complex(acc[e]) if domain == COMPLEX else Fraction(acc[e])
-            if c == 0:
-                continue
-            cleaned.append((e, c))
-        object.__setattr__(self, "_terms", tuple(cleaned))
-        object.__setattr__(self, "_cutoff", cut)
-        object.__setattr__(self, "_domain", domain)
+            if cut is None or e < cut:
+                acc[e] = acc.get(e, 0) + c
+        convert = complex if domain == COMPLEX else Fraction
+        values = {e: v for e, v in ((e, convert(c)) for e, c in acc.items()) if v != 0}
+        offset, d, coeffs, scale = Fraction(0), 1, [], Fraction(1)
+        if values:
+            offset = min(values)
+            d = math.lcm(*((e - offset).denominator for e in values))
+            if domain == EXACT:
+                scale = _common_scale(values.values())
+            coeffs = [0] * (int((max(values) - offset) * d) + 1)
+            for e, c in values.items():
+                coeffs[int((e - offset) * d)] = c if domain == COMPLEX else int(c / scale)
+        _init(self, offset, d, tuple(coeffs), scale, cut, domain)
 
     def __setattr__(self, name, value):
         raise AttributeError("QExpansion is immutable")
 
-    # ------------------------------------------------------------------
-    # constructors
-    # ------------------------------------------------------------------
+    # -- constructors --
+
+    @classmethod
+    def from_lattice(
+        cls, offset: ExpLike, d: int, coeffs: Sequence, scale: Union[Fraction, int] = 1,
+        cutoff: Optional[ExpLike] = None, domain: str = EXACT,
+    ) -> "QExpansion":
+        """The series with coefficient ``scale * coeffs[i]`` at ``q^(offset + i/d)``.
+
+        Exact series take ints under a nonzero rational ``scale``; complex
+        series take complex values and ignore ``scale``.  Entries at or above
+        ``cutoff`` are dropped and zero entries at either end are trimmed.
+        """
+        offset = Fraction(offset)
+        hi = len(coeffs)
+        if cutoff is not None:
+            cutoff = Fraction(cutoff)
+            hi = max(0, min(hi, math.ceil((cutoff - offset) * d)))
+        while hi and not coeffs[hi - 1]:
+            hi -= 1
+        lo = 0
+        while lo < hi and not coeffs[lo]:
+            lo += 1
+        series = object.__new__(cls)
+        if lo == hi:
+            _init(series, Fraction(0), 1, (), Fraction(1), cutoff, domain)
+        else:
+            scale = Fraction(scale) if domain == EXACT else Fraction(1)
+            if lo:
+                offset += Fraction(lo, d)
+            _init(series, offset, d, tuple(coeffs[lo:hi]), scale, cutoff, domain)
+        return series
 
     @classmethod
     def zero(cls, cutoff: Optional[ExpLike] = None, domain: str = EXACT) -> "QExpansion":
-        return cls((), cutoff=cutoff, domain=domain)
+        return cls.from_lattice(0, 1, (), 1, cutoff, domain)
 
     @classmethod
     def one(cls, cutoff: Optional[ExpLike] = None) -> "QExpansion":
         return cls.monomial(0, 1, cutoff)
 
     @classmethod
-    def monomial(
-        cls, exp: ExpLike, coeff: CoeffLike = 1, cutoff: Optional[ExpLike] = None
-    ) -> "QExpansion":
+    def monomial(cls, exp: ExpLike, coeff: CoeffLike = 1, cutoff: Optional[ExpLike] = None) -> "QExpansion":
         return cls(((exp, coeff),), cutoff=cutoff)
 
-    # ------------------------------------------------------------------
-    # inspection
-    # ------------------------------------------------------------------
+    # -- inspection --
 
     @property
     def cutoff(self) -> Optional[Fraction]:
@@ -138,51 +175,66 @@ class QExpansion:
         return self._domain
 
     @property
+    def lattice(self) -> Tuple[Fraction, int, Tuple, Fraction]:
+        """``(offset, d, coeffs, scale)``: see the module docstring."""
+        return self._offset, self._d, self._coeffs, self._scale
+
+    def _exponent_ratio(self) -> Tuple[int, int, int]:
+        # exponent of entry i is (base + i * step) / den, all integers
+        on, od = self._offset.numerator, self._offset.denominator
+        return on * self._d, od, od * self._d
+
+    def _value(self, c) -> CoeffLike:
+        s = self._scale
+        return c if self._domain == COMPLEX else Fraction(c * s.numerator, s.denominator)
+
+    def _complex(self, c) -> complex:
+        # the correctly rounded float of an exact value, as complex(Fraction) gives
+        s = self._scale
+        return c if self._domain == COMPLEX else complex(c * s.numerator / s.denominator)
+
+    def _complex_coeffs(self) -> Sequence[complex]:
+        return self._coeffs if self._domain == COMPLEX else [self._complex(c) for c in self._coeffs]
+
+    @property
     def terms(self) -> Tuple[Tuple[Fraction, CoeffLike], ...]:
-        return self._terms
+        base, step, den = self._exponent_ratio()
+        return tuple((Fraction(base + i * step, den), self._value(c)) for i, c in enumerate(self._coeffs) if c)
 
     @property
     def min_exponent(self) -> Optional[Fraction]:
-        return self._terms[0][0] if self._terms else None
+        return self._offset if self._coeffs else None
 
     def leading(self) -> Optional[Tuple[Fraction, CoeffLike]]:
-        return self._terms[0] if self._terms else None
+        return (self._offset, self._value(self._coeffs[0])) if self._coeffs else None
 
     def coeff(self, exp: ExpLike) -> CoeffLike:
-        e = _as_exp(exp)
-        lo, hi = 0, len(self._terms)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._terms[mid][0] < e:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self._terms) and self._terms[lo][0] == e:
-            return self._terms[lo][1]
+        pos = (Fraction(exp) - self._offset) * self._d
+        if pos.denominator == 1 and 0 <= pos < len(self._coeffs) and self._coeffs[int(pos)]:
+            return self._value(self._coeffs[int(pos)])
         return Fraction(0) if self._domain == EXACT else 0j
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._coeffs
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._coeffs) - self._coeffs.count(0)
 
     def __iter__(self) -> Iterator[Tuple[Fraction, CoeffLike]]:
-        return iter(self._terms)
+        return iter(self.terms)
 
     def max_abs_coeff(self) -> float:
-        return max((abs(c) for _, c in self._terms), default=0.0)
+        if not self._coeffs:
+            return 0.0
+        top = max(map(abs, self._coeffs))
+        return top if self._domain == COMPLEX else top * abs(self._scale)
 
     # exponent floor used in cutoff propagation: for an empty series the
     # first unknown term can start at the cutoff itself
     def _exp_floor(self) -> Optional[Fraction]:
-        if self._terms:
-            return self._terms[0][0]
-        return self._cutoff
+        return self._offset if self._coeffs else self._cutoff
 
-    # ------------------------------------------------------------------
-    # arithmetic
-    # ------------------------------------------------------------------
+    # -- arithmetic --
 
     def _result_domain(self, other: "QExpansion") -> str:
         return COMPLEX if COMPLEX in (self._domain, other._domain) else EXACT
@@ -192,119 +244,142 @@ class QExpansion:
             other = QExpansion.monomial(0, other)
         if not isinstance(other, QExpansion):
             return NotImplemented
-        cut = _min_cutoff(self._cutoff, other._cutoff)
-        if cut is not None and self._terms and other._terms:
-            lead = min(self._terms[0][0], other._terms[0][0])
+        cuts = [c for c in (self._cutoff, other._cutoff) if c is not None]
+        cut = min(cuts) if cuts else None
+        if cut is not None and self._coeffs and other._coeffs:
+            lead = min(self._offset, other._offset)
             if cut <= lead:
                 raise CutoffUnderflowError(
                     f"additive cutoff {cut} at or below leading exponent {lead}"
                 )
-        return QExpansion(
-            list(self._terms) + list(other._terms),
-            cutoff=cut,
-            domain=self._result_domain(other),
-        )
+        domain = self._result_domain(other)
+        parts = [s for s in (self, other) if s._coeffs]
+        if not parts:
+            return QExpansion.zero(cut, domain)
+        offset = min(s._offset for s in parts)
+        d = math.lcm(*(s._d for s in parts), *((s._offset - offset).denominator for s in parts))
+        scale = _common_scale(s._scale for s in parts) if domain == EXACT else Fraction(1)
+        starts = [int((s._offset - offset) * d) for s in parts]
+        n = max(start + (len(s._coeffs) - 1) * (d // s._d) + 1 for s, start in zip(parts, starts))
+        if cut is not None:
+            n = max(0, min(n, math.ceil((cut - offset) * d)))
+        out: List = [0] * n
+        for s, start in zip(parts, starts):
+            if start >= n:
+                continue
+            stride = d // s._d
+            if domain == COMPLEX:
+                vals: Iterable = s._complex_coeffs()
+            else:
+                factor = int(s._scale / scale)
+                vals = s._coeffs if factor == 1 else map(mul, s._coeffs, repeat(factor))
+            stop = min(n, start + len(s._coeffs) * stride)
+            out[start:stop:stride] = map(add, out[start:stop:stride], vals)
+        return QExpansion.from_lattice(offset, d, out, scale, cut, domain)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "QExpansion":
-        if isinstance(other, (int, Fraction, float, complex)):
-            other = QExpansion.monomial(0, other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self) -> "QExpansion":
-        return QExpansion(
-            [(e, -c) for e, c in self._terms], cutoff=self._cutoff, domain=self._domain
-        )
+        if self._domain == COMPLEX:
+            return self._with(coeffs=tuple(-c for c in self._coeffs))
+        return self._with(scale=-self._scale)
+
+    def _with(self, **changes) -> "QExpansion":
+        fields = {name[1:]: getattr(self, name) for name in self.__slots__}
+        return QExpansion.from_lattice(**{**fields, **changes})
 
     def scale(self, scalar: CoeffLike) -> "QExpansion":
-        domain = COMPLEX if isinstance(scalar, (float, complex)) else self._domain
-        return QExpansion(
-            [(e, c * scalar) for e, c in self._terms],
-            cutoff=self._cutoff,
-            domain=domain,
-        )
+        if isinstance(scalar, (float, complex)):
+            return self._with(coeffs=[c * scalar for c in self._complex_coeffs()], domain=COMPLEX)
+        if self._domain == COMPLEX:
+            return self._with(coeffs=[c * scalar for c in self._coeffs])
+        if scalar == 0:
+            return QExpansion.zero(self._cutoff)
+        return self._with(scale=self._scale * scalar)
 
     def __mul__(self, other) -> "QExpansion":
         if isinstance(other, (int, Fraction, float, complex)):
             return self.scale(other)
         if not isinstance(other, QExpansion):
             return NotImplemented
-        if not self._terms and self._cutoff is None:
-            return QExpansion.zero(None, self._result_domain(other))
-        if not other._terms and other._cutoff is None:
-            return QExpansion.zero(None, self._result_domain(other))
-        candidates = []
-        fa, fb = self._exp_floor(), other._exp_floor()
-        if self._cutoff is not None and fb is not None:
-            candidates.append(self._cutoff + fb)
-        if other._cutoff is not None and fa is not None:
-            candidates.append(other._cutoff + fa)
+        domain = self._result_domain(other)
+        if any(not s._coeffs and s._cutoff is None for s in (self, other)):
+            return QExpansion.zero(None, domain)
+        bounds = ((self._cutoff, other._exp_floor()), (other._cutoff, self._exp_floor()))
+        candidates = [c + f for c, f in bounds if c is not None and f is not None]
         cut = min(candidates) if candidates else None
-        if self._terms and other._terms and cut is not None:
-            lead = self._terms[0][0] + other._terms[0][0]
-            if cut <= lead:
-                raise CutoffUnderflowError(
-                    f"product cutoff {cut} at or below leading exponent {lead}"
-                )
-        acc: Dict[Fraction, CoeffLike] = {}
-        for ea, ca in self._terms:
-            for eb, cb in other._terms:
-                e = ea + eb
-                if cut is not None and e >= cut:
-                    break
-                acc[e] = acc.get(e, 0) + ca * cb
-        return QExpansion(acc, cutoff=cut, domain=self._result_domain(other))
+        if not self._coeffs or not other._coeffs:
+            return QExpansion.zero(cut, domain)
+        offset = self._offset + other._offset
+        if cut is not None and cut <= offset:
+            raise CutoffUnderflowError(
+                f"product cutoff {cut} at or below leading exponent {offset}"
+            )
+        d = math.lcm(self._d, other._d)
+        outer, r_out, inner, r_in = self._coeffs, d // self._d, other._coeffs, d // other._d
+        n = (len(outer) - 1) * r_out + (len(inner) - 1) * r_in + 1
+        if cut is not None:
+            n = min(n, math.ceil((cut - offset) * d))
+        scale = Fraction(1)
+        if domain == COMPLEX:
+            # self stays outer so every coefficient sums in the order of its exponents
+            outer, inner = self._complex_coeffs(), other._complex_coeffs()
+        else:
+            scale = self._scale * other._scale
+            # cost is (nonzero entries of the outer run) x (length of the inner one)
+            if len(other) * len(self._coeffs) < len(self) * len(other._coeffs):
+                outer, r_out, inner, r_in = inner, r_in, outer, r_out
+        out: List = [0] * n
+        for i, x in enumerate(outer):
+            start = i * r_out
+            if start >= n:
+                break
+            if x:
+                stop = min(n, start + len(inner) * r_in)
+                out[start:stop:r_in] = map(add, out[start:stop:r_in], map(mul, inner, repeat(x)))
+        return QExpansion.from_lattice(offset, d, out, scale, cut, domain)
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "QExpansion":
         """Multiplicative inverse ``1/self`` (Laurent leading term allowed).
 
-        Exact below ``cutoff - 2*min_exponent``; the inversion runs a linear
-        convolution on a common integer exponent lattice, so cost is linear
-        in the lattice length times the number of stored terms.
+        Exact below ``cutoff - 2*min_exponent``.  The inversion runs a
+        recurrence over the nonzero entries on the series' own lattice, so
+        cost is linear in the lattice length times the number of stored
+        terms.  For exact series with leading entry ``c0`` it computes the
+        ints ``u_n = c0^N * b_n`` of the inverse ``b`` of length ``N``, which
+        the recurrence ``c0 u_n = -sum_j a_j u_{n-j}`` divides exactly.
         """
-        if not self._terms:
+        if not self._coeffs:
             raise QSeriesError("cannot invert a series with no known terms")
-        e0, c0 = self._terms[0]
-        if len(self._terms) == 1:
-            new_cut = self._cutoff - 2 * e0 if self._cutoff is not None else None
-            inv = 1 / c0 if self._domain == EXACT else 1.0 / c0
+        e0, c0 = self._offset, self._coeffs[0]
+        new_cut = self._cutoff - 2 * e0 if self._cutoff is not None else None
+        if len(self._coeffs) == 1:
+            inv = 1.0 / c0 if self._domain == COMPLEX else 1 / (c0 * self._scale)
             return QExpansion.monomial(-e0, inv, new_cut)
         if self._cutoff is None:
             raise QSeriesError("reciprocal of an exact multi-term series is not finite")
-        rel_cut = self._cutoff - e0
-        denoms = [(e - e0).denominator for e, _ in self._terms]
-        denoms.append(rel_cut.denominator)
-        scale = 1
-        for d in denoms:
-            scale = scale * d // math.gcd(scale, d)
-        length = math.ceil(rel_cut * scale)
-        support = []
-        for e, c in self._terms[1:]:
-            idx = int((e - e0) * scale)
-            support.append((idx, c))
-        zero = Fraction(0) if self._domain == EXACT else 0j
-        inv0 = 1 / c0 if self._domain == EXACT else 1.0 / c0
-        t: List[CoeffLike] = [zero] * max(length, 1)
-        t[0] = inv0
+        exact = self._domain == EXACT
+        length = math.ceil((self._cutoff - e0) * self._d)
+        support = [(j, c) for j, c in enumerate(self._coeffs[1:length], 1) if c]
+        t: List = [0] * length
+        t[0] = c0 ** (length - 1) if exact else 1.0 / c0
         for n in range(1, length):
-            acc = zero
+            acc = 0
             for j, s in support:
                 if j > n:
                     break
-                if t[n - j] != 0:
-                    acc += s * t[n - j]
-            if acc != 0:
-                t[n] = -acc * inv0
-        out = [
-            (-e0 + Fraction(n, scale), c) for n, c in enumerate(t) if c != 0
-        ]
-        return QExpansion(out, cutoff=self._cutoff - 2 * e0, domain=self._domain)
+                acc += s * t[n - j]
+            t[n] = -(acc // c0) if exact else -acc * t[0]
+        scale = 1 / (self._scale * c0**length) if exact else 1
+        return QExpansion.from_lattice(-e0, self._d, t, scale, new_cut, self._domain)
 
     def __truediv__(self, other) -> "QExpansion":
         if isinstance(other, (int, Fraction, float, complex)):
@@ -316,54 +391,49 @@ class QExpansion:
             return NotImplemented
         return self * other.reciprocal()
 
-    # ------------------------------------------------------------------
-    # substitutions and reshaping
-    # ------------------------------------------------------------------
+    # -- substitutions and reshaping --
 
     def truncated(self, cutoff: ExpLike) -> "QExpansion":
-        cut = _as_exp(cutoff)
+        cut = Fraction(cutoff)
         if self._cutoff is not None and cut > self._cutoff:
-            raise QSeriesError(
-                f"cannot extend cutoff {self._cutoff} to {cut}"
-            )
-        return QExpansion(self._terms, cutoff=cut, domain=self._domain)
+            raise QSeriesError(f"cannot extend cutoff {self._cutoff} to {cut}")
+        return self._with(cutoff=cut)
 
     def shifted(self, delta: ExpLike) -> "QExpansion":
         """Multiply by q^delta: every exponent moves by ``delta``."""
-        d = _as_exp(delta)
+        d = Fraction(delta)
         cut = self._cutoff + d if self._cutoff is not None else None
-        return QExpansion(
-            [(e + d, c) for e, c in self._terms], cutoff=cut, domain=self._domain
-        )
+        return self._with(offset=self._offset + d, cutoff=cut)
 
     def half_exponents(self) -> "QExpansion":
         """The substitution tau -> tau/2, i.e. q^r -> q^{r/2}."""
         cut = self._cutoff / 2 if self._cutoff is not None else None
-        return QExpansion(
-            [(e / 2, c) for e, c in self._terms], cutoff=cut, domain=self._domain
-        )
+        return self._with(offset=self._offset / 2, d=2 * self._d, cutoff=cut)
 
     def double_exponents(self) -> "QExpansion":
         """The substitution tau -> 2 tau, inverse of :meth:`half_exponents`."""
         cut = self._cutoff * 2 if self._cutoff is not None else None
-        return QExpansion(
-            [(e * 2, c) for e, c in self._terms], cutoff=cut, domain=self._domain
-        )
+        if self._d % 2 == 0:
+            return self._with(offset=self._offset * 2, d=self._d // 2, cutoff=cut)
+        spread: List = [0] * (2 * len(self._coeffs) - 1)
+        spread[::2] = self._coeffs
+        return self._with(offset=self._offset * 2, coeffs=spread, cutoff=cut)
 
     def shift_tau(self) -> "QExpansion":
         """The substitution tau -> tau + 1: coefficient at q^r picks up e^{2 pi i r}.
 
         Always lands in the complex-float domain.
         """
-        out = []
-        for e, c in self._terms:
-            phase = cmath.exp(2j * math.pi * float(e - math.floor(e)))
-            out.append((e, complex(c) * phase))
-        return QExpansion(out, cutoff=self._cutoff, domain=COMPLEX)
+        base, step, den = self._exponent_ratio()
+        out = [
+            self._complex(c) * cmath.exp(2j * math.pi * (((base + i * step) % den) / den))
+            if c
+            else 0j
+            for i, c in enumerate(self._coeffs)
+        ]
+        return self._with(coeffs=out, domain=COMPLEX)
 
-    # ------------------------------------------------------------------
-    # numerics
-    # ------------------------------------------------------------------
+    # -- numerics --
 
     def evaluate(self, tau: complex, growth_bound: float = 2.0 ** 64) -> EvalResult:
         """Sum the stored terms at ``q = e^{2 pi i tau}`` on the upper half plane.
@@ -375,9 +445,12 @@ class QExpansion:
         tau = complex(tau)
         if tau.imag <= 0:
             raise QSeriesError("evaluation requires Im(tau) > 0")
+        base, step, den = self._exponent_ratio()
         total = 0j
-        for e, c in self._terms:
-            total += complex(c) * cmath.exp(2j * math.pi * float(e) * tau)
+        for i, c in enumerate(self._coeffs):
+            if c:
+                e = (base + i * step) / den
+                total += self._complex(c) * cmath.exp(2j * math.pi * e * tau)
         if self._cutoff is None:
             return EvalResult(total, 0.0)
         absq = math.exp(-2 * math.pi * tau.imag)
@@ -387,23 +460,23 @@ class QExpansion:
             tail = math.inf
         return EvalResult(total, tail)
 
-    # ------------------------------------------------------------------
-    # serialization
-    # ------------------------------------------------------------------
+    # -- serialization --
 
     def to_json_dict(self) -> dict:
-        def frac_pair(x: Fraction) -> List[str]:
-            return [str(x.numerator), str(x.denominator)]
-
+        cut = self._cutoff
         out: dict = {
             "domain": self._domain,
-            "cutoff": frac_pair(self._cutoff) if self._cutoff is not None else None,
+            "cutoff": _frac_pair(cut.numerator, cut.denominator) if cut is not None else None,
         }
+        base, step, den = self._exponent_ratio()
+        sn, sd = self._scale.numerator, self._scale.denominator
         terms = []
-        for e, c in self._terms:
-            entry: dict = {"exp": frac_pair(e)}
+        for i, c in enumerate(self._coeffs):
+            if not c:
+                continue
+            entry: dict = {"exp": _frac_pair(base + i * step, den)}
             if self._domain == EXACT:
-                entry["coef"] = frac_pair(c)
+                entry["coef"] = _frac_pair(c * sn, sd)
             else:
                 entry["coef"] = {"re": c.real, "im": c.imag}
             terms.append(entry)
@@ -426,27 +499,33 @@ class QExpansion:
             terms.append((e, coeff))
         return cls(terms, cutoff=cutoff, domain=domain)
 
-    # ------------------------------------------------------------------
-    # comparison / display
-    # ------------------------------------------------------------------
+    # -- comparison / display --
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QExpansion):
             return NotImplemented
         return (
-            self._terms == other._terms
+            self.terms == other.terms
             and self._cutoff == other._cutoff
             and self._domain == other._domain
         )
 
     def __hash__(self) -> int:
-        return hash((self._terms, self._cutoff, self._domain))
+        return hash((self.terms, self._cutoff, self._domain))
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{c}*q^{e}" for e, c in self._terms[:6])
-        if len(self._terms) > 6:
+        terms = self.terms
+        shown = ", ".join(f"{c}*q^{e}" for e, c in terms[:6])
+        if len(terms) > 6:
             shown += ", ..."
         return f"QExpansion([{shown}], cutoff={self._cutoff})"
+
+
+def _init(series: QExpansion, *fields) -> None:
+    if fields[-1] not in (EXACT, COMPLEX):
+        raise QSeriesError(f"unknown coefficient domain {fields[-1]!r}")
+    for name, value in zip(QExpansion.__slots__, fields):
+        object.__setattr__(series, name, value)
 
 
 def product_expansion(
@@ -458,20 +537,23 @@ def product_expansion(
     """Expand ``q^prefactor * prod_n (1 + sign q^{n + offset})`` below ``cutoff``.
 
     The product index starts at n = 1 for offset 0 and at n = 0 for offset
-    1/2, so the first factor exponent is 1 or 1/2 respectively.
+    1/2, so the first factor exponent is 1 or 1/2 respectively.  Each factor
+    is one in-place pass ``c[i] += sign * c[i - a]`` over the integer run.
     """
     if sign not in (1, -1):
         raise QSeriesError("sign must be +1 or -1")
-    offset = _as_exp(offset)
+    offset = Fraction(offset)
     if offset not in (Fraction(0), Fraction(1, 2)):
         raise QSeriesError("offset must be 0 or 1/2")
-    prefactor_exp = _as_exp(prefactor_exp)
-    cutoff = _as_exp(cutoff)
+    prefactor_exp = Fraction(prefactor_exp)
+    cutoff = Fraction(cutoff)
     if cutoff <= prefactor_exp:
         raise CutoffUnderflowError("cutoff must exceed the prefactor exponent")
-    result = QExpansion.monomial(prefactor_exp, 1, cutoff)
-    a = offset if offset else Fraction(1)
-    while prefactor_exp + a < cutoff:
-        result = result * QExpansion(((Fraction(0), 1), (a, sign)))
-        a += 1
-    return result
+    d = offset.denominator
+    length = math.ceil((cutoff - prefactor_exp) * d)
+    c = [1] + [0] * (length - 1)
+    step = add if sign == 1 else sub
+    for a in range(int(offset * d) or d, length, d):
+        # the right-hand slice is a copy, so every c[i - a] is read before the pass
+        c[a:] = map(step, c[a:], c[: length - a])
+    return QExpansion.from_lattice(prefactor_exp, d, c, 1, cutoff)

@@ -22,7 +22,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Tuple, Union
+from itertools import repeat
+from operator import add, sub
+from typing import Tuple, Union
 
 from .arith import bernoulli_number, bernoulli_poly_at
 from .qseries import QExpansion, QSeriesError, product_expansion
@@ -101,67 +103,57 @@ def _index_window(j: Fraction, k: Fraction, cutoff: Fraction) -> range:
     return range(lo, hi + 1)
 
 
-def theta(idx: IndexLike, cutoff) -> QExpansion:
-    """Theta constant: multiplicity-counting sum of q^{(2kn+j)^2/4k} below cutoff."""
+def _lattice_sum(idx: IndexLike, cutoff, weighted: bool, alternating: bool) -> QExpansion:
+    """Sum of ``w_n q^{(2kn+j)^2/4k}`` over the window below ``cutoff``.
+
+    The weight ``w_n`` is ``2kn+j`` when ``weighted`` and 1 otherwise, times
+    ``(-1)^n`` when ``alternating``.  With ``L`` the lcm of the denominators
+    of 2k and j, ``T = (2kn+j) L`` is an integer and the exponent is
+    ``T^2 / (2 (2k L) L)``, so the sum is written straight into an integer
+    run (under scale ``1/L`` when weighted) on the coarsest lattice through
+    all its exponents.
+    """
     idx = _as_index(idx)
+    if alternating and not idx.j_is_integer:
+        raise ValueError("alternating theta series require an integer first index")
     cutoff = Fraction(cutoff)
     if cutoff <= 0:
         raise QSeriesError("theta cutoff must be positive")
-    acc: Dict[Fraction, Fraction] = {}
-    for n in _index_window(idx.j, idx.k, cutoff):
-        t = 2 * idx.k * n + idx.j
-        e = t * t / (4 * idx.k)
-        acc[e] = acc.get(e, Fraction(0)) + 1
-    return QExpansion(acc, cutoff=cutoff)
+    lat = math.lcm((2 * idx.k).denominator, idx.j.denominator)
+    step, base = int(2 * idx.k * lat), int(idx.j * lat)
+    den = 2 * step * lat
+    window = _index_window(idx.j, idx.k, cutoff)
+    squares = [(step * n + base) ** 2 for n in window]
+    if not squares:
+        return QExpansion.zero(cutoff)
+    low = min(squares)
+    gap = math.gcd(den, *(sq - low for sq in squares))
+    coeffs = [0] * ((max(squares) - low) // gap + 1)
+    for n, sq in zip(window, squares):
+        w = step * n + base if weighted else 1
+        coeffs[(sq - low) // gap] += -w if alternating and n & 1 else w
+    scale = Fraction(1, lat) if weighted else 1
+    return QExpansion.from_lattice(Fraction(low, den), den // gap, coeffs, scale, cutoff)
+
+
+def theta(idx: IndexLike, cutoff) -> QExpansion:
+    """Theta constant: multiplicity-counting sum of q^{(2kn+j)^2/4k} below cutoff."""
+    return _lattice_sum(idx, cutoff, weighted=False, alternating=False)
 
 
 def theta_deriv(idx: IndexLike, cutoff) -> QExpansion:
     """Derivative theta constant: coefficient (2kn+j) at exponent (2kn+j)^2/4k."""
-    idx = _as_index(idx)
-    cutoff = Fraction(cutoff)
-    if cutoff <= 0:
-        raise QSeriesError("theta cutoff must be positive")
-    acc: Dict[Fraction, Fraction] = {}
-    for n in _index_window(idx.j, idx.k, cutoff):
-        t = 2 * idx.k * n + idx.j
-        e = t * t / (4 * idx.k)
-        acc[e] = acc.get(e, Fraction(0)) + t
-    return QExpansion(acc, cutoff=cutoff)
-
-
-def _require_integer_j(idx: ThetaIndex) -> None:
-    if not idx.j_is_integer:
-        raise ValueError("alternating theta series require an integer first index")
+    return _lattice_sum(idx, cutoff, weighted=True, alternating=False)
 
 
 def g_series(idx: IndexLike, cutoff) -> QExpansion:
     """Alternating theta constant: sign (-1)^n on each lattice summand."""
-    idx = _as_index(idx)
-    _require_integer_j(idx)
-    cutoff = Fraction(cutoff)
-    if cutoff <= 0:
-        raise QSeriesError("theta cutoff must be positive")
-    acc: Dict[Fraction, Fraction] = {}
-    for n in _index_window(idx.j, idx.k, cutoff):
-        t = 2 * idx.k * n + idx.j
-        e = t * t / (4 * idx.k)
-        acc[e] = acc.get(e, Fraction(0)) + (-1) ** (n & 1)
-    return QExpansion(acc, cutoff=cutoff)
+    return _lattice_sum(idx, cutoff, weighted=False, alternating=True)
 
 
 def g_deriv(idx: IndexLike, cutoff) -> QExpansion:
     """Alternating derivative theta constant: coefficient (-1)^n (2kn+j)."""
-    idx = _as_index(idx)
-    _require_integer_j(idx)
-    cutoff = Fraction(cutoff)
-    if cutoff <= 0:
-        raise QSeriesError("theta cutoff must be positive")
-    acc: Dict[Fraction, Fraction] = {}
-    for n in _index_window(idx.j, idx.k, cutoff):
-        t = 2 * idx.k * n + idx.j
-        e = t * t / (4 * idx.k)
-        acc[e] = acc.get(e, Fraction(0)) + (-1) ** (n & 1) * t
-    return QExpansion(acc, cutoff=cutoff)
+    return _lattice_sum(idx, cutoff, weighted=True, alternating=True)
 
 
 @lru_cache(maxsize=None)
@@ -196,50 +188,31 @@ def eisenstein(k: int, variant: str, cutoff) -> QExpansion:
     ``level2-zero`` B_2k(1/2)/(2k)!
                     + (2/(2k-1)!) sum (n-1/2)^{2k-1} q^{n-1/2} / (1 + q^{n-1/2})
 
-    Each Lambert factor is expanded exactly as a geometric series below the
-    cutoff, with early exit once the base exponent passes the cutoff.
+    All three run one Lambert loop: each base exponent below the cutoff adds
+    its weight at every multiple of itself, with alternating sign in the
+    level-2 variants, into one integer run under the scale 2/(2k-1)!.
     """
     if k < 1:
         raise ValueError("eisenstein weight index must be >= 1")
     if variant not in EISENSTEIN_VARIANTS:
         raise ValueError(f"variant must be one of {EISENSTEIN_VARIANTS}")
     cutoff = Fraction(cutoff)
-    fact = math.factorial(2 * k)
-    norm = Fraction(2, math.factorial(2 * k - 1))
-    acc: Dict[Fraction, Fraction] = {}
-    if variant == "full":
-        acc[Fraction(0)] = -bernoulli_number(2 * k) / fact
-        n = 1
-        while Fraction(n) < cutoff:
-            weight = norm * Fraction(n) ** (2 * k - 1)
-            e = Fraction(n)
-            while e < cutoff:
-                acc[e] = acc.get(e, Fraction(0)) + weight
-                e += n
-            n += 1
-    elif variant == "level2-one":
-        acc[Fraction(0)] = bernoulli_number(2 * k) / fact
-        n = 1
-        while Fraction(n) < cutoff:
-            weight = norm * Fraction(n) ** (2 * k - 1)
-            e = Fraction(n)
-            sign = 1
-            while e < cutoff:
-                acc[e] = acc.get(e, Fraction(0)) + sign * weight
-                e += n
-                sign = -sign
-            n += 1
-    else:
-        acc[Fraction(0)] = bernoulli_poly_at(2 * k, Fraction(1, 2)) / fact
-        n = 1
-        while Fraction(2 * n - 1, 2) < cutoff:
-            base = Fraction(2 * n - 1, 2)
-            weight = norm * base ** (2 * k - 1)
-            e = base
-            sign = 1
-            while e < cutoff:
-                acc[e] = acc.get(e, Fraction(0)) + sign * weight
-                e += base
-                sign = -sign
-            n += 1
-    return QExpansion(acc, cutoff=cutoff)
+    # the level2-zero bases n - 1/2 sit on the half-integers: index b on
+    # lattice step 1/d stands for the base b/d, with weight b^(2k-1)/d^(2k-1)
+    d = 2 if variant == "level2-zero" else 1
+    constant = {
+        "full": -bernoulli_number(2 * k),
+        "level2-one": bernoulli_number(2 * k),
+        "level2-zero": bernoulli_poly_at(2 * k, Fraction(1, 2)),
+    }[variant] / math.factorial(2 * k)
+    size = max(0, math.ceil(cutoff * d))
+    coeffs = [0] * size
+    for b in range(1, size, d):
+        weight = repeat(b ** (2 * k - 1))
+        if variant == "full":
+            coeffs[b::b] = map(add, coeffs[b::b], weight)
+        else:
+            coeffs[b::2 * b] = map(add, coeffs[b::2 * b], weight)
+            coeffs[2 * b::2 * b] = map(sub, coeffs[2 * b::2 * b], weight)
+    scale = Fraction(2, math.factorial(2 * k - 1) * d ** (2 * k - 1))
+    return QExpansion.from_lattice(0, d, coeffs, scale, cutoff) + constant

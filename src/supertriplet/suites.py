@@ -16,6 +16,7 @@ from . import characters as ch
 from . import fermion as fm
 from . import zhu
 from .arith import bernoulli_number
+from .modular import character_theta_indices
 from .qseries import QExpansion
 from .specialfn import ThetaIndex, eisenstein, eta, frak_f2, g_series, theta, theta_deriv
 
@@ -45,11 +46,7 @@ def _ok(name: str, passed: bool, detail: str = "") -> CheckResult:
 
 def _theta_suite(m: int, cutoff: Fraction, tolerance: float) -> List[CheckResult]:
     checks: List[CheckResult] = []
-    k = Fraction(2 * m + 1, 2)
-    indices = [ThetaIndex(Fraction(0), k), ThetaIndex(Fraction(2 * m + 1, 2), k)]
-    for i in range(m):
-        indices.append(ThetaIndex(Fraction(m - i), k))
-        indices.append(ThetaIndex(Fraction(2 * (m - i) - 1, 2), k))
+    indices = character_theta_indices(m)
 
     ok = True
     for idx in indices:

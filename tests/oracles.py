@@ -9,6 +9,7 @@ lattice so the oracles cannot silently share a bug with the code under test.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, List
 
@@ -112,3 +113,107 @@ def w_algebra_char_oracle(kind: str, s: int, p: int, cutoff: Fraction) -> Dict[F
     }
     full = convolve(theta_map, eta_inv, cutoff)
     return full
+
+
+class SparseSeries:
+    """Reference series kernel: a sorted, zero-free tuple of
+    ``(Fraction exponent, coefficient)`` pairs plus a cutoff, rebuilt through
+    a dict keyed by exponent on every operation.
+
+    This is the representation ``QExpansion`` used before its dense lattice
+    form; differential tests compare the two on ``terms`` and ``cutoff``.
+    Cutoff rules: a sum is exact below the smaller cutoff, a product of
+    ``A`` and ``B`` below ``min(cutoff_A + minexp_B, cutoff_B + minexp_A)``
+    and a reciprocal below ``cutoff - 2 * minexp``.  Domains are the strings
+    ``"exact-rational"`` and ``"complex-float"``; a complex coefficient
+    anywhere makes the result complex.
+    """
+
+    EXACT = "exact-rational"
+    COMPLEX = "complex-float"
+
+    def __init__(self, terms=(), cutoff=None, domain=None):
+        raw = [(Fraction(e), c) for e, c in terms]
+        if domain is None:
+            domain = self.EXACT
+            if any(isinstance(c, (float, complex)) for _, c in raw):
+                domain = self.COMPLEX
+        cut = Fraction(cutoff) if cutoff is not None else None
+        acc = {}
+        for e, c in raw:
+            if cut is None or e < cut:
+                acc[e] = acc.get(e, 0) + c
+        convert = complex if domain == self.COMPLEX else Fraction
+        cleaned = [(e, convert(acc[e])) for e in sorted(acc)]
+        self.terms = tuple((e, c) for e, c in cleaned if c != 0)
+        self.cutoff = cut
+        self.domain = domain
+
+    def _floor(self):
+        return self.terms[0][0] if self.terms else self.cutoff
+
+    def _result_domain(self, other):
+        return self.COMPLEX if self.COMPLEX in (self.domain, other.domain) else self.EXACT
+
+    def __add__(self, other):
+        cuts = [c for c in (self.cutoff, other.cutoff) if c is not None]
+        cut = min(cuts) if cuts else None
+        if cut is not None and self.terms and other.terms:
+            if cut <= min(self.terms[0][0], other.terms[0][0]):
+                raise ValueError("additive cutoff at or below the leading exponent")
+        return SparseSeries(self.terms + other.terms, cut, self._result_domain(other))
+
+    def __mul__(self, other):
+        domain = self._result_domain(other)
+        if (not self.terms and self.cutoff is None) or (not other.terms and other.cutoff is None):
+            return SparseSeries((), None, domain)
+        candidates = []
+        fa, fb = self._floor(), other._floor()
+        if self.cutoff is not None and fb is not None:
+            candidates.append(self.cutoff + fb)
+        if other.cutoff is not None and fa is not None:
+            candidates.append(other.cutoff + fa)
+        cut = min(candidates) if candidates else None
+        if self.terms and other.terms and cut is not None:
+            if cut <= self.terms[0][0] + other.terms[0][0]:
+                raise ValueError("product cutoff at or below the leading exponent")
+        acc = {}
+        for ea, ca in self.terms:
+            for eb, cb in other.terms:
+                e = ea + eb
+                if cut is not None and e >= cut:
+                    break
+                acc[e] = acc.get(e, 0) + ca * cb
+        return SparseSeries(acc.items(), cut, domain)
+
+    def reciprocal(self):
+        if not self.terms:
+            raise ValueError("cannot invert a series with no known terms")
+        e0, c0 = self.terms[0]
+        exact = self.domain == self.EXACT
+        inv0 = 1 / c0 if exact else 1.0 / c0
+        if len(self.terms) == 1:
+            cut = self.cutoff - 2 * e0 if self.cutoff is not None else None
+            return SparseSeries([(-e0, inv0)], cut)
+        if self.cutoff is None:
+            raise ValueError("reciprocal of an exact multi-term series is not finite")
+        rel_cut = self.cutoff - e0
+        scale = 1
+        for d in [(e - e0).denominator for e, _ in self.terms] + [rel_cut.denominator]:
+            scale = scale * d // math.gcd(scale, d)
+        length = math.ceil(rel_cut * scale)
+        support = [(int((e - e0) * scale), c) for e, c in self.terms[1:]]
+        zero = Fraction(0) if exact else 0j
+        t = [zero] * length
+        t[0] = inv0
+        for n in range(1, length):
+            acc = zero
+            for j, s in support:
+                if j > n:
+                    break
+                if t[n - j] != 0:
+                    acc += s * t[n - j]
+            if acc != 0:
+                t[n] = -acc * inv0
+        out = [(-e0 + Fraction(n, scale), c) for n, c in enumerate(t) if c != 0]
+        return SparseSeries(out, self.cutoff - 2 * e0, self.domain)

@@ -111,13 +111,14 @@ class TestThetaTransforms:
         import cmath
         import math as _math
 
-        from supertriplet.modular import _prefactor_series, _theta_series
+        from supertriplet.characters import _quotient
+        from supertriplet.modular import _theta_series
 
         j, k = Fraction(1), Fraction(3, 2)
         phase = cmath.exp(1j * _math.pi * (-0.125 + float(j * j / (2 * k))))
-        lhs_pref = _prefactor_series("f", small_grid.cutoff)
+        lhs_pref = _quotient("f", small_grid.cutoff)
         lhs_theta = _theta_series("theta", j, k, small_grid.cutoff)
-        rhs_pref = _prefactor_series("f1", small_grid.cutoff)
+        rhs_pref = _quotient("f1", small_grid.cutoff)
         rhs_theta = _theta_series("g", j, k, small_grid.cutoff)
         for tau in small_grid.points:
             lhs = lhs_pref.evaluate(tau + 1).value * lhs_theta.evaluate(tau + 1).value

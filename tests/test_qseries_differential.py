@@ -1,0 +1,137 @@
+"""Differential tests: the lattice kernel of QExpansion against SparseSeries.
+
+Each generated series lives on one lattice ``offset + (1/d) Z`` with d in
+1..48, may start at a negative exponent and may lead with any nonzero
+coefficient; operands of one operation are drawn independently, so sums and
+products mix lattices.  Results must agree on ``terms`` and ``cutoff``, and
+both kernels must refuse the same inputs.  Complex-domain results are
+compared exactly: the lattice kernel sums every coefficient in the order the
+sparse kernel does.
+"""
+
+import cmath
+import math
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from supertriplet.qseries import COMPLEX, EXACT, QExpansion
+
+from oracles import SparseSeries
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+exact_coeffs = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+)
+complex_coeffs = st.complex_numbers(max_magnitude=8, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def series_terms(draw, domain=EXACT, max_span=6, finite_cutoff=None):
+    """(terms, cutoff) on one lattice, exponents in [offset, offset + max_span)."""
+    d = draw(st.integers(1, 48))
+    offset = Fraction(draw(st.integers(-2 * d, 3 * d)), d)
+    coeff = complex_coeffs if domain == COMPLEX else exact_coeffs
+    steps = draw(st.lists(st.integers(0, max_span * d - 1), min_size=0, max_size=12))
+    terms = [(offset + Fraction(s, d), draw(coeff)) for s in steps]
+    lead = draw(st.integers(-7, 7).filter(bool))
+    terms.append((offset, lead))
+    if finite_cutoff is None:
+        finite_cutoff = draw(st.booleans())
+    cutoff = None
+    if finite_cutoff:
+        cutoff = offset + Fraction(draw(st.integers(1, max_span * d + 2 * d)), d)
+    return terms, cutoff
+
+
+def any_domain_terms(**kwargs):
+    return st.sampled_from([EXACT, COMPLEX]).flatmap(lambda dom: series_terms(domain=dom, **kwargs))
+
+
+def both(terms, cutoff):
+    return QExpansion(terms, cutoff=cutoff), SparseSeries(terms, cutoff)
+
+
+def assert_agree(fast, slow):
+    assert fast.terms == slow.terms
+    assert fast.cutoff == slow.cutoff
+    assert fast.domain == slow.domain
+
+
+def outcome(op):
+    try:
+        return op(), None
+    except ValueError as exc:  # QSeriesError is one
+        return None, type(exc)
+
+
+def check_op(fast_op, slow_op):
+    fast, fast_err = outcome(fast_op)
+    slow, slow_err = outcome(slow_op)
+    assert (fast_err is None) == (slow_err is None)
+    if fast_err is None:
+        assert_agree(fast, slow)
+
+
+@SETTINGS
+@given(any_domain_terms(), any_domain_terms())
+def test_sum_matches_sparse_kernel(a, b):
+    (fa, sa), (fb, sb) = both(*a), both(*b)
+    assert_agree(fa, sa)
+    check_op(lambda: fa + fb, lambda: sa + sb)
+
+
+@SETTINGS
+@given(any_domain_terms(max_span=2), any_domain_terms(max_span=2))
+def test_product_matches_sparse_kernel(a, b):
+    (fa, sa), (fb, sb) = both(*a), both(*b)
+    check_op(lambda: fa * fb, lambda: sa * sb)
+
+
+@SETTINGS
+@given(any_domain_terms(max_span=3))
+def test_reciprocal_matches_sparse_kernel(a):
+    fa, sa = both(*a)
+    check_op(fa.reciprocal, sa.reciprocal)
+
+
+@SETTINGS
+@given(any_domain_terms(max_span=3, finite_cutoff=True))
+def test_reciprocal_inverts_exactly(a):
+    fa, _ = both(*a)
+    assume(not fa.is_zero())
+    if fa.domain == EXACT:
+        assert (fa * fa.reciprocal() - QExpansion.one()).is_zero()
+
+
+@SETTINGS
+@given(
+    series_terms(),
+    st.fractions(min_value=-3, max_value=3, max_denominator=48),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+def test_reshaping_moves_every_term(a, delta, factor):
+    terms, cutoff = a
+    fa = QExpansion(terms, cutoff=cutoff)
+
+    def mapped(f_exp, f_coeff=lambda c: c, f_cut=None):
+        f_cut = f_cut or f_exp
+        cut = f_cut(cutoff) if cutoff is not None else None
+        return SparseSeries([(f_exp(e), f_coeff(c)) for e, c in terms], cut)
+
+    assert_agree(fa.shifted(delta), mapped(lambda e: e + delta))
+    assert_agree(fa.half_exponents(), mapped(lambda e: e / 2))
+    assert_agree(fa.double_exponents(), mapped(lambda e: e * 2))
+    assert_agree(-fa, mapped(lambda e: e, lambda c: -c))
+    assert_agree(fa.scale(factor), mapped(lambda e: e, lambda c: c * factor))
+    cut = terms[-1][0] + 1 if cutoff is None else min(cutoff, terms[-1][0] + 1)
+    assert_agree(fa.truncated(cut), SparseSeries(terms, cut))
+    phase = lambda e: cmath.exp(2j * math.pi * float(e - math.floor(e)))  # noqa: E731
+    shifted = SparseSeries([(e, complex(c) * phase(e)) for e, c in fa.terms], cutoff, COMPLEX)
+    assert_agree(fa.shift_tau(), shifted)
+    assert QExpansion.from_json_dict(fa.to_json_dict()) == fa
+    for e, c in fa.terms:
+        assert fa.coeff(e) == c
