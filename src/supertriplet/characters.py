@@ -284,8 +284,7 @@ def super_vs_t_deviation(label: ModuleLabel, cutoff) -> float:
         return 0.0
     eps = 1 if schi.leading()[1] > 0 else -1
     phase = eps * cmath.exp(2j * _math.pi * float(lead - _math.floor(lead)))
-    diff = chi.shift_tau() - schi.scale(phase)
-    return diff.max_abs_coeff()
+    return chi.shift_tau_deviation(schi, phase)
 
 
 # ----------------------------------------------------------------------

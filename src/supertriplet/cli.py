@@ -72,7 +72,11 @@ def _cmd_char(args) -> int:
             print("char: twisted families have no supercharacter flavor", file=sys.stderr)
             return EXIT_USAGE
         labels = [(label, flavor)]
-    rows = ch.char_table_rows(m, cutoff, labels)
+    try:
+        rows = ch.char_table_rows(m, cutoff, labels)
+    except ValueError as exc:
+        print(f"char: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.format == "json":
         _emit(_json_dump({"schema": SCHEMA, "rows": rows}), args.out)
     else:

@@ -438,22 +438,25 @@ def closure_under_s_t(
     pointwise = float(
         np.linalg.norm(mat @ coeffs - control) / np.linalg.norm(control)
     )
-    plain = QExpansion.zero(control_window, domain="complex-float")
-    tau_part = QExpansion.zero(control_window, domain="complex-float")
     build = control_window + 1
-    for x, fn in zip(coeffs, fns):
-        series = (
-            _quotient(fn.prefactor, build)
-            * _theta_series(fn.kind, fn.j, fn.k, build)
-        ).truncated(control_window).scale(complex(x))
-        if fn.tau_power:
-            tau_part = tau_part + series
-        else:
-            plain = plain + series
-    mismatch = (plain - eta(control_window)).max_abs_coeff()
-    mismatch = max(mismatch, tau_part.max_abs_coeff())
-    scale = eta(control_window).max_abs_coeff()
-    rc = float(mismatch / scale)
+    window = [
+        (_quotient(fn.prefactor, build) * _theta_series(fn.kind, fn.j, fn.k, build)).truncated(
+            control_window
+        )
+        for fn in fns
+    ] + [eta(control_window)]
+    column = {e: i for i, e in enumerate(sorted({e for s in window for e, _ in s.terms}))}
+    values = np.zeros((len(window), len(column)))
+    for row, series in zip(values, window):
+        for e, c in series.terms:
+            row[column[e]] = c
+    # summed member by member in basis order, so no BLAS summation order enters the residual
+    plain, tau_part = np.zeros(len(column), complex), np.zeros(len(column), complex)
+    for x, fn, row in zip(coeffs, fns, values):
+        part = tau_part if fn.tau_power else plain
+        part += x * row
+    mismatch = max(np.abs(plain - values[-1]).max(), np.abs(tau_part).max())
+    rc = float(mismatch / np.abs(values[-1]).max())
     return ClosureReport(m, worst_s, worst_t, rc, pointwise, tuple(per))
 
 

@@ -1,12 +1,11 @@
 """Truncated q-expansions stored densely on a rational exponent lattice.
 
-A :class:`QExpansion` is a run ``coeffs`` on the lattice ``offset + (1/d) Z``
-plus a truncation *cutoff*.  Exact series hold Python ints under one common
-rational ``scale`` (the coefficient of ``q^(offset + i/d)`` is
-``scale * coeffs[i]``); complex-float series hold the complex values.  The
-run is trimmed to nonzero ends, so ``offset`` is the leading exponent.  Two
-equal series may differ in ``d`` and ``scale``, so equality and hashing go
-through :attr:`QExpansion.terms`, the ``(Fraction, coefficient)`` pairs.
+A :class:`QExpansion` is a run ``coeffs`` of Python ints on the lattice
+``offset + (1/d) Z`` under one common rational ``scale`` (the coefficient of
+``q^(offset + i/d)`` is ``scale * coeffs[i]``), plus a truncation *cutoff*.
+The run is trimmed to nonzero ends, so ``offset`` is the leading exponent.
+Two equal series may differ in ``d`` and ``scale``, so equality and hashing
+go through :attr:`QExpansion.terms`, the ``(Fraction, Fraction)`` pairs.
 
 Every exponent below the cutoff is represented exactly, everything at or
 above it has been discarded; a cutoff of ``None`` marks an exact
@@ -18,11 +17,10 @@ and ``tau -> 2 tau`` move only the offset and the step.  Memory is the
 exponent span times ``d``, so the lattice suits series whose exponents share
 a small denominator, as every series of this package does.
 
-Mixed arithmetic promotes exact to complex, never the reverse; an exact
-coefficient enters as the correctly rounded float of its value.
-``tau -> tau + 1`` always lands in the complex domain: exact cyclotomic
-coefficients would be disproportionate machinery for checks that are
-numeric anyway.
+Coefficients and scalars are exact rationals; a float or complex one is
+refused with :class:`QSeriesError`.  Floats appear only in
+:meth:`QExpansion.evaluate` and :meth:`QExpansion.shift_tau_deviation`,
+which return numbers, never series.
 
 Cutoff propagation: addition takes the minimum of the operand cutoffs, and a
 product of ``A`` and ``B`` is exact below
@@ -35,14 +33,14 @@ import cmath
 import math
 from fractions import Fraction
 from itertools import repeat
+from numbers import Number, Rational
 from operator import add, mul, sub
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 ExpLike = Union[Fraction, int, str]
-CoeffLike = Union[Fraction, int, float, complex]
+CoeffLike = Union[Fraction, int]
 
 EXACT = "exact-rational"
-COMPLEX = "complex-float"
 
 __all__ = [
     "QExpansion",
@@ -51,7 +49,6 @@ __all__ = [
     "EvalResult",
     "product_expansion",
     "EXACT",
-    "COMPLEX",
 ]
 
 
@@ -68,6 +65,13 @@ class EvalResult(NamedTuple):
     error_bound: float
 
 
+def _exact(value) -> Fraction:
+    """``value`` as a Fraction; floats and complex numbers are refused."""
+    if not isinstance(value, Rational):
+        raise QSeriesError(f"coefficients must be exact rationals, not {value!r}")
+    return Fraction(value)
+
+
 def _common_scale(values: Iterable[Fraction]) -> Fraction:
     """The largest rational of which every value is an integer multiple."""
     values = list(values)
@@ -82,39 +86,32 @@ def _frac_pair(num: int, den: int) -> List[str]:
 
 
 class QExpansion:
-    """Dense coefficient run on ``offset + (1/d) Z`` plus a truncation cutoff."""
+    """Dense integer run on ``offset + (1/d) Z`` under a rational scale, plus a cutoff."""
 
-    __slots__ = ("_offset", "_d", "_coeffs", "_scale", "_cutoff", "_domain")
+    __slots__ = ("_offset", "_d", "_coeffs", "_scale", "_cutoff")
 
     def __init__(
         self,
         terms: Union[Dict[ExpLike, CoeffLike], Iterable[Tuple[ExpLike, CoeffLike]]] = (),
         cutoff: Optional[ExpLike] = None,
-        domain: Optional[str] = None,
     ) -> None:
         items = terms.items() if isinstance(terms, dict) else terms
-        raw: List[Tuple[Fraction, CoeffLike]] = [(Fraction(e), c) for e, c in items]
-        if domain is None:
-            domain = COMPLEX if any(isinstance(c, (float, complex)) for _, c in raw) else EXACT
-        if domain not in (EXACT, COMPLEX):
-            raise QSeriesError(f"unknown coefficient domain {domain!r}")
         cut = Fraction(cutoff) if cutoff is not None else None
-        acc: Dict[Fraction, CoeffLike] = {}
-        for e, c in raw:
+        acc: Dict[Fraction, Fraction] = {}
+        for e, c in items:
+            e, c = Fraction(e), _exact(c)
             if cut is None or e < cut:
                 acc[e] = acc.get(e, 0) + c
-        convert = complex if domain == COMPLEX else Fraction
-        values = {e: v for e, v in ((e, convert(c)) for e, c in acc.items()) if v != 0}
+        values = {e: c for e, c in acc.items() if c}
         offset, d, coeffs, scale = Fraction(0), 1, [], Fraction(1)
         if values:
             offset = min(values)
             d = math.lcm(*((e - offset).denominator for e in values))
-            if domain == EXACT:
-                scale = _common_scale(values.values())
+            scale = _common_scale(values.values())
             coeffs = [0] * (int((max(values) - offset) * d) + 1)
             for e, c in values.items():
-                coeffs[int((e - offset) * d)] = c if domain == COMPLEX else int(c / scale)
-        _init(self, offset, d, tuple(coeffs), scale, cut, domain)
+                coeffs[int((e - offset) * d)] = int(c / scale)
+        _init(self, offset, d, tuple(coeffs), scale, cut)
 
     def __setattr__(self, name, value):
         raise AttributeError("QExpansion is immutable")
@@ -123,14 +120,14 @@ class QExpansion:
 
     @classmethod
     def from_lattice(
-        cls, offset: ExpLike, d: int, coeffs: Sequence, scale: Union[Fraction, int] = 1,
-        cutoff: Optional[ExpLike] = None, domain: str = EXACT,
+        cls, offset: ExpLike, d: int, coeffs: Sequence[int], scale: Union[Fraction, int] = 1,
+        cutoff: Optional[ExpLike] = None,
     ) -> "QExpansion":
         """The series with coefficient ``scale * coeffs[i]`` at ``q^(offset + i/d)``.
 
-        Exact series take ints under a nonzero rational ``scale``; complex
-        series take complex values and ignore ``scale``.  Entries at or above
-        ``cutoff`` are dropped and zero entries at either end are trimmed.
+        ``coeffs`` are ints under a nonzero rational ``scale``.  Entries at
+        or above ``cutoff`` are dropped and zero entries at either end are
+        trimmed.
         """
         offset = Fraction(offset)
         hi = len(coeffs)
@@ -144,17 +141,16 @@ class QExpansion:
             lo += 1
         series = object.__new__(cls)
         if lo == hi:
-            _init(series, Fraction(0), 1, (), Fraction(1), cutoff, domain)
+            _init(series, Fraction(0), 1, (), Fraction(1), cutoff)
         else:
-            scale = Fraction(scale) if domain == EXACT else Fraction(1)
             if lo:
                 offset += Fraction(lo, d)
-            _init(series, offset, d, tuple(coeffs[lo:hi]), scale, cutoff, domain)
+            _init(series, offset, d, tuple(coeffs[lo:hi]), Fraction(scale), cutoff)
         return series
 
     @classmethod
-    def zero(cls, cutoff: Optional[ExpLike] = None, domain: str = EXACT) -> "QExpansion":
-        return cls.from_lattice(0, 1, (), 1, cutoff, domain)
+    def zero(cls, cutoff: Optional[ExpLike] = None) -> "QExpansion":
+        return cls.from_lattice(0, 1, (), 1, cutoff)
 
     @classmethod
     def one(cls, cutoff: Optional[ExpLike] = None) -> "QExpansion":
@@ -171,11 +167,7 @@ class QExpansion:
         return self._cutoff
 
     @property
-    def domain(self) -> str:
-        return self._domain
-
-    @property
-    def lattice(self) -> Tuple[Fraction, int, Tuple, Fraction]:
+    def lattice(self) -> Tuple[Fraction, int, Tuple[int, ...], Fraction]:
         """``(offset, d, coeffs, scale)``: see the module docstring."""
         return self._offset, self._d, self._coeffs, self._scale
 
@@ -184,20 +176,12 @@ class QExpansion:
         on, od = self._offset.numerator, self._offset.denominator
         return on * self._d, od, od * self._d
 
-    def _value(self, c) -> CoeffLike:
+    def _value(self, c: int) -> Fraction:
         s = self._scale
-        return c if self._domain == COMPLEX else Fraction(c * s.numerator, s.denominator)
-
-    def _complex(self, c) -> complex:
-        # the correctly rounded float of an exact value, as complex(Fraction) gives
-        s = self._scale
-        return c if self._domain == COMPLEX else complex(c * s.numerator / s.denominator)
-
-    def _complex_coeffs(self) -> Sequence[complex]:
-        return self._coeffs if self._domain == COMPLEX else [self._complex(c) for c in self._coeffs]
+        return Fraction(c * s.numerator, s.denominator)
 
     @property
-    def terms(self) -> Tuple[Tuple[Fraction, CoeffLike], ...]:
+    def terms(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
         base, step, den = self._exponent_ratio()
         return tuple((Fraction(base + i * step, den), self._value(c)) for i, c in enumerate(self._coeffs) if c)
 
@@ -205,14 +189,14 @@ class QExpansion:
     def min_exponent(self) -> Optional[Fraction]:
         return self._offset if self._coeffs else None
 
-    def leading(self) -> Optional[Tuple[Fraction, CoeffLike]]:
+    def leading(self) -> Optional[Tuple[Fraction, Fraction]]:
         return (self._offset, self._value(self._coeffs[0])) if self._coeffs else None
 
-    def coeff(self, exp: ExpLike) -> CoeffLike:
+    def coeff(self, exp: ExpLike) -> Fraction:
         pos = (Fraction(exp) - self._offset) * self._d
         if pos.denominator == 1 and 0 <= pos < len(self._coeffs) and self._coeffs[int(pos)]:
             return self._value(self._coeffs[int(pos)])
-        return Fraction(0) if self._domain == EXACT else 0j
+        return Fraction(0)
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -220,14 +204,8 @@ class QExpansion:
     def __len__(self) -> int:
         return len(self._coeffs) - self._coeffs.count(0)
 
-    def __iter__(self) -> Iterator[Tuple[Fraction, CoeffLike]]:
+    def __iter__(self) -> Iterator[Tuple[Fraction, Fraction]]:
         return iter(self.terms)
-
-    def max_abs_coeff(self) -> float:
-        if not self._coeffs:
-            return 0.0
-        top = max(map(abs, self._coeffs))
-        return top if self._domain == COMPLEX else top * abs(self._scale)
 
     # exponent floor used in cutoff propagation: for an empty series the
     # first unknown term can start at the cutoff itself
@@ -236,11 +214,8 @@ class QExpansion:
 
     # -- arithmetic --
 
-    def _result_domain(self, other: "QExpansion") -> str:
-        return COMPLEX if COMPLEX in (self._domain, other._domain) else EXACT
-
     def __add__(self, other) -> "QExpansion":
-        if isinstance(other, (int, Fraction, float, complex)):
+        if isinstance(other, Number):
             other = QExpansion.monomial(0, other)
         if not isinstance(other, QExpansion):
             return NotImplemented
@@ -252,30 +227,26 @@ class QExpansion:
                 raise CutoffUnderflowError(
                     f"additive cutoff {cut} at or below leading exponent {lead}"
                 )
-        domain = self._result_domain(other)
         parts = [s for s in (self, other) if s._coeffs]
         if not parts:
-            return QExpansion.zero(cut, domain)
+            return QExpansion.zero(cut)
         offset = min(s._offset for s in parts)
         d = math.lcm(*(s._d for s in parts), *((s._offset - offset).denominator for s in parts))
-        scale = _common_scale(s._scale for s in parts) if domain == EXACT else Fraction(1)
+        scale = _common_scale(s._scale for s in parts)
         starts = [int((s._offset - offset) * d) for s in parts]
         n = max(start + (len(s._coeffs) - 1) * (d // s._d) + 1 for s, start in zip(parts, starts))
         if cut is not None:
             n = max(0, min(n, math.ceil((cut - offset) * d)))
-        out: List = [0] * n
+        out: List[int] = [0] * n
         for s, start in zip(parts, starts):
             if start >= n:
                 continue
             stride = d // s._d
-            if domain == COMPLEX:
-                vals: Iterable = s._complex_coeffs()
-            else:
-                factor = int(s._scale / scale)
-                vals = s._coeffs if factor == 1 else map(mul, s._coeffs, repeat(factor))
+            factor = int(s._scale / scale)
+            vals = s._coeffs if factor == 1 else map(mul, s._coeffs, repeat(factor))
             stop = min(n, start + len(s._coeffs) * stride)
             out[start:stop:stride] = map(add, out[start:stop:stride], vals)
-        return QExpansion.from_lattice(offset, d, out, scale, cut, domain)
+        return QExpansion.from_lattice(offset, d, out, scale, cut)
 
     __radd__ = __add__
 
@@ -286,8 +257,6 @@ class QExpansion:
         return (-self) + other
 
     def __neg__(self) -> "QExpansion":
-        if self._domain == COMPLEX:
-            return self._with(coeffs=tuple(-c for c in self._coeffs))
         return self._with(scale=-self._scale)
 
     def _with(self, **changes) -> "QExpansion":
@@ -295,27 +264,23 @@ class QExpansion:
         return QExpansion.from_lattice(**{**fields, **changes})
 
     def scale(self, scalar: CoeffLike) -> "QExpansion":
-        if isinstance(scalar, (float, complex)):
-            return self._with(coeffs=[c * scalar for c in self._complex_coeffs()], domain=COMPLEX)
-        if self._domain == COMPLEX:
-            return self._with(coeffs=[c * scalar for c in self._coeffs])
+        scalar = _exact(scalar)
         if scalar == 0:
             return QExpansion.zero(self._cutoff)
         return self._with(scale=self._scale * scalar)
 
     def __mul__(self, other) -> "QExpansion":
-        if isinstance(other, (int, Fraction, float, complex)):
+        if isinstance(other, Number):
             return self.scale(other)
         if not isinstance(other, QExpansion):
             return NotImplemented
-        domain = self._result_domain(other)
         if any(not s._coeffs and s._cutoff is None for s in (self, other)):
-            return QExpansion.zero(None, domain)
+            return QExpansion.zero()
         bounds = ((self._cutoff, other._exp_floor()), (other._cutoff, self._exp_floor()))
         candidates = [c + f for c, f in bounds if c is not None and f is not None]
         cut = min(candidates) if candidates else None
         if not self._coeffs or not other._coeffs:
-            return QExpansion.zero(cut, domain)
+            return QExpansion.zero(cut)
         offset = self._offset + other._offset
         if cut is not None and cut <= offset:
             raise CutoffUnderflowError(
@@ -326,16 +291,10 @@ class QExpansion:
         n = (len(outer) - 1) * r_out + (len(inner) - 1) * r_in + 1
         if cut is not None:
             n = min(n, math.ceil((cut - offset) * d))
-        scale = Fraction(1)
-        if domain == COMPLEX:
-            # self stays outer so every coefficient sums in the order of its exponents
-            outer, inner = self._complex_coeffs(), other._complex_coeffs()
-        else:
-            scale = self._scale * other._scale
-            # cost is (nonzero entries of the outer run) x (length of the inner one)
-            if len(other) * len(self._coeffs) < len(self) * len(other._coeffs):
-                outer, r_out, inner, r_in = inner, r_in, outer, r_out
-        out: List = [0] * n
+        # cost is (nonzero entries of the outer run) x (length of the inner one)
+        if len(other) * len(self._coeffs) < len(self) * len(other._coeffs):
+            outer, r_out, inner, r_in = inner, r_in, outer, r_out
+        out: List[int] = [0] * n
         for i, x in enumerate(outer):
             start = i * r_out
             if start >= n:
@@ -343,7 +302,7 @@ class QExpansion:
             if x:
                 stop = min(n, start + len(inner) * r_in)
                 out[start:stop:r_in] = map(add, out[start:stop:r_in], map(mul, inner, repeat(x)))
-        return QExpansion.from_lattice(offset, d, out, scale, cut, domain)
+        return QExpansion.from_lattice(offset, d, out, self._scale * other._scale, cut)
 
     __rmul__ = __mul__
 
@@ -353,40 +312,38 @@ class QExpansion:
         Exact below ``cutoff - 2*min_exponent``.  The inversion runs a
         recurrence over the nonzero entries on the series' own lattice, so
         cost is linear in the lattice length times the number of stored
-        terms.  For exact series with leading entry ``c0`` it computes the
-        ints ``u_n = c0^N * b_n`` of the inverse ``b`` of length ``N``, which
-        the recurrence ``c0 u_n = -sum_j a_j u_{n-j}`` divides exactly.
+        terms.  With leading entry ``c0`` it computes the ints
+        ``u_n = c0^N * b_n`` of the inverse ``b`` of length ``N``, which the
+        recurrence ``c0 u_n = -sum_j a_j u_{n-j}`` divides exactly.
         """
         if not self._coeffs:
             raise QSeriesError("cannot invert a series with no known terms")
         e0, c0 = self._offset, self._coeffs[0]
         new_cut = self._cutoff - 2 * e0 if self._cutoff is not None else None
         if len(self._coeffs) == 1:
-            inv = 1.0 / c0 if self._domain == COMPLEX else 1 / (c0 * self._scale)
-            return QExpansion.monomial(-e0, inv, new_cut)
+            return QExpansion.monomial(-e0, 1 / (c0 * self._scale), new_cut)
         if self._cutoff is None:
             raise QSeriesError("reciprocal of an exact multi-term series is not finite")
-        exact = self._domain == EXACT
         length = math.ceil((self._cutoff - e0) * self._d)
         support = [(j, c) for j, c in enumerate(self._coeffs[1:length], 1) if c]
-        t: List = [0] * length
-        t[0] = c0 ** (length - 1) if exact else 1.0 / c0
+        t: List[int] = [0] * length
+        t[0] = c0 ** (length - 1)
         for n in range(1, length):
             acc = 0
             for j, s in support:
                 if j > n:
                     break
                 acc += s * t[n - j]
-            t[n] = -(acc // c0) if exact else -acc * t[0]
-        scale = 1 / (self._scale * c0**length) if exact else 1
-        return QExpansion.from_lattice(-e0, self._d, t, scale, new_cut, self._domain)
+            t[n] = -(acc // c0)
+        scale = 1 / (self._scale * c0**length)
+        return QExpansion.from_lattice(-e0, self._d, t, scale, new_cut)
 
     def __truediv__(self, other) -> "QExpansion":
-        if isinstance(other, (int, Fraction, float, complex)):
-            if other == 0:
+        if isinstance(other, Number):
+            divisor = _exact(other)
+            if divisor == 0:
                 raise ZeroDivisionError("division of series by zero scalar")
-            inv = Fraction(1, 1) / other if isinstance(other, (int, Fraction)) else 1.0 / other
-            return self.scale(inv)
+            return self.scale(1 / divisor)
         if not isinstance(other, QExpansion):
             return NotImplemented
         return self * other.reciprocal()
@@ -415,25 +372,31 @@ class QExpansion:
         cut = self._cutoff * 2 if self._cutoff is not None else None
         if self._d % 2 == 0:
             return self._with(offset=self._offset * 2, d=self._d // 2, cutoff=cut)
-        spread: List = [0] * (2 * len(self._coeffs) - 1)
+        spread: List[int] = [0] * (2 * len(self._coeffs) - 1)
         spread[::2] = self._coeffs
         return self._with(offset=self._offset * 2, coeffs=spread, cutoff=cut)
 
-    def shift_tau(self) -> "QExpansion":
-        """The substitution tau -> tau + 1: coefficient at q^r picks up e^{2 pi i r}.
-
-        Always lands in the complex-float domain.
-        """
-        base, step, den = self._exponent_ratio()
-        out = [
-            self._complex(c) * cmath.exp(2j * math.pi * (((base + i * step) % den) / den))
-            if c
-            else 0j
-            for i, c in enumerate(self._coeffs)
-        ]
-        return self._with(coeffs=out, domain=COMPLEX)
-
     # -- numerics --
+
+    def shift_tau_deviation(self, target: "QExpansion", phase: complex) -> float:
+        """How far ``tau -> tau + 1`` is from taking ``self`` to ``phase * target``.
+
+        The substitution multiplies the coefficient ``a_e`` at ``q^e`` by
+        ``e^{2 pi i frac(e)}``.  Returns the largest
+        ``|a_e e^{2 pi i frac(e)} - b_e phase|`` in complex floats over the
+        exponents below the smaller cutoff, ``b_e`` being the coefficients
+        of ``target``.
+        """
+        cuts = [c for c in (self._cutoff, target._cutoff) if c is not None]
+        cut = min(cuts) if cuts else None
+        ours, theirs = dict(self.terms), dict(target.terms)
+        worst = 0.0
+        for e in ours.keys() | theirs.keys():
+            if cut is None or e < cut:
+                turn = cmath.exp(2j * math.pi * ((e.numerator % e.denominator) / e.denominator))
+                shifted = complex(ours.get(e, 0)) * turn
+                worst = max(worst, abs(shifted - complex(theirs.get(e, 0)) * phase))
+        return worst
 
     def evaluate(self, tau: complex, growth_bound: float = 2.0 ** 64) -> EvalResult:
         """Sum the stored terms at ``q = e^{2 pi i tau}`` on the upper half plane.
@@ -446,11 +409,13 @@ class QExpansion:
         if tau.imag <= 0:
             raise QSeriesError("evaluation requires Im(tau) > 0")
         base, step, den = self._exponent_ratio()
+        sn, sd = self._scale.numerator, self._scale.denominator
         total = 0j
         for i, c in enumerate(self._coeffs):
             if c:
                 e = (base + i * step) / den
-                total += self._complex(c) * cmath.exp(2j * math.pi * e * tau)
+                # c * sn / sd is the correctly rounded float of the exact coefficient
+                total += complex(c * sn / sd) * cmath.exp(2j * math.pi * e * tau)
         if self._cutoff is None:
             return EvalResult(total, 0.0)
         absq = math.exp(-2 * math.pi * tau.imag)
@@ -464,54 +429,40 @@ class QExpansion:
 
     def to_json_dict(self) -> dict:
         cut = self._cutoff
-        out: dict = {
-            "domain": self._domain,
-            "cutoff": _frac_pair(cut.numerator, cut.denominator) if cut is not None else None,
-        }
         base, step, den = self._exponent_ratio()
         sn, sd = self._scale.numerator, self._scale.denominator
-        terms = []
-        for i, c in enumerate(self._coeffs):
-            if not c:
-                continue
-            entry: dict = {"exp": _frac_pair(base + i * step, den)}
-            if self._domain == EXACT:
-                entry["coef"] = _frac_pair(c * sn, sd)
-            else:
-                entry["coef"] = {"re": c.real, "im": c.imag}
-            terms.append(entry)
-        out["terms"] = terms
-        return out
+        return {
+            "domain": EXACT,
+            "cutoff": _frac_pair(cut.numerator, cut.denominator) if cut is not None else None,
+            "terms": [
+                {"exp": _frac_pair(base + i * step, den), "coef": _frac_pair(c * sn, sd)}
+                for i, c in enumerate(self._coeffs)
+                if c
+            ],
+        }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QExpansion":
         domain = data.get("domain", EXACT)
+        if domain != EXACT:
+            raise QSeriesError(f"unsupported coefficient domain {domain!r}")
         cut = data.get("cutoff")
         cutoff = Fraction(int(cut[0]), int(cut[1])) if cut is not None else None
-        terms = []
-        for entry in data["terms"]:
-            e = Fraction(int(entry["exp"][0]), int(entry["exp"][1]))
-            c = entry["coef"]
-            if domain == EXACT:
-                coeff: CoeffLike = Fraction(int(c[0]), int(c[1]))
-            else:
-                coeff = complex(c["re"], c["im"])
-            terms.append((e, coeff))
-        return cls(terms, cutoff=cutoff, domain=domain)
+        terms = [
+            (Fraction(int(t["exp"][0]), int(t["exp"][1])), Fraction(int(t["coef"][0]), int(t["coef"][1])))
+            for t in data["terms"]
+        ]
+        return cls(terms, cutoff=cutoff)
 
     # -- comparison / display --
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QExpansion):
             return NotImplemented
-        return (
-            self.terms == other.terms
-            and self._cutoff == other._cutoff
-            and self._domain == other._domain
-        )
+        return self.terms == other.terms and self._cutoff == other._cutoff
 
     def __hash__(self) -> int:
-        return hash((self.terms, self._cutoff, self._domain))
+        return hash((self.terms, self._cutoff))
 
     def __repr__(self) -> str:
         terms = self.terms
@@ -522,8 +473,6 @@ class QExpansion:
 
 
 def _init(series: QExpansion, *fields) -> None:
-    if fields[-1] not in (EXACT, COMPLEX):
-        raise QSeriesError(f"unknown coefficient domain {fields[-1]!r}")
     for name, value in zip(QExpansion.__slots__, fields):
         object.__setattr__(series, name, value)
 

@@ -84,8 +84,7 @@ def _theta_suite(m: int, cutoff: Fraction, tolerance: float) -> List[CheckResult
     for idx in indices:
         phase = cmath.exp(1j * math.pi * float(idx.j * idx.j / (2 * idx.k) % 2))
         target = g_series(idx, cutoff) if idx.j_is_integer else theta(idx, cutoff)
-        diff = theta(idx, cutoff).shift_tau() - target.scale(phase)
-        worst = max(worst, diff.max_abs_coeff())
+        worst = max(worst, theta(idx, cutoff).shift_tau_deviation(target, phase))
     checks.append(
         _ok("theta-shift-law", worst < 1e-12, f"max coefficient deviation {worst:.2e}")
     )

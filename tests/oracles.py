@@ -124,36 +124,22 @@ class SparseSeries:
     form; differential tests compare the two on ``terms`` and ``cutoff``.
     Cutoff rules: a sum is exact below the smaller cutoff, a product of
     ``A`` and ``B`` below ``min(cutoff_A + minexp_B, cutoff_B + minexp_A)``
-    and a reciprocal below ``cutoff - 2 * minexp``.  Domains are the strings
-    ``"exact-rational"`` and ``"complex-float"``; a complex coefficient
-    anywhere makes the result complex.
+    and a reciprocal below ``cutoff - 2 * minexp``.  Coefficients are
+    exact rationals.
     """
 
-    EXACT = "exact-rational"
-    COMPLEX = "complex-float"
-
-    def __init__(self, terms=(), cutoff=None, domain=None):
-        raw = [(Fraction(e), c) for e, c in terms]
-        if domain is None:
-            domain = self.EXACT
-            if any(isinstance(c, (float, complex)) for _, c in raw):
-                domain = self.COMPLEX
+    def __init__(self, terms=(), cutoff=None):
         cut = Fraction(cutoff) if cutoff is not None else None
         acc = {}
-        for e, c in raw:
+        for e, c in terms:
+            e = Fraction(e)
             if cut is None or e < cut:
-                acc[e] = acc.get(e, 0) + c
-        convert = complex if domain == self.COMPLEX else Fraction
-        cleaned = [(e, convert(acc[e])) for e in sorted(acc)]
-        self.terms = tuple((e, c) for e, c in cleaned if c != 0)
+                acc[e] = acc.get(e, 0) + Fraction(c)
+        self.terms = tuple((e, acc[e]) for e in sorted(acc) if acc[e] != 0)
         self.cutoff = cut
-        self.domain = domain
 
     def _floor(self):
         return self.terms[0][0] if self.terms else self.cutoff
-
-    def _result_domain(self, other):
-        return self.COMPLEX if self.COMPLEX in (self.domain, other.domain) else self.EXACT
 
     def __add__(self, other):
         cuts = [c for c in (self.cutoff, other.cutoff) if c is not None]
@@ -161,12 +147,11 @@ class SparseSeries:
         if cut is not None and self.terms and other.terms:
             if cut <= min(self.terms[0][0], other.terms[0][0]):
                 raise ValueError("additive cutoff at or below the leading exponent")
-        return SparseSeries(self.terms + other.terms, cut, self._result_domain(other))
+        return SparseSeries(self.terms + other.terms, cut)
 
     def __mul__(self, other):
-        domain = self._result_domain(other)
         if (not self.terms and self.cutoff is None) or (not other.terms and other.cutoff is None):
-            return SparseSeries((), None, domain)
+            return SparseSeries((), None)
         candidates = []
         fa, fb = self._floor(), other._floor()
         if self.cutoff is not None and fb is not None:
@@ -184,14 +169,13 @@ class SparseSeries:
                 if cut is not None and e >= cut:
                     break
                 acc[e] = acc.get(e, 0) + ca * cb
-        return SparseSeries(acc.items(), cut, domain)
+        return SparseSeries(acc.items(), cut)
 
     def reciprocal(self):
         if not self.terms:
             raise ValueError("cannot invert a series with no known terms")
         e0, c0 = self.terms[0]
-        exact = self.domain == self.EXACT
-        inv0 = 1 / c0 if exact else 1.0 / c0
+        inv0 = 1 / c0
         if len(self.terms) == 1:
             cut = self.cutoff - 2 * e0 if self.cutoff is not None else None
             return SparseSeries([(-e0, inv0)], cut)
@@ -203,11 +187,10 @@ class SparseSeries:
             scale = scale * d // math.gcd(scale, d)
         length = math.ceil(rel_cut * scale)
         support = [(int((e - e0) * scale), c) for e, c in self.terms[1:]]
-        zero = Fraction(0) if exact else 0j
-        t = [zero] * length
+        t = [Fraction(0)] * length
         t[0] = inv0
         for n in range(1, length):
-            acc = zero
+            acc = Fraction(0)
             for j, s in support:
                 if j > n:
                     break
@@ -216,4 +199,28 @@ class SparseSeries:
             if acc != 0:
                 t[n] = -acc * inv0
         out = [(-e0 + Fraction(n, scale), c) for n, c in enumerate(t) if c != 0]
-        return SparseSeries(out, self.cutoff - 2 * e0, self.domain)
+        return SparseSeries(out, self.cutoff - 2 * e0)
+
+
+def shift_law_violations(src, target, r: Fraction, eps: int = 1) -> List[Fraction]:
+    """Exponents at which ``src(tau + 1) = eps e^{2 pi i r} target(tau)`` fails exactly.
+
+    On a series whose exponents all lie in ``r + Z/2`` the substitution
+    ``tau -> tau + 1`` multiplies the coefficient at ``q^e`` by
+    ``e^{2 pi i r} (-1)^{2(e - r)}``, so the law holds exactly when every
+    exponent ``e`` of either series has ``2(e - r)`` integral and
+    ``target_e = eps (-1)^{2(e - r)} src_e``.  Both series are read below
+    the smaller cutoff.
+    """
+    cuts = [c for c in (src.cutoff, target.cutoff) if c is not None]
+    cut = min(cuts) if cuts else None
+    a, b = dict(src.terms), dict(target.terms)
+    bad = []
+    for e in sorted(a.keys() | b.keys()):
+        if cut is not None and e >= cut:
+            continue
+        twice = 2 * (e - r)
+        sign = eps * (-1) ** (twice.numerator % 2)
+        if twice.denominator != 1 or b.get(e, 0) != sign * a.get(e, 0):
+            bad.append(e)
+    return bad

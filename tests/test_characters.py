@@ -22,7 +22,7 @@ from supertriplet.qseries import QExpansion
 from supertriplet.specialfn import frak_f2, frak_f, eta, theta
 from supertriplet.zhu import classify_twisted
 
-from oracles import w_algebra_char_oracle
+from oracles import shift_law_violations, w_algebra_char_oracle
 
 
 class TestConformalData:
@@ -258,8 +258,8 @@ class TestBridge:
             assert ((lhs - rhs.truncated(lhs.cutoff))).is_zero()
 
     def test_supercharacter_route_consistency(self):
-        # evaluating the derived W-character at (tau+1)/2 is shift_tau on the
-        # tau/2 series; it reproduces f2 * supercharacter up to the automorphy
+        # evaluating the derived W-character at (tau+1)/2 is tau -> tau+1 on
+        # the tau/2 series; it reproduces f2 * supercharacter up to the automorphy
         # phase e^{i pi s0} (s0 the W-character's leading exponent) and the
         # top-parity sign
         for m in (1, 2):
@@ -276,10 +276,8 @@ class TestBridge:
                 s0 = 2 * half_w.min_exponent
                 eps = 1 if schi.leading()[1] > 0 else -1
                 phase = eps * cmath.exp(1j * math.pi * float(s0 - 2 * math.floor(s0 / 2)))
-                lhs = half_w.shift_tau()
-                rhs = (f2 * schi).scale(phase)
-                diff = lhs - rhs.truncated(lhs.cutoff)
-                assert diff.max_abs_coeff() < 1e-12, (family, index, m)
+                deviation = half_w.shift_tau_deviation(f2 * schi, phase)
+                assert deviation < 1e-12, (family, index, m)
 
 
 class TestSuperVsT:
@@ -295,11 +293,17 @@ class TestSuperVsT:
                 assert super_vs_t_deviation(ModuleLabel(family, index, 2), 12) < 1e-12
 
     def test_shift_twice_matches_squared_phase(self):
-        chi = untwisted_char(ModuleLabel("SLambda", 1, 1), "character", 10)
-        twice = chi.shift_tau().shift_tau()
-        for e, c in chi.terms:
-            phase = cmath.exp(4j * math.pi * float(e - math.floor(e)))
-            assert abs(twice.coeff(e) - complex(c) * phase) < 1e-12
+        # exact form of chi(tau+1) = eps e^{2 pi i L} schi(tau), L the leading
+        # exponent: schi_e = eps (-1)^{2(e - L)} chi_e with 2(e - L) integral,
+        # so tau -> tau+2 multiplies chi by the constant phase e^{4 pi i L}
+        for m in (1, 2, 3):
+            for family, indices in (("SLambda", range(1, m + 2)), ("SPi", range(1, m + 1))):
+                for index in indices:
+                    label = ModuleLabel(family, index, m)
+                    chi = untwisted_char(label, "character", 40)
+                    schi = untwisted_char(label, "supercharacter", 40)
+                    eps = 1 if schi.leading()[1] > 0 else -1
+                    assert not shift_law_violations(chi, schi, chi.min_exponent, eps), label
 
 
 class TestExport:

@@ -91,6 +91,14 @@ class TestCharCommand:
     def test_missing_selector(self, capsys):
         assert main(["char", "--m", "1"]) == EXIT_USAGE
 
+    def test_cutoff_below_series_is_usage_error(self, capsys):
+        code = main(["char", "--m", "1", "--all", "--cutoff", "-3"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("char: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_twisted_supercharacter_rejected(self, capsys):
         code = main(
             ["char", "--m", "1", "--family", "RPi", "--index", "1", "--flavor", "supercharacter"]
