@@ -23,6 +23,8 @@ flag.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -274,16 +276,13 @@ def super_vs_t_deviation(label: ModuleLabel, cutoff) -> float:
     and eps is the parity of the lowest level (the sign of the
     supercharacter's leading coefficient; the SPi modules have odd tops).
     """
-    import cmath
-    import math as _math
-
     chi = untwisted_char(label, "character", cutoff)
     schi = untwisted_char(label, "supercharacter", cutoff)
     lead = chi.min_exponent
     if lead is None:
         return 0.0
     eps = 1 if schi.leading()[1] > 0 else -1
-    phase = eps * cmath.exp(2j * _math.pi * float(lead - _math.floor(lead)))
+    phase = eps * cmath.exp(2j * math.pi * float(lead - math.floor(lead)))
     return chi.shift_tau_deviation(schi, phase)
 
 

@@ -111,7 +111,6 @@ def _cmd_verify(args) -> int:
             args.suite,
             args.m,
             cutoff=cutoff,
-            tolerance=args.tolerance,
             inject_fault=args.inject_fault,
         )
     except ValueError as exc:
@@ -247,10 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, default_cutoff=None):
+    def add_common(p, cutoff=True):
         p.add_argument("--m", type=int, required=True, help="family parameter, >= 1")
-        p.add_argument("--cutoff", type=_parse_rational, default=default_cutoff)
-        p.add_argument("--tolerance", type=float, default=1e-8)
+        if cutoff:
+            p.add_argument("--cutoff", type=_parse_rational, default=None)
         p.add_argument("--out", type=str, default=None)
 
     p_char = sub.add_parser("char", help="emit character tables")
@@ -276,13 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_classify = sub.add_parser("classify", help="emit the twisted module table")
-    add_common(p_classify)
+    add_common(p_classify, cutoff=False)
     p_classify.add_argument("--format", choices=["json", "csv"], default="json")
     p_classify.set_defaults(func=_cmd_classify)
 
     p_mod = sub.add_parser("modular", help="numeric modular checks")
     p_mod.add_argument("check", choices=["rank", "closure", "s-transform", "mde"])
     add_common(p_mod)
+    p_mod.add_argument("--tolerance", type=float, default=1e-8)
     p_mod.set_defaults(func=_cmd_modular)
 
     return parser

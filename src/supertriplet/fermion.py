@@ -1,31 +1,31 @@
-"""Grade-truncated fermionic Fock spaces over Q(sqrt 2).
+"""Fermionic Fock spaces over Q(sqrt 2): one exterior algebra, two sectors.
 
-Two small exterior-algebra models live here:
+A monomial is a strictly decreasing tuple (n_1 > ... > n_k >= 0) of stored
+modes, and one Clifford kernel acts on both readings of a stored mode n:
 
-* the parity-twisted module ``M`` with integer-moded Clifford generators
-  phi(n), anti-brackets {phi(a), phi(b)} = delta_{a+b,0} and the
-  self-pairing phi(0)^2 = 1/2.  Monomials are strictly decreasing tuples
-  (n_1 > ... > n_k >= 0) standing for phi(-n_1)...phi(-n_k) applied to the
-  twisted ground state; coefficients live in Q(sqrt 2) so the parity-split
-  ground states (1 +- sqrt2 phi(0)) 1 are representable.
-* the untwisted space ``F`` with half-integer modes, where a stored integer
-  n >= 0 stands for the creation mode phi(-n-1/2).  The lowering-operator
-  coefficient table C and its generating function live on this side.
+* the parity-twisted module ``M``: n is the integer mode phi(-n) on the
+  twisted ground state, with anti-brackets {phi(a), phi(b)} = delta_{a+b,0}
+  and the self-pairing phi(0)^2 = 1/2; sqrt 2 enters through the
+  parity-split ground states (1 +- sqrt2 phi(0)) 1,
+* the untwisted space ``F``: n is the creation mode phi(-n-1/2).  The
+  lowering-operator coefficient table C and its generating function live
+  on this side.
 
-Normal ordering puts annihilators on the right with a sign per
-transposition; at a self-paired mode the product is antisymmetrized, which
-is what makes the diagonal conformal weight come out as grade + 1/16 with
-no further constant.
+Coefficients stay ints and Fractions until sqrt 2 enters; ``coeff`` reads
+them as ``QuadRational``.  Normal ordering puts annihilators on the right
+with a sign per transposition; at a self-paired mode the product is
+antisymmetrized, which is what makes the diagonal conformal weight come
+out as grade + 1/16 with no further constant.
 
-Vectors beyond the grade cutoff are dropped and flagged, never silently
-wrapped around.
+Twisted vectors beyond the grade cutoff are dropped and flagged, never
+silently wrapped around; untwisted vectors have no cutoff.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .arith import QuadRational, SQRT2, binom
 from .qseries import QExpansion
@@ -37,7 +37,6 @@ DEFAULT_GRADE_CUTOFF = 8
 
 __all__ = [
     "FockVector",
-    "UntwistedFockVector",
     "phi",
     "virasoro_mode",
     "virasoro_mode_quadratic",
@@ -58,34 +57,30 @@ __all__ = [
 ]
 
 
-def _as_quad(x: Scalar) -> QuadRational:
-    return x if isinstance(x, QuadRational) else QuadRational(x)
-
-
 class FockVector:
-    """Finite Q(sqrt 2)-combination of twisted Clifford monomials."""
+    """Finite Q(sqrt 2)-combination of Clifford monomials; ``cutoff`` bounds
+    the total grade, ``None`` (the untwisted sector) means no truncation."""
 
     __slots__ = ("terms", "cutoff", "truncated")
 
     def __init__(
         self,
         terms: Union[Dict[Monomial, Scalar], Iterable[Tuple[Monomial, Scalar]]] = (),
-        cutoff: int = DEFAULT_GRADE_CUTOFF,
+        cutoff: Optional[int] = DEFAULT_GRADE_CUTOFF,
         truncated: bool = False,
     ) -> None:
         items = terms.items() if isinstance(terms, dict) else terms
-        acc: Dict[Monomial, QuadRational] = {}
+        acc: Dict[Monomial, Scalar] = {}
         for mono, coeff in items:
             mono = tuple(mono)
             if any(mono[i] <= mono[i + 1] for i in range(len(mono) - 1)):
                 raise ValueError(f"monomial {mono} is not strictly decreasing")
             if mono and mono[-1] < 0:
                 raise ValueError(f"monomial {mono} has a negative mode")
-            if sum(mono) > cutoff:
+            if cutoff is not None and sum(mono) > cutoff:
                 truncated = True
                 continue
-            q = acc.get(mono, QuadRational(0)) + _as_quad(coeff)
-            acc[mono] = q
+            acc[mono] = acc[mono] + coeff if mono in acc else coeff
         object.__setattr__(
             self, "terms", {m: c for m, c in acc.items() if c}
         )
@@ -103,27 +98,20 @@ class FockVector:
             raise ValueError("grade cutoffs differ")
         acc = dict(self.terms)
         for m, c in other.terms.items():
-            acc[m] = acc.get(m, QuadRational(0)) + c
+            acc[m] = acc[m] + c if m in acc else c
         return FockVector(acc, self.cutoff, self.truncated or other.truncated)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self + other.scale(-1)
 
     def scale(self, scalar: Scalar) -> "FockVector":
-        s = _as_quad(scalar)
         return FockVector(
-            {m: c * s for m, c in self.terms.items()}, self.cutoff, self.truncated
+            {m: c * scalar for m, c in self.terms.items()}, self.cutoff, self.truncated
         )
 
     def coeff(self, mono: Monomial) -> QuadRational:
-        return self.terms.get(tuple(mono), QuadRational(0))
-
-    def grades(self) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for m in self.terms:
-            g = sum(m)
-            out[g] = out.get(g, 0) + 1
-        return out
+        c = self.terms.get(tuple(mono), 0)
+        return c if isinstance(c, QuadRational) else QuadRational(c)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FockVector):
@@ -135,6 +123,41 @@ class FockVector:
         more = ", ..." if len(self.terms) > 4 else ""
         flag = ", truncated" if self.truncated else ""
         return f"FockVector({', '.join(parts)}{more}{flag})"
+
+
+# ----------------------------------------------------------------------
+# Clifford kernel, shared by both sectors
+# ----------------------------------------------------------------------
+
+
+def _create(j: int, mono: Monomial) -> Optional[Tuple[int, Monomial]]:
+    """Prepend mode ``j`` and sort it past ``pos`` larger modes: sign (-1)^pos
+    and the new monomial, or ``None`` if ``j`` already occurs."""
+    if j in mono:
+        return None
+    pos = sum(n > j for n in mono)
+    return (-1 if pos & 1 else 1), mono[:pos] + (j,) + mono[pos:]
+
+
+def _contract(j: int, mono: Monomial) -> Optional[Tuple[int, Monomial]]:
+    """Contract mode ``j`` at position ``pos``: sign (-1)^pos and the monomial
+    without it, or ``None`` if ``j`` does not occur."""
+    if j not in mono:
+        return None
+    pos = mono.index(j)
+    return (-1 if pos & 1 else 1), mono[:pos] + mono[pos + 1 :]
+
+
+def _act(op, j: int, v: FockVector) -> FockVector:
+    """Apply the kernel ``op`` for mode ``j`` to every monomial of ``v``."""
+    out: Dict[Monomial, Scalar] = {}
+    for mono, coeff in v.terms.items():
+        hit = op(j, mono)
+        if hit is not None:
+            sign, new = hit
+            c = coeff if sign > 0 else -coeff
+            out[new] = out[new] + c if new in out else c
+    return FockVector(out, v.cutoff, v.truncated)
 
 
 def vacuum(cutoff: int = DEFAULT_GRADE_CUTOFF) -> FockVector:
@@ -165,45 +188,24 @@ def basis_monomials(max_grade: int) -> List[Monomial]:
 def phi(n: int, v: FockVector) -> FockVector:
     """Clifford generator phi(n): creation for n < 0, annihilation for n > 0,
     the self-paired zero mode for n = 0."""
-    out: Dict[Monomial, QuadRational] = {}
-    truncated = v.truncated
+    if n < 0:
+        return _act(_create, -n, v)
+    if n > 0:
+        return _act(_contract, n, v)
+    out: Dict[Monomial, Scalar] = {}
     half = Fraction(1, 2)
     for mono, coeff in v.terms.items():
-        if n < 0:
-            j = -n
-            if j in mono:
-                continue
-            pos = 0
-            while pos < len(mono) and mono[pos] > j:
-                pos += 1
-            new = mono[:pos] + (j,) + mono[pos:]
-            if sum(new) > v.cutoff:
-                truncated = True
-                continue
+        if 0 in mono:
+            pos = len(mono) - 1  # zero mode is always last
+            new = mono[:pos]
             sign = -1 if pos & 1 else 1
-            c = coeff * sign
-        elif n > 0:
-            if n not in mono:
-                continue
-            pos = mono.index(n)
-            new = mono[:pos] + mono[pos + 1 :]
-            sign = -1 if pos & 1 else 1
-            c = coeff * sign
+            c = coeff * sign * half
         else:
-            if 0 in mono:
-                pos = len(mono) - 1  # zero mode is always last
-                new = mono[:pos]
-                sign = -1 if pos & 1 else 1
-                c = coeff * sign * half
-            else:
-                new = mono + (0,)
-                sign = -1 if len(mono) & 1 else 1
-                c = coeff * sign
-        if new in out:
-            out[new] = out[new] + c
-        else:
-            out[new] = c
-    return FockVector(out, v.cutoff, truncated)
+            new = mono + (0,)
+            sign = -1 if len(mono) & 1 else 1
+            c = coeff * sign
+        out[new] = out[new] + c if new in out else c
+    return FockVector(out, v.cutoff, v.truncated)
 
 
 def virasoro_mode(n: int, v: FockVector) -> FockVector:
@@ -311,128 +313,52 @@ def cmn_generating_check(max_total_degree: int) -> GeneratingCheck:
 # ----------------------------------------------------------------------
 
 
-class UntwistedFockVector:
-    """Finite rational combination of half-integer-mode monomials.
-
-    A stored tuple (n_1 > ... > n_k >= 0) stands for
-    phi(-n_1 - 1/2) ... phi(-n_k - 1/2) applied to the untwisted vacuum.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(
-        self,
-        terms: Union[Dict[Monomial, Fraction], Iterable[Tuple[Monomial, Fraction]]] = (),
-    ) -> None:
-        items = terms.items() if isinstance(terms, dict) else terms
-        acc: Dict[Monomial, Fraction] = {}
-        for mono, coeff in items:
-            mono = tuple(mono)
-            if any(mono[i] <= mono[i + 1] for i in range(len(mono) - 1)):
-                raise ValueError(f"monomial {mono} is not strictly decreasing")
-            acc[mono] = acc.get(mono, Fraction(0)) + Fraction(coeff)
-        object.__setattr__(self, "terms", {m: c for m, c in acc.items() if c})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UntwistedFockVector is immutable")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "UntwistedFockVector") -> "UntwistedFockVector":
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            acc[m] = acc.get(m, Fraction(0)) + c
-        return UntwistedFockVector(acc)
-
-    def __sub__(self, other: "UntwistedFockVector") -> "UntwistedFockVector":
-        return self + other.scale(-1)
-
-    def scale(self, scalar) -> "UntwistedFockVector":
-        s = Fraction(scalar)
-        return UntwistedFockVector({m: c * s for m, c in self.terms.items()})
-
-    def coeff(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
-
-    def max_mode(self) -> int:
-        return max((m[0] for m in self.terms if m), default=-1)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UntwistedFockVector):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __repr__(self) -> str:
-        parts = [f"{c}*{m}" for m, c in sorted(self.terms.items())][:4]
-        return f"UntwistedFockVector({', '.join(parts)})"
+def untwisted_vacuum() -> FockVector:
+    """The untwisted vacuum; a stored mode n stands for phi(-n-1/2)."""
+    return FockVector({(): 1}, None)
 
 
-def untwisted_vacuum() -> UntwistedFockVector:
-    return UntwistedFockVector({(): 1})
-
-
-def untwisted_omega() -> UntwistedFockVector:
+def untwisted_omega() -> FockVector:
     """The conformal vector (1/2) phi(-3/2) phi(-1/2) vacuum."""
-    return UntwistedFockVector({(1, 0): Fraction(1, 2)})
+    return FockVector({(1, 0): Fraction(1, 2)}, None)
 
 
-def u_create(n: int, v: UntwistedFockVector) -> UntwistedFockVector:
+def u_create(n: int, v: FockVector) -> FockVector:
     """Creation mode phi(-n-1/2), n >= 0."""
     if n < 0:
         raise ValueError("creation label must be >= 0")
-    out: Dict[Monomial, Fraction] = {}
-    for mono, coeff in v.terms.items():
-        if n in mono:
-            continue
-        pos = 0
-        while pos < len(mono) and mono[pos] > n:
-            pos += 1
-        new = mono[:pos] + (n,) + mono[pos:]
-        sign = -1 if pos & 1 else 1
-        out[new] = out.get(new, Fraction(0)) + coeff * sign
-    return UntwistedFockVector(out)
+    return _act(_create, n, v)
 
 
-def u_annihilate(m: int, v: UntwistedFockVector) -> UntwistedFockVector:
+def u_annihilate(m: int, v: FockVector) -> FockVector:
     """Annihilation mode phi(m+1/2), m >= 0; contracts with phi(-m-1/2)."""
     if m < 0:
         raise ValueError("annihilation label must be >= 0")
-    out: Dict[Monomial, Fraction] = {}
-    for mono, coeff in v.terms.items():
-        if m not in mono:
-            continue
-        pos = mono.index(m)
-        new = mono[:pos] + mono[pos + 1 :]
-        sign = -1 if pos & 1 else 1
-        out[new] = out.get(new, Fraction(0)) + coeff * sign
-    return UntwistedFockVector(out)
+    return _act(_contract, m, v)
 
 
-def delta_x(v: UntwistedFockVector) -> Dict[int, UntwistedFockVector]:
+def delta_x(v: FockVector) -> Dict[int, FockVector]:
     """The double-annihilation lowering operator, returned by power of x.
 
     Delta_x = (1/2) sum_{m,n >= 0} C_{m,n} phi(m+1/2) phi(n+1/2) x^{-m-n-1};
     the result maps each occurring x-power to the image vector.
     """
-    out: Dict[int, UntwistedFockVector] = {}
-    top = v.max_mode()
+    out: Dict[int, FockVector] = {}
+    top = max((mono[0] for mono in v.terms if mono), default=-1)
     for m in range(top + 1):
         for n in range(top + 1):
             coeff = cmn(m, n)
             if coeff == 0:
                 continue
             w = u_annihilate(m, u_annihilate(n, v)).scale(coeff / 2)
-            if w.is_zero():
-                continue
             power = -m - n - 1
-            out[power] = out.get(power, UntwistedFockVector()) + w
+            out[power] = out[power] + w if power in out else w
     return {k: w for k, w in out.items() if not w.is_zero()}
 
 
 @dataclass(frozen=True)
 class DeltaReport:
-    first_order: Dict[int, UntwistedFockVector]
+    first_order: Dict[int, FockVector]
     second_order_vanishes: bool
     matches_conformal_correction: bool
 
@@ -443,16 +369,10 @@ def delta_apply_to_omega() -> DeltaReport:
     Expected: a single component (1/16) x^{-2} vacuum, and a vanishing
     second application, so the exponential correction stops after one step.
     """
-    omega = untwisted_omega()
-    first = delta_x(omega)
-    expected = {-2: untwisted_vacuum().scale(Fraction(1, 16))}
-    matches = set(first) == set(expected) and all(
-        (first[k] - expected[k]).is_zero() for k in expected
-    )
-    second_ok = True
-    for w in first.values():
-        if any(not img.is_zero() for img in delta_x(w).values()):
-            second_ok = False
+    first = delta_x(untwisted_omega())
+    matches = first == {-2: untwisted_vacuum().scale(Fraction(1, 16))}
+    # delta_x keeps only nonzero images
+    second_ok = not any(delta_x(w) for w in first.values())
     return DeltaReport(first, second_ok, matches)
 
 

@@ -116,12 +116,6 @@ def _theta_series(kind: str, j: Fraction, k: Fraction, cutoff: Fraction) -> QExp
     return _THETA_BUILDERS[kind](ThetaIndex(j, k), cutoff)
 
 
-def evaluate_basis_function(fn: BasisFunction, tau: complex, cutoff: Fraction) -> complex:
-    pref = _quotient(fn.prefactor, cutoff).evaluate(tau).value
-    part = _theta_series(fn.kind, fn.j, fn.k, cutoff).evaluate(tau).value
-    return pref * part * tau ** fn.tau_power
-
-
 # ----------------------------------------------------------------------
 # grids
 # ----------------------------------------------------------------------
@@ -311,10 +305,16 @@ class RankReport:
 def _evaluation_matrix(
     fns: Sequence[BasisFunction], points: Sequence[complex], cutoff: Fraction
 ) -> np.ndarray:
+    """Basis members (columns) at ``points`` (rows); each distinct prefactor
+    and theta series is evaluated once per point."""
+    prefs = {tag: _quotient(tag, cutoff) for tag in dict.fromkeys(fn.prefactor for fn in fns)}
+    parts = {key: _theta_series(*key, cutoff) for key in dict.fromkeys((fn.kind, fn.j, fn.k) for fn in fns)}
     mat = np.empty((len(points), len(fns)), dtype=complex)
-    for c, fn in enumerate(fns):
-        for r, tau in enumerate(points):
-            mat[r, c] = evaluate_basis_function(fn, tau, cutoff)
+    for r, tau in enumerate(points):
+        pref = {tag: series.evaluate(tau).value for tag, series in prefs.items()}
+        part = {key: series.evaluate(tau).value for key, series in parts.items()}
+        for c, fn in enumerate(fns):
+            mat[r, c] = pref[fn.prefactor] * part[fn.kind, fn.j, fn.k] * tau ** fn.tau_power
     return mat
 
 
@@ -417,15 +417,11 @@ def closure_under_s_t(
     fns = basis_functions(m)
     grid = grid or standard_grid(m)
     mat = _evaluation_matrix(fns, grid.points, grid.cutoff)
+    s_targets = _evaluation_matrix(fns, [-1 / tau for tau in grid.points], grid.cutoff)
+    t_targets = _evaluation_matrix(fns, [tau + 1 for tau in grid.points], grid.cutoff)
     per = []
     worst_s = worst_t = 0.0
-    for fn in fns:
-        s_target = np.array(
-            [evaluate_basis_function(fn, -1 / tau, grid.cutoff) for tau in grid.points]
-        )
-        t_target = np.array(
-            [evaluate_basis_function(fn, tau + 1, grid.cutoff) for tau in grid.points]
-        )
+    for fn, s_target, t_target in zip(fns, s_targets.T, t_targets.T):
         rs = _relative_fit_residual(mat, s_target)
         rt = _relative_fit_residual(mat, t_target)
         per.append((fn.name, rs, rt))

@@ -7,6 +7,8 @@ CLI report and the test suite cannot drift apart.
 
 from __future__ import annotations
 
+import cmath
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,7 +17,7 @@ from typing import Callable, Dict, List, Optional
 from . import characters as ch
 from . import fermion as fm
 from . import zhu
-from .arith import bernoulli_number
+from .arith import QuadRational, bernoulli_number
 from .modular import character_theta_indices
 from .qseries import QExpansion
 from .specialfn import ThetaIndex, eisenstein, eta, frak_f2, g_series, theta, theta_deriv
@@ -44,7 +46,7 @@ def _ok(name: str, passed: bool, detail: str = "") -> CheckResult:
 # ----------------------------------------------------------------------
 
 
-def _theta_suite(m: int, cutoff: Fraction, tolerance: float) -> List[CheckResult]:
+def _theta_suite(m: int, cutoff: Fraction) -> List[CheckResult]:
     checks: List[CheckResult] = []
     indices = character_theta_indices(m)
 
@@ -76,9 +78,6 @@ def _theta_suite(m: int, cutoff: Fraction, tolerance: float) -> List[CheckResult
         if not (lhs - rhs).is_zero():
             ok = False
     checks.append(_ok("theta-plus-alternating-is-even-part", ok))
-
-    import cmath
-    import math
 
     worst = 0.0
     for idx in indices:
@@ -138,7 +137,7 @@ def _is_int_series(series: QExpansion) -> bool:
     return all(c.denominator == 1 for _, c in series.terms)
 
 
-def _characters_suite(m: int, cutoff: Fraction, tolerance: float) -> List[CheckResult]:
+def _characters_suite(m: int, cutoff: Fraction) -> List[CheckResult]:
     checks: List[CheckResult] = []
     c = ch.central_charge(m)
 
@@ -218,7 +217,7 @@ def _characters_suite(m: int, cutoff: Fraction, tolerance: float) -> List[CheckR
 # ----------------------------------------------------------------------
 
 
-def _zhu_suite(m: int, cutoff: Fraction, tolerance: float) -> List[CheckResult]:
+def _zhu_suite(m: int, cutoff: Fraction) -> List[CheckResult]:
     checks: List[CheckResult] = []
     for rel in zhu.relation_suite(m):
         checks.append(_ok(f"zhu-relation: {rel.name}", rel.passed, rel.detail))
@@ -255,7 +254,7 @@ def _zhu_suite(m: int, cutoff: Fraction, tolerance: float) -> List[CheckResult]:
 # ----------------------------------------------------------------------
 
 
-def _fermion_suite(m: int, cutoff: Fraction, tolerance: float) -> List[CheckResult]:
+def _fermion_suite(m: int, cutoff: Fraction) -> List[CheckResult]:
     checks: List[CheckResult] = []
     grade = 6
     fock_cut = grade + 10
@@ -285,8 +284,6 @@ def _fermion_suite(m: int, cutoff: Fraction, tolerance: float) -> List[CheckResu
     ok = True
     for sign in (1, -1):
         v = fm.vacuum_pm(sign, fock_cut)
-        from .arith import QuadRational
-
         eig = QuadRational(0, Fraction(sign, 2))
         if not (fm.phi(0, v) - v.scale(eig)).is_zero():
             ok = False
@@ -350,7 +347,7 @@ def _fermion_suite(m: int, cutoff: Fraction, tolerance: float) -> List[CheckResu
     return checks
 
 
-_SUITES: Dict[str, Callable[[int, Fraction, float], List[CheckResult]]] = {
+_SUITES: Dict[str, Callable[[int, Fraction], List[CheckResult]]] = {
     "theta": _theta_suite,
     "characters": _characters_suite,
     "zhu": _zhu_suite,
@@ -362,7 +359,6 @@ def run_suite(
     name: str,
     m: int,
     cutoff=Fraction(30),
-    tolerance: float = 1e-8,
     inject_fault: Optional[str] = None,
 ) -> List[CheckResult]:
     """Run one named suite (or all of them) and return the check results.
@@ -376,7 +372,7 @@ def run_suite(
     names = ["theta", "characters", "zhu", "fermion"] if name == "all" else [name]
     results: List[CheckResult] = []
     for suite in names:
-        results.extend(_SUITES[suite](m, cutoff, tolerance))
+        results.extend(_SUITES[suite](m, cutoff))
     if inject_fault is not None:
         corrupted = bernoulli_number(4) + Fraction(1, 30)
         results.append(

@@ -19,6 +19,7 @@ uses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
@@ -97,8 +98,6 @@ def hab_polynomial(m: int) -> HabData:
     if m < 1:
         raise ValueError("m must be >= 1")
     p = 2 * m + 1
-    import math
-
     c_m = Fraction(2 ** (2 * m - 1) * p ** (2 * m), math.factorial(2 * m) ** 2)
     roots = tuple(
         Fraction((2 * i + 1 - 2 * m) ** 2, 8 * p) for i in range(m)
@@ -230,8 +229,6 @@ class RelationCheck:
 
 def _binom_shift_poly(m: int) -> UniPoly:
     """C(t - 1/2, 2m) as a polynomial in t."""
-    import math
-
     roots = [Fraction(2 * r + 1, 2) for r in range(2 * m)]
     return UniPoly.from_roots(roots) * Fraction(1, math.factorial(2 * m))
 
@@ -322,8 +319,6 @@ def relation_suite(m: int) -> List[RelationCheck]:
     # the two closed forms of the even-generator square, as polynomials in
     # u = a^2: (1/2) ((1/(2m)!) prod (2(2m+1) u - (2i+1)^2/4))^2
     #          = C_m prod (u - (2i+1-2m)^2 / (8(2m+1)))^2
-    import math
-
     left = UniPoly.one()
     for i in range(m):
         left = left * UniPoly([-Fraction((2 * i + 1) ** 2, 4), Fraction(2 * p)])

@@ -224,3 +224,51 @@ def shift_law_violations(src, target, r: Fraction, eps: int = 1) -> List[Fractio
         if twice.denominator != 1 or b.get(e, 0) != sign * a.get(e, 0):
             bad.append(e)
     return bad
+
+
+def clifford_action(terms, kind: str, mode: int, cutoff=None):
+    """Reference Clifford action on ``{word: (a, b)}``, each value a + b sqrt 2.
+
+    Words are strictly decreasing mode tuples.  ``kind`` is one of
+
+    * ``"create"``: prepend ``mode`` to the word and sort it back into
+      strictly decreasing order; the sign is the parity of the inversion
+      count of that sort, and a repeated mode gives zero,
+    * ``"contract"``: delete ``mode`` from position ``pos`` with sign
+      (-1)^pos; a word without ``mode`` gives zero,
+    * ``"zero"``: the self-paired zero mode, which contracts a word holding
+      0 with the extra weight 1/2 (phi(0)^2 = 1/2) and creates 0 otherwise.
+
+    Words of total grade above ``cutoff`` (when given) are dropped.  Returns
+    the image as ``{word: (a, b)}`` without zero entries, and whether any
+    word was dropped.
+    """
+    out = {}
+    dropped = False
+    for word, (a, b) in terms.items():
+        op, weight = kind, Fraction(1)
+        if kind == "zero":
+            op = "contract" if 0 in word else "create"
+            if op == "contract":
+                weight = Fraction(1, 2)
+        if op == "create":
+            raw = (mode,) + tuple(word)
+            if len(set(raw)) < len(raw):
+                continue
+            inversions = sum(
+                1 for i in range(len(raw)) for k in range(i + 1, len(raw)) if raw[i] < raw[k]
+            )
+            new = tuple(sorted(raw, reverse=True))
+            weight *= (-1) ** inversions
+        else:
+            if mode not in word:
+                continue
+            pos = list(word).index(mode)
+            new = tuple(word[:pos]) + tuple(word[pos + 1 :])
+            weight *= (-1) ** pos
+        if cutoff is not None and sum(new) > cutoff:
+            dropped = True
+            continue
+        old_a, old_b = out.get(new, (Fraction(0), Fraction(0)))
+        out[new] = (old_a + weight * a, old_b + weight * b)
+    return {w: c for w, c in out.items() if c != (0, 0)}, dropped

@@ -143,6 +143,11 @@ class TestVerifyCommand:
             }
         ]
 
+    def test_tolerance_flag_refused(self, capsys):
+        # no verify check reads a tolerance; only modular registers the flag
+        code = main(["verify", "--m", "1", "--suite", "zhu", "--tolerance", "1e-3"])
+        assert code == EXIT_USAGE
+
 
 class TestClassifyCommand:
     def test_json(self, tmp_path):
@@ -160,6 +165,10 @@ class TestClassifyCommand:
         assert main(["classify", "--m", "2", "--format", "csv", "--out", str(out)]) == EXIT_OK
         rows = list(csv.reader(io.StringIO(out.read_text())))
         assert len(rows) == 1 + 5
+
+    def test_cutoff_flag_refused(self, capsys):
+        # the classification has no series, so classify registers no --cutoff
+        assert main(["classify", "--m", "1", "--cutoff", "5"]) == EXIT_USAGE
 
 
 class TestModularCommand:
