@@ -185,9 +185,15 @@ def basis_monomials(max_grade: int) -> List[Monomial]:
     return out
 
 
+def _require_twisted(v: FockVector) -> None:
+    if v.cutoff is None:
+        raise ValueError("twisted-sector mode applied to an untwisted vector (cutoff=None)")
+
+
 def phi(n: int, v: FockVector) -> FockVector:
     """Clifford generator phi(n): creation for n < 0, annihilation for n > 0,
     the self-paired zero mode for n = 0."""
+    _require_twisted(v)
     if n < 0:
         return _act(_create, -n, v)
     if n > 0:
@@ -215,6 +221,7 @@ def virasoro_mode(n: int, v: FockVector) -> FockVector:
     see :func:`virasoro_mode_quadratic`); other modes are the normal-ordered
     quadratic sums of Clifford generators.
     """
+    _require_twisted(v)
     if n == 0:
         out = {
             mono: coeff * (Fraction(sum(mono)) + Fraction(1, 16))
@@ -226,6 +233,7 @@ def virasoro_mode(n: int, v: FockVector) -> FockVector:
 
 def virasoro_mode_quadratic(n: int, v: FockVector) -> FockVector:
     """L(n) as (1/2) sum_{r < n/2} (n - 2r) :phi(r) phi(n-r): (+ 1/16 at n=0)."""
+    _require_twisted(v)
     acc = FockVector({}, v.cutoff, v.truncated)
     r_lo = -v.cutoff - abs(n) - 1
     r_hi = (n - 1) // 2 if n % 2 else n // 2 - 1

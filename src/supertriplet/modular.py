@@ -23,6 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -470,9 +471,10 @@ def _q_derivative(series: QExpansion) -> QExpansion:
     return QExpansion.from_lattice(offset, d, derived, scale / (step * d), series.cutoff)
 
 
-def _aligned_values(series: QExpansion, offset: Fraction, d: int, n: int) -> List[Fraction]:
-    """Coefficients of ``series`` at ``offset + i/d`` for i < n; its own
-    lattice must be a sublattice starting at or after ``offset``."""
+def _aligned_values(series: QExpansion, offset: Fraction, d: int, n: int) -> Tuple[List[int], Fraction]:
+    """The integer run of ``series`` at ``offset + i/d`` for i < n and its
+    rational scale; its own lattice must be a sublattice starting at or
+    after ``offset``."""
     own_offset, own_d, coeffs, scale = series.lattice
     dense = [0] * n
     if coeffs:
@@ -480,7 +482,7 @@ def _aligned_values(series: QExpansion, offset: Fraction, d: int, n: int) -> Lis
         stop = min(n, start + len(coeffs) * stride)
         if start < stop:
             dense[start:stop:stride] = coeffs[: -(-(stop - start) // stride)]
-    return [Fraction(c * scale.numerator, scale.denominator) for c in dense]
+    return dense, scale
 
 
 def _eisenstein_monomials(weight: int, cutoff: Fraction) -> Dict[Tuple[Tuple[str, int], ...], QExpansion]:
@@ -510,42 +512,53 @@ def _eisenstein_monomials(weight: int, cutoff: Fraction) -> Dict[Tuple[Tuple[str
     return out
 
 
-def _solve_exact(rows: List[List[Fraction]], rhs: List[Fraction]) -> Optional[List[Fraction]]:
-    """Solve an overdetermined rational system exactly by Gaussian elimination.
-
-    Returns a particular solution with free variables set to zero, or None
-    if the system is inconsistent.
-    """
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
+def _bareiss(aug: List[List[int]], n_cols: int) -> List[int]:
+    """Fraction-free (Bareiss) elimination of the integer rows ``aug`` to
+    row-echelon form in place over the first ``n_cols`` columns; returns the
+    pivot columns.  A pivot is the first nonzero entry at or below the current
+    row; rows below become ``(p*x - f*y) // prev``, exact by Sylvester's
+    identity, so entries stay integer minors and pivot k is a k-by-k minor."""
     pivot_cols: List[int] = []
-    r = 0
+    prev, r = 1, 0
     for c in range(n_cols):
-        pivot = None
-        for rr in range(r, n_rows):
-            if aug[rr][c] != 0:
-                pivot = rr
-                break
+        if r == len(aug):
+            break
+        pivot = next((rr for rr in range(r, len(aug)) if aug[rr][c]), None)
         if pivot is None:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for rr in range(n_rows):
-            if rr != r and aug[rr][c] != 0:
-                factor = aug[rr][c]
-                aug[rr] = [x - factor * y for x, y in zip(aug[rr], aug[r])]
+        top = aug[r][c:]
+        p = top[0]
+        for row in aug[r + 1 :]:
+            f = row[c]
+            row[c:] = [(p * x - f * y) // prev for x, y in zip(row[c:], top)]
         pivot_cols.append(c)
+        prev = p
         r += 1
-        if r == n_rows:
-            break
-    for rr in range(r, n_rows):
-        if aug[rr][n_cols] != 0:
-            return None
+    return pivot_cols
+
+
+def _solve_exact(rows: Sequence[Sequence[Rational]], rhs: Sequence[Rational]) -> Optional[List[Fraction]]:
+    """Solve an overdetermined rational system exactly by fraction-free
+    integer elimination: each row, right-hand side included, is scaled by the
+    lcm of its denominators, reduced by :func:`_bareiss` and solved back over
+    the pivot columns.  Returns the particular solution with free variables
+    set to zero, or None if the system is inconsistent."""
+    n_cols = len(rows[0]) if rows else 0
+    aug = []
+    for row, b in zip(rows, rhs):
+        full = [*row, b]
+        den = math.lcm(*(x.denominator for x in full))
+        aug.append([x.numerator * (den // x.denominator) for x in full])
+    pivot_cols = _bareiss(aug, n_cols)
+    rank = len(pivot_cols)
+    if any(row[n_cols] for row in aug[rank:]):
+        return None
     solution = [Fraction(0)] * n_cols
-    for row_idx, c in enumerate(pivot_cols):
-        solution[c] = aug[row_idx][n_cols]
+    for i in reversed(range(rank)):
+        row = aug[i]
+        acc = row[n_cols] - sum(row[c] * solution[c] for c in pivot_cols[i + 1 :])
+        solution[pivot_cols[i]] = Fraction(acc) / row[pivot_cols[i]]
     return solution
 
 
@@ -617,16 +630,14 @@ def find_mde(
     of total weight 2(3m+1-j) in the level-1 and level-2 series.  The exact
     linear system forces each character to solve the equation through
     ``q_order`` plus a margin; infeasibility is reported as a finding, not
-    raised.
+    raised.  ``verified_q_order`` counts exponents inside that solved
+    window, so it restates the fit rather than checking it out of sample.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > 1 and not allow_large_m:
-        warnings.warn(
-            "the exact operator search grows quickly with m; proceeding anyway "
-            "(pass allow_large_m=True to silence)",
-            RuntimeWarning,
-        )
+        warnings.warn("the exact operator search grows quickly with m; proceeding anyway "
+                      "(pass allow_large_m=True to silence)", RuntimeWarning)
     order = 3 * m + 1
     span = q_order + margin
     cutoff_rel = Fraction(span + 1)
@@ -636,8 +647,7 @@ def find_mde(
     ]
     chars = []
     for label in labels:
-        lead_probe = twisted_char(label, 4)
-        lead = lead_probe.min_exponent
+        lead = twisted_char(label, 4).min_exponent
         chars.append(twisted_char(label, lead + cutoff_rel))
 
     monomials_by_weight: Dict[int, Dict[Tuple[Tuple[str, int], ...], QExpansion]] = {}
@@ -649,8 +659,8 @@ def find_mde(
         for key in sorted(monomials_by_weight[weight]):
             columns.append((j, key))
 
-    rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
+    rows: List[List[int]] = []
+    rhs: List[int] = []
     for series in chars:
         derivs = [series]
         for _ in range(order):
@@ -666,29 +676,22 @@ def find_mde(
             *((cs.min_exponent - lead).denominator for cs in window),
         )
         n = math.ceil(span * d)
-        target = _aligned_values(derivs[order], lead, d, n)
-        dense = [_aligned_values(cs, lead, d, n) for cs in col_series]
+        # one integer factor per character block clears every scale denominator
+        runs = [_aligned_values(cs, lead, d, n) for cs in [derivs[order]] + col_series]
+        den = math.lcm(*(scale.denominator for _, scale in runs))
+        (target, t), *dense = [(run, s.numerator * (den // s.denominator)) for run, s in runs]
         for i in range(n):
-            row = [values[i] for values in dense]
+            row = [values[i] * k for values, k in dense]
             if target[i] or any(row):
                 rows.append(row)
-                rhs.append(-target[i])
+                rhs.append(-target[i] * t)
 
     solution = _solve_exact(rows, rhs)
     if solution is None:
-        return MdeResult(
-            m,
-            order,
-            False,
-            0,
-            {},
-            False,
-            "the weight-homogeneous level-1/level-2 pool admits no solution "
-            "at this order; a wider pool would be needed",
-        )
-    coeffs = {
-        col: val for col, val in zip(columns, solution)
-    }
+        return MdeResult(m, order, False, 0, {}, False,
+                         "the weight-homogeneous level-1/level-2 pool admits no solution "
+                         "at this order; a wider pool would be needed")
+    coeffs = dict(zip(columns, solution))
 
     verified = q_order
     for series in chars:
@@ -701,17 +704,7 @@ def find_mde(
                 f"solution fails verification at exponent {bad[0]}",
             )
 
-    eta_series = eta(Fraction(1, 24) + cutoff_rel)
-    eta_resid = _apply_operator(coeffs, order, eta_series, monomials_by_weight)
-    control = not eta_resid.is_zero()
-
-    return MdeResult(
-        m,
-        order,
-        True,
-        verified,
-        coeffs,
-        control,
-        f"monic order-{order} operator verified through q-order {verified} "
-        f"on all {len(chars)} twisted characters",
-    )
+    eta_resid = _apply_operator(coeffs, order, eta(Fraction(1, 24) + cutoff_rel), monomials_by_weight)
+    return MdeResult(m, order, True, verified, coeffs, not eta_resid.is_zero(),
+                     f"monic order-{order} operator verified through q-order {verified} "
+                     f"on all {len(chars)} twisted characters")

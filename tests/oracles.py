@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 
 def partitions_into_distinct_parts(limit: int) -> List[int]:
@@ -272,3 +272,43 @@ def clifford_action(terms, kind: str, mode: int, cutoff=None):
         old_a, old_b = out.get(new, (Fraction(0), Fraction(0)))
         out[new] = (old_a + weight * a, old_b + weight * b)
     return {w: c for w, c in out.items() if c != (0, 0)}, dropped
+
+
+def gauss_jordan_solve(rows: List[List[Fraction]], rhs: List[Fraction]) -> Optional[List[Fraction]]:
+    """Solve an overdetermined rational system exactly by Gauss-Jordan
+    elimination over ``Fraction`` (give it Fractions: ints divide to floats).
+
+    Returns a particular solution with free variables set to zero, or None
+    if the system is inconsistent.
+    """
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if rows else 0
+    aug = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
+    pivot_cols: List[int] = []
+    r = 0
+    for c in range(n_cols):
+        pivot = None
+        for rr in range(r, n_rows):
+            if aug[rr][c] != 0:
+                pivot = rr
+                break
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        pv = aug[r][c]
+        aug[r] = [x / pv for x in aug[r]]
+        for rr in range(n_rows):
+            if rr != r and aug[rr][c] != 0:
+                factor = aug[rr][c]
+                aug[rr] = [x - factor * y for x, y in zip(aug[rr], aug[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    for rr in range(r, n_rows):
+        if aug[rr][n_cols] != 0:
+            return None
+    solution = [Fraction(0)] * n_cols
+    for row_idx, c in enumerate(pivot_cols):
+        solution[c] = aug[row_idx][n_cols]
+    return solution

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from supertriplet.arith import QuadRational
 from supertriplet.fermion import (
     DeltaReport,
@@ -197,6 +199,20 @@ class TestUntwistedSpace:
         img = report.first_order
         assert set(img) == {-2}
         assert (img[-2] - untwisted_vacuum().scale(Fraction(1, 16))).is_zero()
+
+    @pytest.mark.parametrize("mode", [-1, 0, 1])
+    def test_phi_refused(self, mode):
+        with pytest.raises(ValueError, match="untwisted"):
+            phi(mode, untwisted_omega())
+
+    @pytest.mark.parametrize("n", [-1, 0, 1])
+    def test_virasoro_mode_refused(self, n):
+        with pytest.raises(ValueError, match="untwisted"):
+            virasoro_mode(n, untwisted_omega())
+
+    def test_virasoro_mode_quadratic_refused(self):
+        with pytest.raises(ValueError, match="untwisted"):
+            virasoro_mode_quadratic(0, untwisted_omega())
 
 
 class TestGradedDimension:

@@ -3,9 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from supertriplet.characters import ModuleLabel, twisted_char
 from supertriplet.modular import (
     MdeResult,
     SampleGrid,
+    _apply_operator,
     _eisenstein_monomials,
     _evaluation_matrix,
     _normalize_columns,
@@ -256,3 +258,41 @@ class TestMde(object):
     def test_large_m_warns(self):
         with pytest.warns(RuntimeWarning):
             find_mde(2, q_order=4, margin=1)
+
+
+def _residual_support(result, through):
+    """Relative exponents below ``through`` at which the operator of
+    ``result`` fails to annihilate a twisted character rebuilt to that order."""
+    m, order, cutoff = result.m, result.order, Fraction(through + 1)
+    pool = {2 * (order - j): _eisenstein_monomials(2 * (order - j), cutoff) for j in range(order)}
+    labels = [ModuleLabel("RLambda", i + 1, m) for i in range(m)]
+    labels += [ModuleLabel("RPi", i + 1, m) for i in range(m + 1)]
+    bad = set()
+    for label in labels:
+        lead = twisted_char(label, 4).min_exponent
+        residual = _apply_operator(result.coefficients, order, twisted_char(label, lead + cutoff), pool)
+        assert residual.cutoff >= lead + through
+        bad |= {e - lead for e, c in residual.terms if e < lead + through and c != 0}
+    return sorted(bad)
+
+
+class TestMdeOutOfSample:
+    """The solve fits q-orders below ``q_order + margin``; these checks
+    rebuild the characters further out and apply the operator there."""
+
+    def test_m1_annihilates_through_80(self):
+        result = find_mde(1, q_order=40)
+        assert result.success
+        assert _residual_support(result, 80) == []
+
+    def test_m2_annihilates_through_30(self):
+        result = find_mde(2, q_order=12, allow_large_m=True)
+        assert result.success
+        assert _residual_support(result, 30) == []
+
+    def test_m2_short_window_fails_right_after_it(self):
+        # verified_q_order counts exponents inside the solved window only:
+        # at q-order 2 (window 8) the operator breaks at relative exponent 8
+        result = find_mde(2, q_order=2, allow_large_m=True)
+        assert result.success and result.verified_q_order == 2
+        assert _residual_support(result, 20)[:1] == [8]
