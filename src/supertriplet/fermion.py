@@ -57,6 +57,13 @@ __all__ = [
 ]
 
 
+def _exact(value: Scalar) -> Scalar:
+    """``value``, refused with ``TypeError`` unless an int, Fraction or QuadRational."""
+    if not isinstance(value, (int, Fraction, QuadRational)):
+        raise TypeError(f"Fock coefficients must be exact, not {value!r}")
+    return value
+
+
 class FockVector:
     """Finite Q(sqrt 2)-combination of Clifford monomials; ``cutoff`` bounds
     the total grade, ``None`` (the untwisted sector) means no truncation."""
@@ -72,7 +79,7 @@ class FockVector:
         items = terms.items() if isinstance(terms, dict) else terms
         acc: Dict[Monomial, Scalar] = {}
         for mono, coeff in items:
-            mono = tuple(mono)
+            mono, coeff = tuple(mono), _exact(coeff)
             if any(mono[i] <= mono[i + 1] for i in range(len(mono) - 1)):
                 raise ValueError(f"monomial {mono} is not strictly decreasing")
             if mono and mono[-1] < 0:
@@ -105,6 +112,7 @@ class FockVector:
         return self + other.scale(-1)
 
     def scale(self, scalar: Scalar) -> "FockVector":
+        scalar = _exact(scalar)
         return FockVector(
             {m: c * scalar for m, c in self.terms.items()}, self.cutoff, self.truncated
         )

@@ -164,17 +164,17 @@ def theta_transform_grid(cutoff=DEFAULT_NUMERIC_CUTOFF) -> SampleGrid:
 # ----------------------------------------------------------------------
 
 
-def _phase(x: Fraction) -> complex:
-    return cmath.exp(1j * math.pi * float(x - 2 * math.floor(x / 2)))
-
-
-def _check_eval_bound(series: QExpansion, tau: complex, tolerance: float) -> None:
-    bound = series.evaluate(tau).error_bound
-    if bound > tolerance / 10:
+def _check_eval_bound(series: QExpansion, taus: np.ndarray, tolerance: float) -> np.ndarray:
+    """``series`` summed over the grid ``taus``, refused if its tail bound
+    exceeds tolerance/10 anywhere; the message names the first such point."""
+    values, bounds = series.evaluate(taus)
+    over = np.flatnonzero(bounds > tolerance / 10)
+    if over.size:
         raise ValueError(
-            f"series cutoff too small: evaluation bound {bound:.3e} exceeds "
-            f"tolerance/10 at tau={tau}"
+            f"series cutoff too small: evaluation bound {bounds.max():.3e} exceeds "
+            f"tolerance/10 at tau={taus[over[0]]}"
         )
+    return values
 
 
 def s_transform_residual(
@@ -202,42 +202,30 @@ def s_transform_residual(
     two_k = 2 * k
     k_half_odd = two_k.denominator == 1 and two_k.numerator % 2 == 1
     deriv = variant == "theta_deriv"
-    lhs_series = (theta_deriv if deriv else theta)(idx, cutoff)
-
-    worst = 0.0
-    for tau in grid.points:
-        s_tau = -1 / tau
-        _check_eval_bound(lhs_series, s_tau, tolerance)
-        lhs = lhs_series.evaluate(s_tau).value
-        if k_half_odd:
-            if idx.j_is_integer:
-                family = theta_deriv if deriv else theta
-            else:
-                family = g_deriv if deriv else g_series
-            start = 1 if deriv else 0
-            total = 0j
-            for jp in range(start, int(two_k)):
-                series = family(ThetaIndex(Fraction(jp), k), cutoff)
-                _check_eval_bound(series, tau, tolerance)
-                total += cmath.exp(-1j * math.pi * float(j * jp / k)) * series.evaluate(tau).value
-            rhs = cmath.sqrt(-1j * tau / float(two_k)) * total
-            if deriv:
-                rhs *= tau
-        else:
-            four_k = 4 * k
-            if four_k.denominator != 1:
-                raise ValueError("generic law needs 4k integral")
+    taus = np.asarray(grid.points, dtype=complex)
+    lhs = _check_eval_bound((theta_deriv if deriv else theta)(idx, cutoff), -1 / taus, tolerance)
+    if k_half_odd:
+        if idx.j_is_integer:
             family = theta_deriv if deriv else theta
-            total = 0j
-            for jp in range(int(four_k)):
-                series = family(ThetaIndex(Fraction(2 * jp), four_k), cutoff)
-                _check_eval_bound(series, tau, tolerance)
-                total += cmath.exp(-1j * math.pi * float(jp * j / k)) * series.evaluate(tau).value
-            rhs = cmath.sqrt(-1j * tau) / math.sqrt(float(two_k)) * total
-            if deriv:
-                rhs *= tau
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+        else:
+            family = g_deriv if deriv else g_series
+        images = [(ThetaIndex(Fraction(jp), k), j * jp / k) for jp in range(1 if deriv else 0, int(two_k))]
+        norm = np.sqrt(-1j * taus / float(two_k))
+    else:
+        four_k = 4 * k
+        if four_k.denominator != 1:
+            raise ValueError("generic law needs 4k integral")
+        family = theta_deriv if deriv else theta
+        images = [(ThetaIndex(Fraction(2 * jp), four_k), jp * j / k) for jp in range(int(four_k))]
+        norm = np.sqrt(-1j * taus) / math.sqrt(float(two_k))
+    total = sum(
+        cmath.exp(-1j * math.pi * float(turn)) * _check_eval_bound(family(image, cutoff), taus, tolerance)
+        for image, turn in images
+    )
+    rhs = norm * total
+    if deriv:
+        rhs = rhs * taus
+    return float(np.abs(lhs - rhs).max(initial=0.0))
 
 
 def t_transform_residual(
@@ -255,17 +243,15 @@ def t_transform_residual(
     cutoff = grid.cutoff
     deriv = variant == "theta_deriv"
     lhs_series = (theta_deriv if deriv else theta)(idx, cutoff)
-    phase = _phase(idx.j * idx.j / (2 * idx.k))
+    phase = cmath.exp(1j * math.pi * float(idx.j * idx.j / (2 * idx.k) % 2))
     if idx.j_is_integer:
         rhs_series = (g_deriv if deriv else g_series)(idx, cutoff)
     else:
         rhs_series = lhs_series
-    worst = 0.0
-    for tau in grid.points:
-        lhs = lhs_series.evaluate(tau + 1).value
-        rhs = phase * rhs_series.evaluate(tau).value
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    taus = np.asarray(grid.points, dtype=complex)
+    lhs = lhs_series.evaluate(taus + 1).value
+    rhs = phase * rhs_series.evaluate(taus).value
+    return float(np.abs(lhs - rhs).max(initial=0.0))
 
 
 def character_theta_indices(m: int) -> List[ThetaIndex]:
@@ -307,16 +293,14 @@ def _evaluation_matrix(
     fns: Sequence[BasisFunction], points: Sequence[complex], cutoff: Fraction
 ) -> np.ndarray:
     """Basis members (columns) at ``points`` (rows); each distinct prefactor
-    and theta series is evaluated once per point."""
+    and theta series is summed once over the whole grid."""
+    taus = np.asarray(points, dtype=complex)
     prefs = {tag: _quotient(tag, cutoff) for tag in dict.fromkeys(fn.prefactor for fn in fns)}
     parts = {key: _theta_series(*key, cutoff) for key in dict.fromkeys((fn.kind, fn.j, fn.k) for fn in fns)}
-    mat = np.empty((len(points), len(fns)), dtype=complex)
-    for r, tau in enumerate(points):
-        pref = {tag: series.evaluate(tau).value for tag, series in prefs.items()}
-        part = {key: series.evaluate(tau).value for key, series in parts.items()}
-        for c, fn in enumerate(fns):
-            mat[r, c] = pref[fn.prefactor] * part[fn.kind, fn.j, fn.k] * tau ** fn.tau_power
-    return mat
+    value = {key: series.evaluate(taus).value for key, series in (*prefs.items(), *parts.items())}
+    return np.column_stack(
+        [value[fn.prefactor] * value[fn.kind, fn.j, fn.k] * taus ** fn.tau_power for fn in fns]
+    )
 
 
 def _normalize_columns(mat: np.ndarray) -> np.ndarray:
@@ -349,8 +333,7 @@ def closure_rank(
     svals = np.linalg.svd(base, compute_uv=False)
     threshold_rank = int(np.sum(svals >= svals[0] * rank_threshold))
 
-    s_points = tuple(-1 / tau for tau in grid.points)
-    s_cols = _evaluation_matrix(fns, s_points, grid.cutoff)
+    s_cols = _evaluation_matrix(fns, [-1 / tau for tau in grid.points], grid.cutoff)
     aug = np.hstack([base, _normalize_columns(s_cols)])
     aug_svals = np.linalg.svd(aug, compute_uv=False)
     ratios = aug_svals[:-1] / aug_svals[1:]
@@ -389,11 +372,12 @@ class ClosureReport:
         }
 
 
-def _relative_fit_residual(mat: np.ndarray, target: np.ndarray) -> float:
-    coeffs, *_ = np.linalg.lstsq(mat, target, rcond=None)
-    resid = np.linalg.norm(mat @ coeffs - target)
-    denom = np.linalg.norm(target)
-    return float(resid / denom) if denom > 0 else 0.0
+def _fit(mat: np.ndarray, targets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Least-squares coefficients of ``targets`` (a column or columns) over the
+    columns of ``mat``, and the relative l2 residual of each column."""
+    coeffs, *_ = np.linalg.lstsq(mat, targets, rcond=None)
+    norms = np.linalg.norm(targets, axis=0)
+    return coeffs, np.linalg.norm(mat @ coeffs - targets, axis=0) / np.where(norms > 0, norms, 1.0)
 
 
 def closure_under_s_t(
@@ -420,21 +404,10 @@ def closure_under_s_t(
     mat = _evaluation_matrix(fns, grid.points, grid.cutoff)
     s_targets = _evaluation_matrix(fns, [-1 / tau for tau in grid.points], grid.cutoff)
     t_targets = _evaluation_matrix(fns, [tau + 1 for tau in grid.points], grid.cutoff)
-    per = []
-    worst_s = worst_t = 0.0
-    for fn, s_target, t_target in zip(fns, s_targets.T, t_targets.T):
-        rs = _relative_fit_residual(mat, s_target)
-        rt = _relative_fit_residual(mat, t_target)
-        per.append((fn.name, rs, rt))
-        worst_s = max(worst_s, rs)
-        worst_t = max(worst_t, rt)
+    (_, rs), (_, rt) = _fit(mat, s_targets), _fit(mat, t_targets)
+    per = tuple((fn.name, float(s), float(t)) for fn, s, t in zip(fns, rs, rt))
 
-    eta_series = eta(grid.cutoff)
-    control = np.array([eta_series.evaluate(tau).value for tau in grid.points])
-    coeffs, *_ = np.linalg.lstsq(mat, control, rcond=None)
-    pointwise = float(
-        np.linalg.norm(mat @ coeffs - control) / np.linalg.norm(control)
-    )
+    coeffs, pointwise = _fit(mat, eta(grid.cutoff).evaluate(grid.points).value)
     build = control_window + 1
     window = [
         (_quotient(fn.prefactor, build) * _theta_series(fn.kind, fn.j, fn.k, build)).truncated(
@@ -454,7 +427,7 @@ def closure_under_s_t(
         part += x * row
     mismatch = max(np.abs(plain - values[-1]).max(), np.abs(tau_part).max())
     rc = float(mismatch / np.abs(values[-1]).max())
-    return ClosureReport(m, worst_s, worst_t, rc, pointwise, tuple(per))
+    return ClosureReport(m, float(rs.max()), float(rt.max()), rc, float(pointwise), per)
 
 
 # ----------------------------------------------------------------------

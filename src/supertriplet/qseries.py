@@ -15,7 +15,8 @@ of the sparser operand; reciprocals run an integer recurrence with the
 powers of the leading entry kept in the scale; shifts, ``tau -> tau/2``
 and ``tau -> 2 tau`` move only the offset and the step.  Memory is the
 exponent span times ``d``, so the lattice suits series whose exponents share
-a small denominator, as every series of this package does.
+a small denominator, as every series of this package does; a run longer than
+``MAX_RUN`` is refused before it is allocated.
 
 Coefficients and scalars are exact rationals; a float or complex one is
 refused with :class:`QSeriesError`.  Floats appear only in
@@ -37,10 +38,16 @@ from numbers import Number, Rational
 from operator import add, mul, sub
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 ExpLike = Union[Fraction, int, str]
 CoeffLike = Union[Fraction, int]
 
 EXACT = "exact-rational"
+
+# Longest dense run any operation may allocate; the longest a package path
+# builds is 807 entries (lattice d <= 2, cutoff 400).
+MAX_RUN = 1 << 16
 
 __all__ = [
     "QExpansion",
@@ -49,6 +56,7 @@ __all__ = [
     "EvalResult",
     "product_expansion",
     "EXACT",
+    "MAX_RUN",
 ]
 
 
@@ -61,8 +69,8 @@ class CutoffUnderflowError(QSeriesError):
 
 
 class EvalResult(NamedTuple):
-    value: complex
-    error_bound: float
+    value: Union[complex, np.ndarray]
+    error_bound: Union[float, np.ndarray]
 
 
 def _exact(value) -> Fraction:
@@ -78,6 +86,13 @@ def _common_scale(values: Iterable[Fraction]) -> Fraction:
     return Fraction(
         math.gcd(*(v.numerator for v in values)), math.lcm(*(v.denominator for v in values))
     )
+
+
+def _run_length(n: int) -> int:
+    """``n``, refused with :class:`QSeriesError` when longer than ``MAX_RUN``."""
+    if n > MAX_RUN:
+        raise QSeriesError(f"a dense run of {n} entries exceeds MAX_RUN = {MAX_RUN}")
+    return n
 
 
 def _frac_pair(num: int, den: int) -> List[str]:
@@ -108,7 +123,7 @@ class QExpansion:
             offset = min(values)
             d = math.lcm(*((e - offset).denominator for e in values))
             scale = _common_scale(values.values())
-            coeffs = [0] * (int((max(values) - offset) * d) + 1)
+            coeffs = [0] * _run_length(int((max(values) - offset) * d) + 1)
             for e, c in values.items():
                 coeffs[int((e - offset) * d)] = int(c / scale)
         _init(self, offset, d, tuple(coeffs), scale, cut)
@@ -140,6 +155,7 @@ class QExpansion:
         while lo < hi and not coeffs[lo]:
             lo += 1
         series = object.__new__(cls)
+        _run_length(hi - lo)
         if lo == hi:
             _init(series, Fraction(0), 1, (), Fraction(1), cutoff)
         else:
@@ -237,7 +253,7 @@ class QExpansion:
         n = max(start + (len(s._coeffs) - 1) * (d // s._d) + 1 for s, start in zip(parts, starts))
         if cut is not None:
             n = max(0, min(n, math.ceil((cut - offset) * d)))
-        out: List[int] = [0] * n
+        out: List[int] = [0] * _run_length(n)
         for s, start in zip(parts, starts):
             if start >= n:
                 continue
@@ -294,7 +310,7 @@ class QExpansion:
         # cost is (nonzero entries of the outer run) x (length of the inner one)
         if len(other) * len(self._coeffs) < len(self) * len(other._coeffs):
             outer, r_out, inner, r_in = inner, r_in, outer, r_out
-        out: List[int] = [0] * n
+        out: List[int] = [0] * _run_length(n)
         for i, x in enumerate(outer):
             start = i * r_out
             if start >= n:
@@ -326,7 +342,7 @@ class QExpansion:
             raise QSeriesError("reciprocal of an exact multi-term series is not finite")
         length = math.ceil((self._cutoff - e0) * self._d)
         support = [(j, c) for j, c in enumerate(self._coeffs[1:length], 1) if c]
-        t: List[int] = [0] * length
+        t: List[int] = [0] * _run_length(length)
         t[0] = c0 ** (length - 1)
         for n in range(1, length):
             acc = 0
@@ -398,32 +414,43 @@ class QExpansion:
                 worst = max(worst, abs(shifted - complex(theirs.get(e, 0)) * phase))
         return worst
 
-    def evaluate(self, tau: complex, growth_bound: float = 2.0 ** 64) -> EvalResult:
+    def evaluate(self, tau, growth_bound: float = 2.0 ** 64) -> EvalResult:
         """Sum the stored terms at ``q = e^{2 pi i tau}`` on the upper half plane.
 
+        ``tau`` is one point or a sequence of points.  One point gives a
+        complex value and a float bound; a sequence gives an array of each,
+        the whole grid summed as ``exp(2 pi i tau (x) e) @ c`` over the
+        exponents ``e`` and float coefficients ``c`` of the nonzero entries.
         The error bound covers the discarded tail: ``growth_bound`` is a
         caller-supplied cap on coefficient magnitude, multiplied by the
         geometric tail |q|^cutoff / (1 - |q|).
         """
-        tau = complex(tau)
-        if tau.imag <= 0:
+        taus = np.asarray(tau, dtype=complex)
+        if (taus.imag <= 0).any():
             raise QSeriesError("evaluation requires Im(tau) > 0")
         base, step, den = self._exponent_ratio()
         sn, sd = self._scale.numerator, self._scale.denominator
-        total = 0j
-        for i, c in enumerate(self._coeffs):
-            if c:
-                e = (base + i * step) / den
-                # c * sn / sd is the correctly rounded float of the exact coefficient
-                total += complex(c * sn / sd) * cmath.exp(2j * math.pi * e * tau)
+        nonzero = [(i, c) for i, c in enumerate(self._coeffs) if c]
+        exps = np.array([(base + i * step) / den for i, _ in nonzero])
+        # c * sn / sd is the correctly rounded float of the exact coefficient
+        coeffs = np.array([c * sn / sd for _, c in nonzero])
+        phase = np.outer(taus, 2j * math.pi * exps)
+        with np.errstate(over="raise"):  # a term too large for a float raises, never becomes inf
+            np.exp(phase, out=phase)
+        values = phase @ coeffs
+        tails = np.array([self._tail(im, growth_bound) for im in taus.imag.flat])
+        if taus.ndim == 0:
+            return EvalResult(complex(values[0]), float(tails[0]))
+        return EvalResult(values, tails)
+
+    def _tail(self, im: float, growth_bound: float) -> float:
         if self._cutoff is None:
-            return EvalResult(total, 0.0)
-        absq = math.exp(-2 * math.pi * tau.imag)
+            return 0.0
+        absq = math.exp(-2 * math.pi * im)
         try:
-            tail = growth_bound * absq ** float(self._cutoff) / (1 - absq)
+            return growth_bound * absq ** float(self._cutoff) / (1 - absq)
         except OverflowError:
-            tail = math.inf
-        return EvalResult(total, tail)
+            return math.inf
 
     # -- serialization --
 
@@ -500,7 +527,7 @@ def product_expansion(
         raise CutoffUnderflowError("cutoff must exceed the prefactor exponent")
     d = offset.denominator
     length = math.ceil((cutoff - prefactor_exp) * d)
-    c = [1] + [0] * (length - 1)
+    c = [1] + [0] * (_run_length(length) - 1)
     step = add if sign == 1 else sub
     for a in range(int(offset * d) or d, length, d):
         # the right-hand slice is a copy, so every c[i - a] is read before the pass

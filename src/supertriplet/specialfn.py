@@ -27,7 +27,7 @@ from operator import add, sub
 from typing import Tuple, Union
 
 from .arith import bernoulli_number, bernoulli_poly_at
-from .qseries import QExpansion, QSeriesError, product_expansion
+from .qseries import QExpansion, QSeriesError, _run_length, product_expansion
 
 IndexLike = Union["ThetaIndex", Tuple]
 
@@ -128,7 +128,7 @@ def _lattice_sum(idx: IndexLike, cutoff, weighted: bool, alternating: bool) -> Q
         return QExpansion.zero(cutoff)
     low = min(squares)
     gap = math.gcd(den, *(sq - low for sq in squares))
-    coeffs = [0] * ((max(squares) - low) // gap + 1)
+    coeffs = [0] * _run_length((max(squares) - low) // gap + 1)
     for n, sq in zip(window, squares):
         w = step * n + base if weighted else 1
         coeffs[(sq - low) // gap] += -w if alternating and n & 1 else w
@@ -206,7 +206,7 @@ def eisenstein(k: int, variant: str, cutoff) -> QExpansion:
         "level2-zero": bernoulli_poly_at(2 * k, Fraction(1, 2)),
     }[variant] / math.factorial(2 * k)
     size = max(0, math.ceil(cutoff * d))
-    coeffs = [0] * size
+    coeffs = [0] * _run_length(size)
     for b in range(1, size, d):
         weight = repeat(b ** (2 * k - 1))
         if variant == "full":

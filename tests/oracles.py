@@ -9,9 +9,10 @@ lattice so the oracles cannot silently share a bug with the code under test.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 
 def partitions_into_distinct_parts(limit: int) -> List[int]:
@@ -312,3 +313,29 @@ def gauss_jordan_solve(rows: List[List[Fraction]], rhs: List[Fraction]) -> Optio
     for row_idx, c in enumerate(pivot_cols):
         solution[c] = aug[row_idx][n_cols]
     return solution
+
+
+def termwise_evaluate(series, tau: complex, growth_bound: float = 2.0 ** 64) -> Tuple[complex, float]:
+    """``(value, tail bound)`` of a ``QExpansion`` at one point, one term at a
+    time with ``cmath.exp``: the loop ``QExpansion.evaluate`` ran before it
+    summed whole grids in numpy."""
+    tau = complex(tau)
+    if tau.imag <= 0:
+        raise ValueError("evaluation requires Im(tau) > 0")
+    offset, d, coeffs, scale = series.lattice
+    base, step, den = offset.numerator * d, offset.denominator, offset.denominator * d
+    sn, sd = scale.numerator, scale.denominator
+    total = 0j
+    for i, c in enumerate(coeffs):
+        if c:
+            e = (base + i * step) / den
+            # c * sn / sd is the correctly rounded float of the exact coefficient
+            total += complex(c * sn / sd) * cmath.exp(2j * math.pi * e * tau)
+    if series.cutoff is None:
+        return total, 0.0
+    absq = math.exp(-2 * math.pi * tau.imag)
+    try:
+        tail = growth_bound * absq ** float(series.cutoff) / (1 - absq)
+    except OverflowError:
+        tail = math.inf
+    return total, tail

@@ -99,6 +99,14 @@ class TestCharCommand:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    def test_huge_cutoff_is_usage_error(self, capsys):
+        # the dense run of 10^7 entries is refused before it is allocated
+        code = main(["char", "--m", "1", "--all", "--cutoff", "10000000"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("char: ") and "MAX_RUN" in captured.err
+        assert captured.out == ""
+
     def test_twisted_supercharacter_rejected(self, capsys):
         code = main(
             ["char", "--m", "1", "--family", "RPi", "--index", "1", "--flavor", "supercharacter"]

@@ -65,6 +65,20 @@ class TestCliffordAction:
         for v in monomials_up_to(8):
             assert (phi(0, phi(0, v)) - v.scale(Fraction(1, 2))).is_zero()
 
+    @pytest.mark.parametrize("value", [0.5, 0.25j])
+    def test_inexact_coefficient_refused(self, value):
+        with pytest.raises(TypeError):
+            FockVector({(1,): value})
+
+    @pytest.mark.parametrize("vector", [vacuum(), FockVector()])
+    def test_inexact_scalar_refused(self, vector):
+        with pytest.raises(TypeError):
+            vector.scale(0.25)
+
+    def test_exact_coefficients_kept(self):
+        v = FockVector({(1,): Fraction(1, 2), (2,): QuadRational(0, 1), (3,): -2})
+        assert v.scale(Fraction(1, 3)).coeff((1,)) == QuadRational(Fraction(1, 6))
+
     def test_truncation_flagged(self):
         v = phi(-CUT, phi(-(CUT - 1), vacuum(CUT)))
         assert v.truncated

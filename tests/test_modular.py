@@ -24,6 +24,7 @@ from supertriplet.modular import (
     theta_transform_grid,
 )
 from supertriplet.qseries import QExpansion
+from supertriplet.specialfn import ThetaIndex, theta
 
 UNIT_CUTOFF = Fraction(200)
 
@@ -105,6 +106,18 @@ class TestThetaTransforms:
             s_transform_residual(
                 (Fraction(1, 2), Fraction(3, 2)), "theta", grid, tolerance=1e-40
             )
+
+    def test_insufficient_cutoff_names_first_failing_point(self):
+        # the left side is summed at the S-images 2.5i, 0.667i and 0.5i: the
+        # last two fail, and the last has the largest tail bound
+        grid = SampleGrid((0.4j, 1.5j, 2j), Fraction(4))
+        images = -1 / np.asarray(grid.points)
+        bounds = theta(ThetaIndex(Fraction(1, 2), Fraction(3, 2)), grid.cutoff).evaluate(images).error_bound
+        assert bounds[0] < 1e-6 < bounds[1] < bounds[2]
+        with pytest.raises(ValueError) as info:
+            s_transform_residual((Fraction(1, 2), Fraction(3, 2)), "theta", grid, tolerance=1e-5)
+        assert f"bound {bounds[2]:.3e} exceeds" in str(info.value)
+        assert str(info.value).endswith(f"at tau={images[1]}")
 
     def test_t_swaps_prefactor_families(self, small_grid):
         # (f/eta) Theta_{j,k} at tau+1 equals e^{-i pi/8} e^{i pi j^2/2k}

@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 
 from supertriplet.qseries import (
+    MAX_RUN,
     CutoffUnderflowError,
     QExpansion,
     QSeriesError,
     product_expansion,
 )
+from supertriplet.specialfn import ThetaIndex, eisenstein, theta
 
 from oracles import partitions_into_distinct_parts, pentagonal_eta_terms
 
@@ -211,6 +213,54 @@ class TestEvaluate:
     def test_lower_half_plane_rejected(self):
         with pytest.raises(QSeriesError):
             QExpansion.one().evaluate(-1j)
+        with pytest.raises(QSeriesError):
+            QExpansion.one().evaluate([1j, 0.5 - 1j])
+
+    def test_overflowing_term_raises(self):
+        # |q^-2| = e^{800 pi} at tau = 200i is beyond the largest float
+        with pytest.raises(ArithmeticError):
+            QExpansion({-2: 1}).evaluate(200j)
+        with pytest.raises(ArithmeticError):
+            QExpansion({-2: 1}).evaluate([1j, 200j])
+
+    def test_empty_series_and_empty_grid(self):
+        assert QExpansion.zero(3).evaluate(1j).value == 0j
+        assert QExpansion.zero().evaluate([1j, 2j]).value.tolist() == [0j, 0j]
+        assert QExpansion({1: 1}).evaluate([]).value.shape == (0,)
+
+
+class TestDenseRunLimit:
+    """Every dense run longer than MAX_RUN is refused before it is allocated."""
+
+    def test_wide_lattice_refused(self):
+        with pytest.raises(QSeriesError, match="1655458 entries"):
+            QExpansion({Fraction(1, 41): 1, Fraction(1, 43): 1, Fraction(1, 47): 1, 20: 1})
+
+    def test_from_lattice_refused(self):
+        assert len(QExpansion.from_lattice(0, 1, [1] * MAX_RUN)) == MAX_RUN
+        with pytest.raises(QSeriesError):
+            QExpansion.from_lattice(0, 1, [1] * (MAX_RUN + 1))
+
+    def test_common_lattice_of_sum_and_product_refused(self):
+        # each run is a few hundred entries; their common lattice has d = 263 * 269
+        a = QExpansion({Fraction(1, 263): 1, 1: 1})
+        b = QExpansion({Fraction(1, 269): 1, 1: 1})
+        with pytest.raises(QSeriesError):
+            a + b
+        with pytest.raises(QSeriesError):
+            a * b
+
+    def test_long_products_refused(self):
+        with pytest.raises(QSeriesError):
+            product_expansion(-1, 0, 0, MAX_RUN + 1)
+        with pytest.raises(QSeriesError):
+            QExpansion({0: 1, 1: 1}, cutoff=MAX_RUN + 1).reciprocal()
+
+    def test_special_function_runs_refused(self):
+        with pytest.raises(QSeriesError):
+            theta(ThetaIndex(Fraction(0), Fraction(3, 2)), 10 ** 7)
+        with pytest.raises(QSeriesError):
+            eisenstein(1, "full", MAX_RUN + 1)
 
 
 class TestProductExpansion:

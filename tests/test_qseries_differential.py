@@ -1,10 +1,12 @@
-"""Differential tests: the lattice kernel of QExpansion against SparseSeries.
+"""Differential tests: the lattice kernel of QExpansion against SparseSeries,
+and its grid evaluation against the termwise sum.
 
 Each generated series lives on one lattice ``offset + (1/d) Z`` with d in
 1..48, may start at a negative exponent and may lead with any nonzero
 coefficient; operands of one operation are drawn independently, so sums and
 products mix lattices.  Results must agree on ``terms`` and ``cutoff``, and
-both kernels must refuse the same inputs.
+both kernels must refuse the same inputs.  Float sums must agree within a
+rounding bound derived from the terms, and tail bounds exactly.
 """
 
 import cmath
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 from supertriplet.qseries import QExpansion
 
-from oracles import SparseSeries
+from oracles import SparseSeries, termwise_evaluate
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -41,6 +43,29 @@ def series_terms(draw, max_span=6, finite_cutoff=None):
     if finite_cutoff:
         cutoff = offset + Fraction(draw(st.integers(1, max_span * d + 2 * d)), d)
     return terms, cutoff
+
+
+# points with Im(tau) in (0.3, 3] and Re(tau) in [-1.5, 1.5], then their S-images -1/tau
+grid_points = st.lists(
+    st.builds(complex, st.floats(-1.5, 1.5), st.floats(0.3, 3, exclude_min=True)),
+    min_size=1,
+    max_size=12,
+).map(lambda points: points + [-1 / tau for tau in points])
+
+
+def rounding_bound(series, tau):
+    """How far two float summations of ``series`` at ``tau`` may differ.
+
+    Term ``c q^e`` of ``n`` contributes ``|c| |q^e| (n + 2 pi |e| |tau| + 4)``
+    units of 2^-52: ``n`` for the two summation orders, ``2 pi |e| |tau|`` for
+    rounding of the argument of ``exp``, and 4 for ``exp`` and the product.
+    """
+    n = len(series)
+    total = 0.0
+    for e, c in series.terms:
+        size = abs(float(c)) * math.exp(-2 * math.pi * float(e) * tau.imag)
+        total += size * (n + 2 * math.pi * abs(float(e)) * abs(tau) + 4)
+    return total * 2.0 ** -52
 
 
 def both(terms, cutoff):
@@ -125,3 +150,20 @@ def test_reshaping_moves_every_term(a, delta, factor):
     assert QExpansion.from_json_dict(fa.to_json_dict()) == fa
     for e, c in fa.terms:
         assert fa.coeff(e) == c
+
+
+@SETTINGS
+@given(series_terms(), grid_points, st.sampled_from([2.0, 2.0 ** 64]))
+def test_grid_evaluation_matches_termwise(a, points, growth):
+    terms, cutoff = a
+    fa = QExpansion(terms, cutoff=cutoff)
+    grid = fa.evaluate(points, growth)
+    assert grid.value.shape == grid.error_bound.shape == (len(points),)
+    for i, tau in enumerate(points):
+        value, bound = termwise_evaluate(fa, tau, growth)
+        single = fa.evaluate(tau, growth)
+        assert isinstance(single.value, complex) and isinstance(single.error_bound, float)
+        tolerance = rounding_bound(fa, tau)
+        assert abs(grid.value[i] - value) <= tolerance
+        assert abs(single.value - value) <= tolerance
+        assert grid.error_bound[i] == single.error_bound == bound
