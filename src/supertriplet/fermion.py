@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .arith import QuadRational, SQRT2, binom
@@ -84,15 +85,22 @@ class FockVector:
                 raise ValueError(f"monomial {mono} is not strictly decreasing")
             if mono and mono[-1] < 0:
                 raise ValueError(f"monomial {mono} has a negative mode")
+            acc[mono] = acc[mono] + coeff if mono in acc else coeff
+        self._fill(acc, cutoff, truncated)
+
+    def _fill(self, acc: Dict[Monomial, Scalar], cutoff: Optional[int], truncated: bool) -> "FockVector":
+        """Store ``acc``, whose monomials are valid and exact by construction:
+        drop zero coefficients, and monomials over ``cutoff`` with a flag."""
+        terms: Dict[Monomial, Scalar] = {}
+        for mono, coeff in acc.items():
             if cutoff is not None and sum(mono) > cutoff:
                 truncated = True
-                continue
-            acc[mono] = acc[mono] + coeff if mono in acc else coeff
-        object.__setattr__(
-            self, "terms", {m: c for m, c in acc.items() if c}
-        )
+            elif coeff:
+                terms[mono] = coeff
+        object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "cutoff", cutoff)
         object.__setattr__(self, "truncated", truncated)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("FockVector is immutable")
@@ -106,16 +114,14 @@ class FockVector:
         acc = dict(self.terms)
         for m, c in other.terms.items():
             acc[m] = acc[m] + c if m in acc else c
-        return FockVector(acc, self.cutoff, self.truncated or other.truncated)
+        return _trusted(acc, self.cutoff, self.truncated or other.truncated)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self + other.scale(-1)
 
     def scale(self, scalar: Scalar) -> "FockVector":
         scalar = _exact(scalar)
-        return FockVector(
-            {m: c * scalar for m, c in self.terms.items()}, self.cutoff, self.truncated
-        )
+        return _trusted({m: c * scalar for m, c in self.terms.items()}, self.cutoff, self.truncated)
 
     def coeff(self, mono: Monomial) -> QuadRational:
         c = self.terms.get(tuple(mono), 0)
@@ -131,6 +137,11 @@ class FockVector:
         more = ", ..." if len(self.terms) > 4 else ""
         flag = ", truncated" if self.truncated else ""
         return f"FockVector({', '.join(parts)}{more}{flag})"
+
+
+def _trusted(acc: Dict[Monomial, Scalar], cutoff: Optional[int], truncated: bool) -> FockVector:
+    """The kernel's builder: ``FockVector`` without the checks its results pass."""
+    return object.__new__(FockVector)._fill(acc, cutoff, truncated)
 
 
 # ----------------------------------------------------------------------
@@ -165,7 +176,7 @@ def _act(op, j: int, v: FockVector) -> FockVector:
             sign, new = hit
             c = coeff if sign > 0 else -coeff
             out[new] = out[new] + c if new in out else c
-    return FockVector(out, v.cutoff, v.truncated)
+    return _trusted(out, v.cutoff, v.truncated)
 
 
 def vacuum(cutoff: int = DEFAULT_GRADE_CUTOFF) -> FockVector:
@@ -219,7 +230,7 @@ def phi(n: int, v: FockVector) -> FockVector:
             sign = -1 if len(mono) & 1 else 1
             c = coeff * sign
         out[new] = out[new] + c if new in out else c
-    return FockVector(out, v.cutoff, v.truncated)
+    return _trusted(out, v.cutoff, v.truncated)
 
 
 def virasoro_mode(n: int, v: FockVector) -> FockVector:
@@ -231,29 +242,30 @@ def virasoro_mode(n: int, v: FockVector) -> FockVector:
     """
     _require_twisted(v)
     if n == 0:
-        out = {
-            mono: coeff * (Fraction(sum(mono)) + Fraction(1, 16))
-            for mono, coeff in v.terms.items()
-        }
-        return FockVector(out, v.cutoff, v.truncated)
+        out = {mono: c * (sum(mono) + Fraction(1, 16)) for mono, c in v.terms.items()}
+        return _trusted(out, v.cutoff, v.truncated)
     return virasoro_mode_quadratic(n, v)
 
 
 def virasoro_mode_quadratic(n: int, v: FockVector) -> FockVector:
-    """L(n) as (1/2) sum_{r < n/2} (n - 2r) :phi(r) phi(n-r): (+ 1/16 at n=0)."""
+    """L(n) as (1/2) sum_{r < n/2} (n - 2r) :phi(r) phi(n-r): (+ 1/16 at n=0).
+
+    A term with partner s = n - r > 0 is zero unless mode s occurs in ``v``,
+    so r runs over n - s for the occurring s, then over n <= r < n/2.
+    """
     _require_twisted(v)
-    acc = FockVector({}, v.cutoff, v.truncated)
-    r_lo = -v.cutoff - abs(n) - 1
-    r_hi = (n - 1) // 2 if n % 2 else n // 2 - 1
-    for r in range(r_lo, r_hi + 1):
-        s = n - r
-        term = phi(r, phi(s, v))
-        if term.is_zero() and not term.truncated:
-            continue
-        acc = acc + term.scale(Fraction(n - 2 * r, 2))
+    r_hi = (n - 1) // 2
+    modes = sorted({s for mono in v.terms for s in mono if s > 0 and n - s <= r_hi}, reverse=True)
+    rs = [n - s for s in modes] + list(range(n, r_hi + 1))
+    parts = [(phi(r, phi(n - r, v)), Fraction(n - 2 * r, 2)) for r in rs]
     if n == 0:
-        acc = acc + v.scale(Fraction(1, 16))
-    return acc
+        parts.append((v, Fraction(1, 16)))
+    acc: Dict[Monomial, Scalar] = {}
+    for term, weight in parts:
+        for mono, c in term.terms.items():
+            c = c * weight
+            acc[mono] = acc[mono] + c if mono in acc else c
+    return _trusted(acc, v.cutoff, v.truncated or any(t.truncated for t, _ in parts))
 
 
 # ----------------------------------------------------------------------
@@ -261,16 +273,17 @@ def virasoro_mode_quadratic(n: int, v: FockVector) -> FockVector:
 # ----------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _central_binom(n: int) -> Fraction:
+    """C(-1/2, n), computed once per n for ``cmn`` and the generating check."""
+    return binom(Fraction(-1, 2), n)
+
+
 def cmn(m: int, n: int) -> Fraction:
     """Closed form (1/2) (m-n)/(m+n+1) C(-1/2, m) C(-1/2, n)."""
     if m < 0 or n < 0:
         raise ValueError("table indices must be >= 0")
-    return (
-        Fraction(1, 2)
-        * Fraction(m - n, m + n + 1)
-        * binom(Fraction(-1, 2), m)
-        * binom(Fraction(-1, 2), n)
-    )
+    return Fraction(m - n, 2 * (m + n + 1)) * _central_binom(m) * _central_binom(n)
 
 
 def cmn_table(size: int) -> List[List[Fraction]]:
@@ -294,7 +307,7 @@ def cmn_generating_check(max_total_degree: int) -> GeneratingCheck:
     N = max_total_degree
     half = Fraction(1, 2)
     f = [binom(half, a) for a in range(N + 2)]
-    g = [binom(-half, a) for a in range(N + 2)]
+    g = [_central_binom(a) for a in range(N + 2)]
 
     def s_coeff(a: int, b: int) -> Fraction:
         val = Fraction(1, 2) * (f[a] * g[b] + g[a] * f[b])

@@ -449,7 +449,7 @@ class QExpansion:
         absq = math.exp(-2 * math.pi * im)
         try:
             return growth_bound * absq ** float(self._cutoff) / (1 - absq)
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):  # |q| too large, or 0.0 ** negative cutoff
             return math.inf
 
     # -- serialization --

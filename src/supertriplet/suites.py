@@ -12,7 +12,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from functools import lru_cache
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import characters as ch
 from . import fermion as fm
@@ -255,55 +256,43 @@ def _zhu_suite(m: int, cutoff: Fraction) -> List[CheckResult]:
 
 
 def _fermion_suite(m: int, cutoff: Fraction) -> List[CheckResult]:
-    checks: List[CheckResult] = []
+    """The fermion checks read neither ``m`` nor ``cutoff``: run once per process."""
+    return list(_fermion_checks())
+
+
+@lru_cache(maxsize=1)
+def _fermion_checks() -> Tuple[CheckResult, ...]:
     grade = 6
     fock_cut = grade + 10
-    basis = [
-        fm.FockVector({mono: 1}, fock_cut)
-        for mono in fm.basis_monomials(grade)
-    ]
+    basis = [fm.FockVector({mono: 1}, fock_cut) for mono in fm.basis_monomials(grade)]
 
     ok = True
     for a in range(-4, 5):
         for b in range(-4, 5):
-            target = Fraction(1) if a + b == 0 else Fraction(0)
             for v in basis:
                 lhs = fm.phi(a, fm.phi(b, v)) + fm.phi(b, fm.phi(a, v))
-                if lhs.truncated:
-                    continue
-                if not (lhs - v.scale(target)).is_zero():
+                if not lhs.truncated and not (lhs - v.scale(int(a + b == 0))).is_zero():
                     ok = False
-    checks.append(_ok("clifford-anticommutators", ok))
+    checks = [_ok("clifford-anticommutators", ok)]
 
-    ok = True
-    for v in basis:
-        if not (fm.phi(0, fm.phi(0, v)) - v.scale(Fraction(1, 2))).is_zero():
-            ok = False
+    ok = all((fm.phi(0, fm.phi(0, v)) - v.scale(Fraction(1, 2))).is_zero() for v in basis)
     checks.append(_ok("zero-mode-squares-to-half", ok))
 
-    ok = True
-    for sign in (1, -1):
-        v = fm.vacuum_pm(sign, fock_cut)
-        eig = QuadRational(0, Fraction(sign, 2))
-        if not (fm.phi(0, v) - v.scale(eig)).is_zero():
-            ok = False
+    ground = {sign: fm.vacuum_pm(sign, fock_cut) for sign in (1, -1)}
+    ok = all(
+        (fm.phi(0, v) - v.scale(QuadRational(0, Fraction(sign, 2)))).is_zero() for sign, v in ground.items()
+    )
     checks.append(_ok("parity-ground-states-are-zero-mode-eigenvectors", ok))
 
+    L = fm.virasoro_mode
     ok = True
     for v in basis:
-        bracket = fm.virasoro_mode(1, fm.virasoro_mode(-1, v)) - fm.virasoro_mode(
-            -1, fm.virasoro_mode(1, v)
-        )
-        if bracket.truncated:
-            continue
-        if not (bracket - fm.virasoro_mode(0, v).scale(2)).is_zero():
+        bracket = L(1, L(-1, v)) - L(-1, L(1, v))
+        if not bracket.truncated and not (bracket - L(0, v).scale(2)).is_zero():
             ok = False
     checks.append(_ok("virasoro-bracket-l1-lm1", ok))
 
-    ok = True
-    for v in basis:
-        if not (fm.virasoro_mode_quadratic(0, v) - fm.virasoro_mode(0, v)).is_zero():
-            ok = False
+    ok = all((fm.virasoro_mode_quadratic(0, v) - fm.virasoro_mode(0, v)).is_zero() for v in basis)
     checks.append(_ok("quadratic-vs-diagonal-conformal-weight", ok))
 
     table_check = fm.cmn_generating_check(12)
@@ -315,12 +304,7 @@ def _fermion_suite(m: int, cutoff: Fraction) -> List[CheckResult]:
         )
     )
 
-    ok = True
-    size = 8
-    for a in range(size + 1):
-        for b in range(size + 1):
-            if fm.cmn(a, b) != -fm.cmn(b, a):
-                ok = False
+    ok = all(fm.cmn(a, b) == -fm.cmn(b, a) for a in range(9) for b in range(9))
     checks.append(_ok("lowering-table-antisymmetry", ok))
 
     report = fm.delta_apply_to_omega()
@@ -344,7 +328,7 @@ def _fermion_suite(m: int, cutoff: Fraction) -> List[CheckResult]:
             (half - frak_f2(dim_cut)).is_zero() and (half.scale(2) - lhs).is_zero(),
         )
     )
-    return checks
+    return tuple(checks)
 
 
 _SUITES: Dict[str, Callable[[int, Fraction], List[CheckResult]]] = {

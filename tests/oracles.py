@@ -275,6 +275,40 @@ def clifford_action(terms, kind: str, mode: int, cutoff=None):
     return {w: c for w, c in out.items() if c != (0, 0)}, dropped
 
 
+def virasoro_quadratic_action(terms, n: int, cutoff: int):
+    """Reference twisted L(n) on ``{word: (a, b)}`` at grade cutoff ``cutoff``.
+
+    L(n) = (1/2) sum_{r < n/2} (n - 2r) :phi(r) phi(n - r): (+ 1/16 at n = 0),
+    each phi applied by :func:`clifford_action` (phi(r) creates mode -r for
+    r < 0, contracts mode r for r > 0 and is the zero mode at r = 0).  The
+    sum runs over the full window -cutoff - |n| - 1 <= r < n/2, which holds
+    every partner n - r that can occur in a word of grade <= cutoff; terms
+    that vanish are not skipped.  Returns the image without zero entries,
+    and whether any word was dropped on the way.
+    """
+
+    def phi(mode, words):
+        kind = "create" if mode < 0 else "contract" if mode > 0 else "zero"
+        return clifford_action(words, kind, abs(mode), cutoff)
+
+    parts = []
+    dropped = False
+    r_hi = (n - 1) // 2 if n % 2 else n // 2 - 1
+    for r in range(-cutoff - abs(n) - 1, r_hi + 1):
+        inner, inner_dropped = phi(n - r, terms)
+        term, outer_dropped = phi(r, inner)
+        dropped = dropped or inner_dropped or outer_dropped
+        parts.append((term, Fraction(n - 2 * r, 2)))
+    if n == 0:
+        parts.append((terms, Fraction(1, 16)))
+    out = {}
+    for term, weight in parts:
+        for word, (a, b) in term.items():
+            old_a, old_b = out.get(word, (Fraction(0), Fraction(0)))
+            out[word] = (old_a + weight * a, old_b + weight * b)
+    return {w: c for w, c in out.items() if c != (0, 0)}, dropped
+
+
 def gauss_jordan_solve(rows: List[List[Fraction]], rhs: List[Fraction]) -> Optional[List[Fraction]]:
     """Solve an overdetermined rational system exactly by Gauss-Jordan
     elimination over ``Fraction`` (give it Fractions: ints divide to floats).

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from supertriplet.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
-from supertriplet.suites import run_suite
+from supertriplet import suites
+from supertriplet.suites import CheckResult, run_suite
 
 
 class TestSuites:
@@ -36,6 +37,29 @@ class TestSuites:
         assert tail.name == "injected-fault:demo"
         assert not tail.passed
         assert all(c.passed for c in results[:-1])
+
+    def test_fermion_suite_ignores_m_and_cutoff(self):
+        runs = {(m, cutoff): run_suite("fermion", m, cutoff) for m in (1, 2, 3) for cutoff in (20, 30, 40)}
+        first = [c.to_json() for c in runs[(1, 20)]]
+        assert all([c.to_json() for c in run] == first for run in runs.values())
+        assert len(first) == 10 and all(c["passed"] for c in first)
+        # computed once per process: every run holds the same result objects
+        assert all(run[0] is runs[(1, 20)][0] for run in runs.values())
+
+    def test_fermion_suite_matches_recomputation(self):
+        cached = run_suite("fermion", 2, 30)
+        suites._fermion_checks.cache_clear()
+        fresh = run_suite("fermion", 2, 30)
+        assert fresh[0] is not cached[0]
+        assert [c.to_json() for c in fresh] == [c.to_json() for c in cached]
+
+    def test_fermion_suite_returns_fresh_list(self):
+        first = run_suite("fermion", 1)
+        expected = [c.to_json() for c in first]
+        first.clear()
+        run_suite("fermion", 1).append(CheckResult("extra", False, ""))
+        suites._fermion_suite(1, Fraction(30)).pop()
+        assert [c.to_json() for c in run_suite("fermion", 1)] == expected
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):

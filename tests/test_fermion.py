@@ -85,6 +85,25 @@ class TestCliffordAction:
         assert v.is_zero()
 
 
+class TestSuiteParameters:
+    """``suites._fermion_checks`` skips a truncated anti-bracket or L(+-1)
+    bracket without failing; at its parameters (basis grade 6, grade cutoff
+    16, modes -4..4) no such case exists, so the skip never fires."""
+
+    BASIS = [FockVector({mono: 1}, 16) for mono in basis_monomials(6)]
+
+    def test_no_anticommutator_truncated(self):
+        for a in range(-4, 5):
+            for b in range(-4, 5):
+                for v in self.BASIS:
+                    assert not (phi(a, phi(b, v)) + phi(b, phi(a, v))).truncated, (a, b, v)
+
+    def test_no_virasoro_bracket_truncated(self):
+        for v in self.BASIS:
+            bracket = virasoro_mode(1, virasoro_mode(-1, v)) - virasoro_mode(-1, virasoro_mode(1, v))
+            assert not bracket.truncated, v
+
+
 class TestParityGroundStates:
     def test_eigenvalues(self):
         for sign in (1, -1):

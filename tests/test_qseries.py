@@ -223,6 +223,16 @@ class TestEvaluate:
         with pytest.raises(ArithmeticError):
             QExpansion({-2: 1}).evaluate([1j, 200j])
 
+    def test_underflowing_q_with_negative_cutoff_is_unbounded(self):
+        # |q| = e^{-400 pi} underflows to 0.0, and 0.0 ** -1 has no float value
+        res = QExpansion.zero(-1).evaluate(200j)
+        assert res.value == 0j
+        assert res.error_bound == math.inf
+        grid = QExpansion.zero(-1).evaluate([1j, 200j])
+        assert grid.value.tolist() == [0j, 0j]
+        assert math.isfinite(grid.error_bound[0])
+        assert grid.error_bound[1] == math.inf
+
     def test_empty_series_and_empty_grid(self):
         assert QExpansion.zero(3).evaluate(1j).value == 0j
         assert QExpansion.zero().evaluate([1j, 2j]).value.tolist() == [0j, 0j]
