@@ -127,11 +127,12 @@ def _theta_k(m: int) -> Fraction:
     return Fraction(2 * m + 1, 2)
 
 
+@lru_cache(maxsize=None)
 def twisted_char(label: ModuleLabel, cutoff, halve: bool = False) -> QExpansion:
     """Character of a parity-twisted irreducible module, graded over both parities.
 
     With ``halve=True`` returns the character of either single-parity half
-    (the two halves coincide).
+    (the two halves coincide).  Memoised per process.
     """
     if not label.twisted:
         raise ValueError("twisted_char expects an RLambda or RPi label")
@@ -151,14 +152,14 @@ def twisted_char(label: ModuleLabel, cutoff, halve: bool = False) -> QExpansion:
         i = m - label.index
         idx = ThetaIndex(Fraction(2 * (m - i) - 1, 2), k)
         body = theta(idx, build) * Fraction(2 * m - 2 * i - 1, p) - theta_deriv(idx, build) * Fraction(2, p)
-    out = (pref * body).scale(1 if halve else 2).truncated(cutoff)
-    return out
+    return (pref * body).scale(1 if halve else 2).truncated(cutoff)
 
 
+@lru_cache(maxsize=None)
 def untwisted_char(
     label: ModuleLabel, flavor: Flavor, cutoff
 ) -> QExpansion:
-    """Character or supercharacter of an untwisted irreducible module."""
+    """Character or supercharacter of an untwisted irreducible module, memoised per process."""
     if label.twisted:
         raise ValueError("untwisted_char expects an SLambda or SPi label")
     if flavor not in ("character", "supercharacter"):

@@ -14,6 +14,8 @@ import io
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import List, Optional
 
 from . import characters as ch
@@ -41,7 +43,29 @@ def _emit(payload: str, out: Optional[str]) -> None:
 
 
 def _json_dump(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2)
+    """``json.dumps(data, sort_keys=True, indent=2)`` byte for byte (str keys), without
+    the pure-Python encoder that ``indent`` selects: strings go through the C
+    ``encode_basestring_ascii``, other scalars through the compact ``json.dumps``."""
+    out: List[str] = []
+    _json_write(data, "\n", out.append)
+    return "".join(out)
+
+
+def _json_write(value, newline: str, write) -> None:
+    if isinstance(value, str):
+        return write(encode_basestring_ascii(value))
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return write(json.dumps(value))
+    inner = newline + "  "
+    if isinstance(value, dict):
+        for i, key in enumerate(sorted(value)):
+            write(("," if i else "{") + inner + encode_basestring_ascii(key) + ": ")
+            _json_write(value[key], inner, write)
+        return write(newline + "}")
+    for i, item in enumerate(value):
+        write(("," if i else "[") + inner)
+        _json_write(item, inner, write)
+    write(newline + "]")
 
 
 def _frac_str(pair) -> str:
@@ -168,7 +192,12 @@ def _grid_json(grid) -> list:
 
 
 def _cmd_modular(args) -> int:
+    for flag in {"mde": ("cutoff", "tolerance"), "rank": ("tolerance",)}.get(args.check, ()):
+        if getattr(args, flag) is not None:
+            print(f"modular: {args.check} takes no --{flag}", file=sys.stderr)
+            return EXIT_USAGE
     cutoff = args.cutoff if args.cutoff is not None else Fraction(400)
+    tolerance = args.tolerance if args.tolerance is not None else 1e-8
     if cutoff < 100:
         print("modular: numeric cutoff must be >= 100", file=sys.stderr)
         return EXIT_USAGE
@@ -197,8 +226,8 @@ def _cmd_modular(args) -> int:
         }
         _emit(_json_dump(payload), args.out)
         ok = (
-            report.worst_s_residual < args.tolerance
-            and report.worst_t_residual < args.tolerance
+            report.worst_s_residual < tolerance
+            and report.worst_t_residual < tolerance
             and report.negative_control_residual > 1e-2
         )
         return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -208,7 +237,7 @@ def _cmd_modular(args) -> int:
         per = []
         for idx in modular.character_theta_indices(m):
             for variant in ("theta", "theta_deriv"):
-                r = modular.s_transform_residual(idx, variant, grid, args.tolerance)
+                r = modular.s_transform_residual(idx, variant, grid, tolerance)
                 per.append(
                     {"j": str(idx.j), "k": str(idx.k), "variant": variant, "residual": r}
                 )
@@ -223,7 +252,7 @@ def _cmd_modular(args) -> int:
             "residuals": per,
         }
         _emit(_json_dump(payload), args.out)
-        return EXIT_OK if worst < args.tolerance else EXIT_CHECK_FAILED
+        return EXIT_OK if worst < tolerance else EXIT_CHECK_FAILED
     if args.check == "mde":
         result = modular.find_mde(m, allow_large_m=True)
         payload = {"schema": SCHEMA, "test": "mde", **result.to_json()}
@@ -238,7 +267,9 @@ def _cmd_modular(args) -> int:
 # ----------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="supertriplet",
         description="Characters, twisted Zhu data, and modular checks for the "
@@ -282,16 +313,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_mod = sub.add_parser("modular", help="numeric modular checks")
     p_mod.add_argument("check", choices=["rank", "closure", "s-transform", "mde"])
     add_common(p_mod)
-    p_mod.add_argument("--tolerance", type=float, default=1e-8)
+    p_mod.add_argument("--tolerance", type=float, default=None, help="closure and s-transform; default 1e-8")
     p_mod.set_defaults(func=_cmd_modular)
 
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors already
         return int(exc.code) if exc.code is not None else EXIT_USAGE

@@ -123,6 +123,23 @@ class TestTwistedCharacters:
                     assert all(c.denominator == 1 for _, c in series.terms), (label, flavor)
 
 
+class TestMemoisedCharacters:
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_cached_characters_match_recomputation(self, m):
+        calls = [(label, flavor, cutoff) for label, flavor in all_labels(m) for cutoff in (Fraction(1, 2), 7, 12)]
+        cached = [character_series(*call) for call in calls]
+        twisted = [label for label, _ in all_labels(m) if label.twisted]
+        halves = [twisted_char(label, 12, halve=True) for label in twisted]
+        # a repeated call shares the result, also for an equal cutoff of another type
+        assert all(character_series(label, flavor, Fraction(cutoff)) is series
+                   for (label, flavor, cutoff), series in zip(calls, cached))
+        twisted_char.cache_clear()
+        untwisted_char.cache_clear()
+        fresh = [character_series(*call) for call in calls]
+        assert all(a is not b and a == b for a, b in zip(fresh, cached))
+        assert [twisted_char(label, 12, halve=True) for label in twisted] == halves
+
+
 class TestUntwistedCharacters:
     def test_slambda_top_leading_exponent(self):
         chi = untwisted_char(ModuleLabel("SLambda", 2, 1), "character", 4)

@@ -4,9 +4,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from supertriplet import cli, suites
 from supertriplet.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
-from supertriplet import suites
 from supertriplet.suites import CheckResult, run_suite
 
 
@@ -60,6 +62,43 @@ class TestSuites:
         run_suite("fermion", 1).append(CheckResult("extra", False, ""))
         suites._fermion_suite(1, Fraction(30)).pop()
         assert [c.to_json() for c in run_suite("fermion", 1)] == expected
+
+    def test_zhu_suite_ignores_cutoff(self):
+        runs = [run_suite("zhu", 2, cutoff) for cutoff in (Fraction(1, 2), 20, 40)]
+        assert all([c.to_json() for c in run] == [c.to_json() for c in runs[0]] for run in runs)
+        # computed once per m: every run holds the same result objects
+        assert all(run[0] is runs[0][0] for run in runs)
+        assert run_suite("zhu", 1)[0] is not runs[0][0]
+
+    def test_zhu_suite_matches_recomputation(self):
+        cached = {m: run_suite("zhu", m, 30) for m in (1, 2)}
+        suites._zhu_checks.cache_clear()
+        for m, results in cached.items():
+            fresh = run_suite("zhu", m, 30)
+            assert fresh[0] is not results[0]
+            assert [c.to_json() for c in fresh] == [c.to_json() for c in results]
+
+    def test_zhu_suite_returns_fresh_list(self):
+        first = run_suite("zhu", 1)
+        expected = [c.to_json() for c in first]
+        first.clear()
+        suites._zhu_suite(1, Fraction(30)).append(CheckResult("extra", False, ""))
+        assert [c.to_json() for c in suites._zhu_suite(1, Fraction(30))] == expected
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("cutoff", [Fraction(1, 2), 1, 2, 3])
+    def test_characters_suite_at_small_cutoffs(self, m, cutoff):
+        # RPi(1) leads at 25/24 for m=1 and at 169/56 for m=3, above these cutoffs
+        results = run_suite("characters", m, cutoff)
+        leading = next(c for c in results if c.name == "twisted-leading-terms-match-classification")
+        assert leading.passed and leading.detail == ""
+        assert all(c.passed for c in results), [c.name for c in results if not c.passed]
+
+    @pytest.mark.parametrize("suite", suites.SUITE_NAMES)
+    @pytest.mark.parametrize("cutoff", [0, -7, Fraction(-1, 2)])
+    def test_nonpositive_cutoff_refused(self, suite, cutoff):
+        with pytest.raises(ValueError, match="positive"):
+            run_suite(suite, 1, cutoff)
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
@@ -180,6 +219,16 @@ class TestVerifyCommand:
         code = main(["verify", "--m", "1", "--suite", "zhu", "--tolerance", "1e-3"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("suite", suites.SUITE_NAMES)
+    @pytest.mark.parametrize("cutoff", ["-7", "0"])
+    def test_nonpositive_cutoff_is_usage_error(self, capsys, tmp_path, suite, cutoff):
+        out = tmp_path / "verify.json"
+        code = main(["verify", "--m", "1", "--suite", suite, "--cutoff", cutoff, "--out", str(out)])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("verify: ") and "positive" in captured.err
+        assert captured.out == "" and not out.exists()
+
 
 class TestClassifyCommand:
     def test_json(self, tmp_path):
@@ -206,6 +255,19 @@ class TestClassifyCommand:
 class TestModularCommand:
     def test_cutoff_floor(self, capsys):
         assert main(["modular", "rank", "--m", "1", "--cutoff", "50"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "check, flag, value",
+        [("mde", "--cutoff", "400"), ("mde", "--tolerance", "1e-3"), ("rank", "--tolerance", "1e-3")],
+    )
+    def test_unused_flag_refused(self, capsys, tmp_path, check, flag, value):
+        # find_mde reads no series cutoff, and neither mde nor rank a residual bound
+        out = tmp_path / "report.json"
+        code = main(["modular", check, "--m", "1", flag, value, "--out", str(out)])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"modular: {check} takes no {flag}\n"
+        assert captured.out == "" and not out.exists()
 
     def test_rank_report(self, tmp_path):
         out = tmp_path / "rank.json"
@@ -256,3 +318,72 @@ class TestUsageErrors:
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+
+class TestParserReuse:
+    ARGVS = [
+        ["char", "--m", "2", "--all", "--cutoff", "5"],
+        ["char", "--m", "1", "--family", "SPi", "--index", "1", "--flavor", "supercharacter"],
+        ["verify", "--m", "1", "--suite", "zhu", "--inject-fault", "x"],
+        ["verify", "--m", "3"],
+        ["classify", "--m", "2", "--format", "csv"],
+        ["modular", "closure", "--m", "2", "--tolerance", "1e-3", "--cutoff", "120"],
+        ["modular", "mde", "--m", "1"],
+    ]
+
+    def test_built_once_and_parses_like_a_fresh_parser(self):
+        shared = cli.build_parser()
+        assert cli.build_parser() is shared
+        for argv in self.ARGVS + self.ARGVS[::-1]:
+            fresh = cli.build_parser.__wrapped__()
+            assert vars(shared.parse_args(argv)) == vars(fresh.parse_args(argv))
+
+    def test_injected_fault_does_not_leak(self, tmp_path):
+        out = tmp_path / "verify.json"
+        argv = ["verify", "--m", "1", "--suite", "zhu", "--out", str(out)]
+        assert main(argv + ["--inject-fault", "x"]) == EXIT_CHECK_FAILED
+        assert main(argv) == EXIT_OK
+        names = [c["name"] for c in json.loads(out.read_text())["checks"]]
+        assert not any(n.startswith("injected-fault") for n in names)
+
+    def test_all_flag_does_not_leak(self, tmp_path):
+        out = tmp_path / "char.json"
+        common = ["char", "--m", "1", "--cutoff", "4", "--out", str(out)]
+        assert main(common + ["--all"]) == EXIT_OK
+        assert len(json.loads(out.read_text())["rows"]) == 9
+        assert main(common + ["--family", "RPi", "--index", "2"]) == EXIT_OK
+        rows = json.loads(out.read_text())["rows"]
+        assert [(r["family"], r["index"]) for r in rows] == [("RPi", 2)]
+
+
+_JSON_CHARS = st.one_of(st.characters(), st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u20ac\ud800\udfff\U0001f600'))
+_JSON_TEXT = st.text(_JSON_CHARS, max_size=12)
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), -0.0, 5e-324, 1e16, 1.5e300]),
+    _JSON_TEXT,
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_JSON_TEXT, children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_JSON_VALUES)
+    def test_matches_indented_stdlib_dump(self, data):
+        assert cli._json_dump(data) == json.dumps(data, sort_keys=True, indent=2)
+
+    def test_unserialisable_value_raises(self):
+        with pytest.raises(TypeError):
+            cli._json_dump({"x": [Fraction(1, 2)]})
