@@ -41,6 +41,9 @@ UNTWISTED_FAMILIES = ("SLambda", "SPi")
 
 __all__ = [
     "ModuleLabel",
+    "BasisFunction",
+    "theta_rows",
+    "character_terms",
     "central_charge",
     "conformal_weight",
     "twisted_char",
@@ -123,8 +126,86 @@ def _quotient(tag: str, cutoff: Fraction) -> QExpansion:
     return (_PREFACTOR_BUILDERS[tag](build) / eta(build)).truncated(cutoff)
 
 
-def _theta_k(m: int) -> Fraction:
-    return Fraction(2 * m + 1, 2)
+# ----------------------------------------------------------------------
+# the theta-row table behind every character and the closure basis
+# ----------------------------------------------------------------------
+
+
+def theta_rows(m: int) -> List[Tuple[Fraction, Fraction]]:
+    """The ``(integer j, half-odd j)`` theta rows of the m-th family, all at
+    k = (2m+1)/2: the top row ``(0, (2m+1)/2)``, then ``(m-i, m-i-1/2)`` for i < m."""
+    return [(Fraction(0), Fraction(2 * m + 1, 2))] + [
+        (Fraction(m - i), Fraction(2 * (m - i) - 1, 2)) for i in range(m)
+    ]
+
+
+# prefactor, theta kind, derivative kind and row entry (0: integer j, 1: half-odd j)
+# of each sector, in closure-basis order
+_SECTORS = {
+    "supercharacter": ("f1", "g", "dg", 0),
+    "character": ("f", "theta", "dtheta", 0),
+    "twisted": ("f2", "theta", "dtheta", 1),
+}
+
+
+@dataclass(frozen=True)
+class BasisFunction:
+    """One member of the closure-space basis, ``(prefactor/eta) * kind[j, k]``.
+
+    ``prefactor`` selects f/eta, f1/eta or f2/eta; ``kind`` selects the theta
+    part; ``tau_power`` is 1 for the tau-weighted derivative members.
+    """
+
+    prefactor: str  # 'f', 'f1', 'f2'
+    kind: str  # 'theta', 'g', 'dtheta', 'dg'
+    j: Fraction
+    k: Fraction
+    tau_power: int = 0
+
+    @property
+    def name(self) -> str:
+        tau = "tau*" if self.tau_power else ""
+        return f"{tau}({self.prefactor}/eta)*{self.kind}[{self.j},{self.k}]"
+
+
+_THETA_BUILDERS = {"theta": theta, "g": g_series, "dtheta": theta_deriv, "dg": g_deriv}
+
+
+@lru_cache(maxsize=None)
+def _theta_series(kind: str, j: Fraction, k: Fraction, cutoff: Fraction) -> QExpansion:
+    return _THETA_BUILDERS[kind](ThetaIndex(j, k), cutoff)
+
+
+def character_terms(label: ModuleLabel, flavor: Flavor) -> Tuple[Tuple[Fraction, BasisFunction], ...]:
+    """The theta part of a character as ``(coefficient, BasisFunction)`` pairs.
+
+    Index a reads ``theta_rows(m)[a]`` for a Lambda label and row m+1-a for
+    a Pi label; index m+1 (RPi, SLambda) reads row 0, the top row.  With
+    p = 2m+1 a Lambda label on row j is (1-2j/p) theta_j + (2/p) dtheta_j, a
+    Pi label (2j/p) theta_j - (2/p) dtheta_j and a top-row label theta_j;
+    twisted labels read the half-odd j of the row, untwisted ones the integer j.
+    """
+    m, p = label.m, 2 * label.m + 1
+    prefactor, kind, dkind, part = _SECTORS["twisted" if label.twisted else flavor]
+    lam = label.family.endswith("Lambda")
+    row = 0 if label.index == m + 1 else label.index if lam else m + 1 - label.index
+    j, k = theta_rows(m)[row][part], Fraction(p, 2)
+    plain = BasisFunction(prefactor, kind, j, k)
+    if row == 0:
+        return ((Fraction(1), plain),)
+    a, b = (1 - 2 * j / p, Fraction(2, p)) if lam else (2 * j / p, Fraction(-2, p))
+    return ((a, plain), (b, BasisFunction(prefactor, dkind, j, k)))
+
+
+def _character(label: ModuleLabel, flavor: Flavor, cutoff, factor: int) -> QExpansion:
+    """``factor`` times the prefactor quotient times the theta part, exact below ``cutoff``."""
+    cutoff = Fraction(cutoff)
+    build = cutoff + 1
+    (a, first), *rest = character_terms(label, flavor)
+    body = _theta_series(first.kind, first.j, first.k, build) * a
+    for b, fn in rest:
+        body = body + _theta_series(fn.kind, fn.j, fn.k, build) * b
+    return (_quotient(first.prefactor, build) * body).scale(factor).truncated(cutoff)
 
 
 @lru_cache(maxsize=None)
@@ -136,55 +217,17 @@ def twisted_char(label: ModuleLabel, cutoff, halve: bool = False) -> QExpansion:
     """
     if not label.twisted:
         raise ValueError("twisted_char expects an RLambda or RPi label")
-    cutoff = Fraction(cutoff)
-    m, p = label.m, 2 * label.m + 1
-    k = _theta_k(m)
-    build = cutoff + 1
-    pref = _quotient("f2", build)
-    if label.family == "RLambda":
-        i = label.index - 1
-        idx = ThetaIndex(Fraction(2 * (m - i) - 1, 2), k)
-        body = theta(idx, build) * Fraction(2 * i + 2, p) + theta_deriv(idx, build) * Fraction(2, p)
-    elif label.index == m + 1:
-        idx = ThetaIndex(Fraction(2 * m + 1, 2), k)
-        body = theta(idx, build)
-    else:
-        i = m - label.index
-        idx = ThetaIndex(Fraction(2 * (m - i) - 1, 2), k)
-        body = theta(idx, build) * Fraction(2 * m - 2 * i - 1, p) - theta_deriv(idx, build) * Fraction(2, p)
-    return (pref * body).scale(1 if halve else 2).truncated(cutoff)
+    return _character(label, "character", cutoff, 1 if halve else 2)
 
 
 @lru_cache(maxsize=None)
-def untwisted_char(
-    label: ModuleLabel, flavor: Flavor, cutoff
-) -> QExpansion:
+def untwisted_char(label: ModuleLabel, flavor: Flavor, cutoff) -> QExpansion:
     """Character or supercharacter of an untwisted irreducible module, memoised per process."""
     if label.twisted:
         raise ValueError("untwisted_char expects an SLambda or SPi label")
     if flavor not in ("character", "supercharacter"):
         raise ValueError("flavor must be 'character' or 'supercharacter'")
-    cutoff = Fraction(cutoff)
-    m, p = label.m, 2 * label.m + 1
-    k = _theta_k(m)
-    build = cutoff + 1
-    if flavor == "character":
-        pref = _quotient("f", build)
-        series, series_deriv = theta, theta_deriv
-    else:
-        pref = _quotient("f1", build)
-        series, series_deriv = g_series, g_deriv
-    if label.family == "SLambda" and label.index == m + 1:
-        body = series(ThetaIndex(Fraction(0), k), build)
-    elif label.family == "SLambda":
-        i = label.index - 1
-        idx = ThetaIndex(Fraction(m - i), k)
-        body = series(idx, build) * Fraction(2 * i + 1, p) + series_deriv(idx, build) * Fraction(2, p)
-    else:
-        i = m - label.index
-        idx = ThetaIndex(Fraction(m - i), k)
-        body = series(idx, build) * Fraction(2 * m - 2 * i, p) - series_deriv(idx, build) * Fraction(2, p)
-    return (pref * body).truncated(cutoff)
+    return _character(label, flavor, cutoff, 1)
 
 
 def ramond_irred_char(i: int, n: int, m: int, cutoff, halve: bool = False) -> QExpansion:
@@ -223,7 +266,7 @@ def fock_char(i: int, m: int, cutoff) -> QExpansion:
     cutoff = Fraction(cutoff)
     build = cutoff + 1
     # (t - m)^2 / (2(2m+1)) with t - m = (2m+1) n + (i - m + 1/2): a theta sum
-    lattice_part = theta(ThetaIndex(Fraction(2 * (i - m) + 1, 2), _theta_k(m)), build)
+    lattice_part = theta((Fraction(2 * (i - m) + 1, 2), Fraction(2 * m + 1, 2)), build)
     return (_quotient("f2", build) * lattice_part.scale(2)).truncated(cutoff)
 
 
@@ -237,10 +280,10 @@ def triplet_char_bridge(m: int, cutoff) -> Dict[str, Dict[int, QExpansion]]:
 
     The four defining relations, read at the doubled modular variable:
 
-    * Lambda(2i+2) from the twisted RLambda(i+1) character times f/2,
-    * Lambda(2i+1) from the untwisted SLambda(i+1) character times f2,
-    * Pi(2m-2i+1)  from the twisted RPi(m+1-i) character times f/2,
-    * Pi(2m-2i)    from the untwisted SPi(m-i) character times f2.
+    * Lambda(2a)   from the twisted RLambda(a) character times f/2,
+    * Lambda(2a-1) from the untwisted SLambda(a) character times f2,
+    * Pi(2a-1)     from the twisted RPi(a) character times f/2,
+    * Pi(2a)       from the untwisted SPi(a) character times f2.
 
     Every entry is exact below ``cutoff`` with integer coefficients.
     """
@@ -250,21 +293,16 @@ def triplet_char_bridge(m: int, cutoff) -> Dict[str, Dict[int, QExpansion]]:
     half_cut = cutoff / 2 + 1
     f = frak_f(half_cut)
     f2 = frak_f2(half_cut)
-    lam: Dict[int, QExpansion] = {}
-    pi: Dict[int, QExpansion] = {}
-    for i in range(m):
-        chi = twisted_char(ModuleLabel("RLambda", i + 1, m), half_cut)
-        lam[2 * i + 2] = (f * chi / 2).double_exponents().truncated(cutoff)
-    for i in range(m + 1):
-        chi = twisted_char(ModuleLabel("RPi", m + 1 - i, m), half_cut)
-        pi[2 * m - 2 * i + 1] = (f * chi / 2).double_exponents().truncated(cutoff)
-    for i in range(m + 1):
-        chi = untwisted_char(ModuleLabel("SLambda", i + 1, m), "character", half_cut)
-        lam[2 * i + 1] = (f2 * chi).double_exponents().truncated(cutoff)
-    for i in range(m):
-        chi = untwisted_char(ModuleLabel("SPi", m - i, m), "character", half_cut)
-        pi[2 * m - 2 * i] = (f2 * chi).double_exponents().truncated(cutoff)
-    return {"Lambda": lam, "Pi": pi}
+    table: Dict[str, Dict[int, QExpansion]] = {"Lambda": {}, "Pi": {}}
+    for label, flavor in all_labels(m):
+        if flavor != "character":
+            continue
+        kind = label.family[1:]
+        chi = character_series(label, flavor, half_cut)
+        series = f * chi / 2 if label.twisted else f2 * chi
+        s = 2 * label.index if label.twisted == (kind == "Lambda") else 2 * label.index - 1
+        table[kind][s] = series.double_exponents().truncated(cutoff)
+    return table
 
 
 def super_vs_t_deviation(label: ModuleLabel, cutoff) -> float:

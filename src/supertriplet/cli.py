@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -191,6 +192,50 @@ def _grid_json(grid) -> list:
     return [[tau.real, tau.imag] for tau in grid.points]
 
 
+def _modular_rank(m: int, cutoff: Fraction, tolerance: float):
+    grid = modular.standard_grid(m, cutoff)
+    report = modular.closure_rank(m, grid)
+    payload = {"cutoff": float(cutoff), "grid": _grid_json(grid), **report.to_json()}
+    return payload, report.rank == report.expected
+
+
+def _modular_closure(m: int, cutoff: Fraction, tolerance: float):
+    grid = modular.standard_grid(m, cutoff)
+    report = modular.closure_under_s_t(m, grid)
+    payload = {"cutoff": float(cutoff), "grid": _grid_json(grid), **report.to_json()}
+    return payload, (
+        report.worst_s_residual < tolerance
+        and report.worst_t_residual < tolerance
+        and report.negative_control_residual > 1e-2
+    )
+
+
+def _modular_s_transform(m: int, cutoff: Fraction, tolerance: float):
+    grid = modular.theta_transform_grid(cutoff)
+    worst = 0.0
+    per = []
+    for idx in modular.character_theta_indices(m):
+        for variant in ("theta", "theta_deriv"):
+            r = modular.s_transform_residual(idx, variant, grid, tolerance)
+            per.append({"j": str(idx.j), "k": str(idx.k), "variant": variant, "residual": r})
+            worst = max(worst, r)
+    payload = {"m": m, "cutoff": float(cutoff), "grid": _grid_json(grid), "worst_residual": worst, "residuals": per}
+    return payload, worst < tolerance
+
+
+def _modular_mde(m: int, cutoff: Fraction, tolerance: float):
+    result = modular.find_mde(m, allow_large_m=True)
+    return result.to_json(), result.success and result.negative_control_nonzero
+
+
+_MODULAR_CHECKS = {
+    "rank": _modular_rank,
+    "closure": _modular_closure,
+    "s-transform": _modular_s_transform,
+    "mde": _modular_mde,
+}
+
+
 def _cmd_modular(args) -> int:
     for flag in {"mde": ("cutoff", "tolerance"), "rank": ("tolerance",)}.get(args.check, ()):
         if getattr(args, flag) is not None:
@@ -201,65 +246,16 @@ def _cmd_modular(args) -> int:
     if cutoff < 100:
         print("modular: numeric cutoff must be >= 100", file=sys.stderr)
         return EXIT_USAGE
-    m = args.m
-    if args.check == "rank":
-        grid = modular.standard_grid(m, cutoff)
-        report = modular.closure_rank(m, grid)
-        payload = {
-            "schema": SCHEMA,
-            "test": "rank",
-            "cutoff": float(cutoff),
-            "grid": _grid_json(grid),
-            **report.to_json(),
-        }
-        _emit(_json_dump(payload), args.out)
-        return EXIT_OK if report.rank == report.expected else EXIT_CHECK_FAILED
-    if args.check == "closure":
-        grid = modular.standard_grid(m, cutoff)
-        report = modular.closure_under_s_t(m, grid)
-        payload = {
-            "schema": SCHEMA,
-            "test": "closure",
-            "cutoff": float(cutoff),
-            "grid": _grid_json(grid),
-            **report.to_json(),
-        }
-        _emit(_json_dump(payload), args.out)
-        ok = (
-            report.worst_s_residual < tolerance
-            and report.worst_t_residual < tolerance
-            and report.negative_control_residual > 1e-2
-        )
-        return EXIT_OK if ok else EXIT_CHECK_FAILED
-    if args.check == "s-transform":
-        grid = modular.theta_transform_grid(cutoff)
-        worst = 0.0
-        per = []
-        for idx in modular.character_theta_indices(m):
-            for variant in ("theta", "theta_deriv"):
-                r = modular.s_transform_residual(idx, variant, grid, tolerance)
-                per.append(
-                    {"j": str(idx.j), "k": str(idx.k), "variant": variant, "residual": r}
-                )
-                worst = max(worst, r)
-        payload = {
-            "schema": SCHEMA,
-            "test": "s-transform",
-            "m": m,
-            "cutoff": float(cutoff),
-            "grid": _grid_json(grid),
-            "worst_residual": worst,
-            "residuals": per,
-        }
-        _emit(_json_dump(payload), args.out)
-        return EXIT_OK if worst < tolerance else EXIT_CHECK_FAILED
-    if args.check == "mde":
-        result = modular.find_mde(m, allow_large_m=True)
-        payload = {"schema": SCHEMA, "test": "mde", **result.to_json()}
-        _emit(_json_dump(payload), args.out)
-        return EXIT_OK if result.success and result.negative_control_nonzero else EXIT_CHECK_FAILED
-    print(f"modular: unknown check {args.check!r}", file=sys.stderr)
-    return EXIT_USAGE
+    if not 0 < tolerance < math.inf:
+        print("modular: tolerance must be positive and finite", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        payload, ok = _MODULAR_CHECKS[args.check](args.m, cutoff, tolerance)
+    except ValueError as exc:
+        print(f"modular: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    _emit(_json_dump({"schema": SCHEMA, "test": args.check, **payload}), args.out)
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 # ----------------------------------------------------------------------

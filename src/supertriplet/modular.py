@@ -20,18 +20,19 @@ import cmath
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from numbers import Rational
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 # _PREFACTOR_BUILDERS names the BasisFunction prefactors; perfbench/selftest.py reads it here
-from .characters import _PREFACTOR_BUILDERS, ModuleLabel, _quotient, twisted_char
+from .characters import (
+    _PREFACTOR_BUILDERS, _SECTORS, BasisFunction, _quotient, _theta_series, all_labels, theta_rows, twisted_char,
+)
 from .qseries import QExpansion
-from .specialfn import ThetaIndex, eisenstein, eta, g_deriv, g_series, theta, theta_deriv
+from .specialfn import ThetaIndex, _as_index, eisenstein, eta, g_deriv, g_series, theta, theta_deriv
 
 DEFAULT_NUMERIC_CUTOFF = Fraction(400)
 
@@ -58,63 +59,16 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BasisFunction:
-    """One member of the closure-space basis.
-
-    ``prefactor`` selects f/eta, f1/eta or f2/eta; ``kind`` selects the theta
-    part; ``tau_power`` is 1 for the tau-weighted derivative members.
-    """
-
-    prefactor: str  # 'f', 'f1', 'f2'
-    kind: str  # 'theta', 'g', 'dtheta', 'dg'
-    j: Fraction
-    k: Fraction
-    tau_power: int = 0
-
-    @property
-    def name(self) -> str:
-        tau = "tau*" if self.tau_power else ""
-        return f"{tau}({self.prefactor}/eta)*{self.kind}[{self.j},{self.k}]"
-
-
 def basis_functions(m: int) -> List[BasisFunction]:
-    """The 9m+3 basis members of the S/T-closure of the character space."""
+    """The 9m+3 basis members of the S/T-closure of the character space: each
+    sector's plain member on every theta row, its derivative member on every
+    row below the top one, then those derivative members weighted by tau."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    k = Fraction(2 * m + 1, 2)
-    out = [
-        BasisFunction("f1", "g", Fraction(0), k),
-        BasisFunction("f", "theta", Fraction(0), k),
-        BasisFunction("f2", "theta", Fraction(2 * m + 1, 2), k),
-    ]
-    for i in range(m):
-        ji = Fraction(m - i)
-        jh = Fraction(2 * (m - i) - 1, 2)
-        out.append(BasisFunction("f1", "g", ji, k))
-        out.append(BasisFunction("f", "theta", ji, k))
-        out.append(BasisFunction("f2", "theta", jh, k))
-    for i in range(m):
-        ji = Fraction(m - i)
-        jh = Fraction(2 * (m - i) - 1, 2)
-        out.append(BasisFunction("f1", "dg", ji, k))
-        out.append(BasisFunction("f", "dtheta", ji, k))
-        out.append(BasisFunction("f2", "dtheta", jh, k))
-    for i in range(m):
-        ji = Fraction(m - i)
-        jh = Fraction(2 * (m - i) - 1, 2)
-        out.append(BasisFunction("f1", "dg", ji, k, tau_power=1))
-        out.append(BasisFunction("f", "dtheta", ji, k, tau_power=1))
-        out.append(BasisFunction("f2", "dtheta", jh, k, tau_power=1))
-    return out
-
-
-_THETA_BUILDERS = {"theta": theta, "g": g_series, "dtheta": theta_deriv, "dg": g_deriv}
-
-
-@lru_cache(maxsize=None)
-def _theta_series(kind: str, j: Fraction, k: Fraction, cutoff: Fraction) -> QExpansion:
-    return _THETA_BUILDERS[kind](ThetaIndex(j, k), cutoff)
+    k, rows, sectors = Fraction(2 * m + 1, 2), theta_rows(m), _SECTORS.values()
+    plain = [BasisFunction(pref, kind, row[part], k) for row in rows for pref, kind, _, part in sectors]
+    deriv = [BasisFunction(pref, dkind, row[part], k) for row in rows[1:] for pref, _, dkind, part in sectors]
+    return plain + deriv + [replace(fn, tau_power=1) for fn in deriv]
 
 
 # ----------------------------------------------------------------------
@@ -195,7 +149,7 @@ def s_transform_residual(
     """
     if variant not in ("theta", "theta_deriv"):
         raise ValueError("variant must be 'theta' or 'theta_deriv'")
-    idx = idx if isinstance(idx, ThetaIndex) else ThetaIndex(Fraction(idx[0]), Fraction(idx[1]))
+    idx = _as_index(idx)
     grid = grid or theta_transform_grid()
     cutoff = grid.cutoff
     j, k = idx.j, idx.k
@@ -238,7 +192,9 @@ def t_transform_residual(
     For integer j the image lies in the alternating family with phase
     e^{i pi j^2 / 2k}; for half-odd j (k half-odd) the family is fixed.
     """
-    idx = idx if isinstance(idx, ThetaIndex) else ThetaIndex(Fraction(idx[0]), Fraction(idx[1]))
+    if variant not in ("theta", "theta_deriv"):
+        raise ValueError("variant must be 'theta' or 'theta_deriv'")
+    idx = _as_index(idx)
     grid = grid or theta_transform_grid()
     cutoff = grid.cutoff
     deriv = variant == "theta_deriv"
@@ -255,13 +211,8 @@ def t_transform_residual(
 
 
 def character_theta_indices(m: int) -> List[ThetaIndex]:
-    """Every theta index entering the m-th character family."""
-    k = Fraction(2 * m + 1, 2)
-    out = [ThetaIndex(Fraction(0), k), ThetaIndex(Fraction(2 * m + 1, 2), k)]
-    for i in range(m):
-        out.append(ThetaIndex(Fraction(m - i), k))
-        out.append(ThetaIndex(Fraction(2 * (m - i) - 1, 2), k))
-    return out
+    """Every theta index entering the m-th character family, row by row."""
+    return [ThetaIndex(j, Fraction(2 * m + 1, 2)) for row in theta_rows(m) for j in row]
 
 
 # ----------------------------------------------------------------------
@@ -615,9 +566,7 @@ def find_mde(
     span = q_order + margin
     cutoff_rel = Fraction(span + 1)
 
-    labels = [ModuleLabel("RLambda", i + 1, m) for i in range(m)] + [
-        ModuleLabel("RPi", i + 1, m) for i in range(m + 1)
-    ]
+    labels = [label for label, _ in all_labels(m) if label.twisted]
     chars = []
     for label in labels:
         lead = twisted_char(label, 4).min_exponent

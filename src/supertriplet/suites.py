@@ -198,12 +198,9 @@ def _characters_suite(m: int, cutoff: Fraction) -> List[CheckResult]:
 
     worst = 0.0
     shift_window = min(cutoff, Fraction(12))  # float phases scale with coefficient size
-    for family, rng in (("SLambda", range(1, m + 2)), ("SPi", range(1, m + 1))):
-        for index in rng:
-            worst = max(
-                worst,
-                ch.super_vs_t_deviation(ch.ModuleLabel(family, index, m), shift_window),
-            )
+    for label, flavor in ch.all_labels(m):
+        if flavor == "supercharacter":
+            worst = max(worst, ch.super_vs_t_deviation(label, shift_window))
     checks.append(
         _ok(
             "supercharacter-shift-consistency",

@@ -373,3 +373,49 @@ def termwise_evaluate(series, tau: complex, growth_bound: float = 2.0 ** 64) -> 
     except OverflowError:
         tail = math.inf
     return total, tail
+
+
+def character_oracle(label, flavor: str, cutoff, halve: bool = False):
+    """A twisted or untwisted character (or supercharacter) from the explicit
+    per-family row formulas that ``characters`` used before its theta-row
+    table: the theta part is spelled out for each family and index range,
+    then multiplied by the shared prefactor quotient.  Unlike the oracles
+    above it builds series with the package's ``specialfn`` sums."""
+    from supertriplet.characters import _quotient
+    from supertriplet.specialfn import ThetaIndex, g_deriv, g_series, theta, theta_deriv
+
+    cutoff = Fraction(cutoff)
+    m, p = label.m, 2 * label.m + 1
+    k = Fraction(2 * m + 1, 2)
+    build = cutoff + 1
+    if label.twisted:
+        pref = _quotient("f2", build)
+        if label.family == "RLambda":
+            i = label.index - 1
+            idx = ThetaIndex(Fraction(2 * (m - i) - 1, 2), k)
+            body = theta(idx, build) * Fraction(2 * i + 2, p) + theta_deriv(idx, build) * Fraction(2, p)
+        elif label.index == m + 1:
+            idx = ThetaIndex(Fraction(2 * m + 1, 2), k)
+            body = theta(idx, build)
+        else:
+            i = m - label.index
+            idx = ThetaIndex(Fraction(2 * (m - i) - 1, 2), k)
+            body = theta(idx, build) * Fraction(2 * m - 2 * i - 1, p) - theta_deriv(idx, build) * Fraction(2, p)
+        return (pref * body).scale(1 if halve else 2).truncated(cutoff)
+    if flavor == "character":
+        pref = _quotient("f", build)
+        series, series_deriv = theta, theta_deriv
+    else:
+        pref = _quotient("f1", build)
+        series, series_deriv = g_series, g_deriv
+    if label.family == "SLambda" and label.index == m + 1:
+        body = series(ThetaIndex(Fraction(0), k), build)
+    elif label.family == "SLambda":
+        i = label.index - 1
+        idx = ThetaIndex(Fraction(m - i), k)
+        body = series(idx, build) * Fraction(2 * i + 1, p) + series_deriv(idx, build) * Fraction(2, p)
+    else:
+        i = m - label.index
+        idx = ThetaIndex(Fraction(m - i), k)
+        body = series(idx, build) * Fraction(2 * m - 2 * i, p) - series_deriv(idx, build) * Fraction(2, p)
+    return (pref * body).truncated(cutoff)

@@ -269,6 +269,32 @@ class TestModularCommand:
         assert captured.err == f"modular: {check} takes no {flag}\n"
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("check", ["closure", "s-transform"])
+    @pytest.mark.parametrize("tolerance", ["0", "-1e-8", "nan", "inf"])
+    def test_tolerance_must_be_positive_and_finite(self, capsys, tmp_path, check, tolerance):
+        # nan would fail every comparison and inf pass every residual
+        out = tmp_path / "report.json"
+        code = main(["modular", check, "--m", "1", "--cutoff", "100", f"--tolerance={tolerance}", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "modular: tolerance must be positive and finite\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["rank", "--cutoff", "100000"], "exceeds MAX_RUN"),
+            (["closure", "--cutoff", "100000"], "exceeds MAX_RUN"),
+            (["s-transform", "--cutoff", "100", "--tolerance", "1e-300"], "series cutoff too small"),
+        ],
+    )
+    def test_library_errors_are_usage_errors(self, capsys, tmp_path, argv, message):
+        out = tmp_path / "report.json"
+        code = main(["modular", argv[0], "--m", "1", *argv[1:], "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("modular: ") and message in err
+        assert not out.exists()
+
     def test_rank_report(self, tmp_path):
         out = tmp_path / "rank.json"
         code = main(["modular", "rank", "--m", "1", "--cutoff", "120", "--out", str(out)])

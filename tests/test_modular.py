@@ -100,6 +100,12 @@ class TestThetaTransforms:
         grid = SampleGrid((1j,), small_grid.cutoff)
         assert s_transform_residual(idx, "theta", grid) < 1e-9
 
+    @pytest.mark.parametrize("law", [s_transform_residual, t_transform_residual])
+    def test_unknown_variant_refused(self, small_grid, law):
+        # a misspelt variant must not fall back to the plain theta law
+        with pytest.raises(ValueError, match="variant must be 'theta' or 'theta_deriv'"):
+            law((Fraction(1), Fraction(3, 2)), "bogus", small_grid)
+
     def test_insufficient_cutoff_detected(self):
         grid = theta_transform_grid(Fraction(4))
         with pytest.raises(ValueError):
