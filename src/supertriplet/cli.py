@@ -81,6 +81,9 @@ def _frac_str(pair) -> str:
 def _cmd_char(args) -> int:
     m = args.m
     cutoff = args.cutoff if args.cutoff is not None else Fraction(30)
+    if cutoff <= 0:
+        print("char: cutoff must be positive", file=sys.stderr)
+        return EXIT_USAGE
     if args.all:
         labels = ch.all_labels(m)
     else:

@@ -462,28 +462,97 @@ def _bareiss(aug: List[List[int]], n_cols: int) -> List[int]:
     return pivot_cols
 
 
+# a prime below 2^31: residues multiply below 2^62, inside numpy int64
+_ROW_PRIME = 2_147_483_647
+
+
+def _independent_rows(aug: List[List[int]], n_cols: int) -> List[int]:
+    """Indices, in order, of rows of ``aug`` whose first ``n_cols`` entries
+    are linearly independent modulo ``_ROW_PRIME``: the pivot rows of one
+    int64 elimination of the residues.  Rows independent mod p are
+    independent over Q, but a prime dividing a minor can make fewer rows
+    look independent than the rank over Q."""
+    res = np.array([[x % _ROW_PRIME for x in row[:n_cols]] for row in aug], dtype=np.int64)
+    res = res.reshape(len(aug), n_cols)
+    order = np.arange(len(aug))
+    r = 0
+    for c in range(n_cols):
+        if r == len(res):
+            break
+        nonzero = np.flatnonzero(res[r:, c])
+        if not nonzero.size:
+            continue
+        i = r + nonzero[0]
+        res[[r, i]], order[[r, i]] = res[[i, r]], order[[i, r]]
+        top = res[r, c:] * pow(int(res[r, c]), -1, _ROW_PRIME) % _ROW_PRIME
+        below = res[r + 1 :, c:]
+        below -= np.outer(below[:, 0], top) % _ROW_PRIME
+        below %= _ROW_PRIME
+        r += 1
+    return sorted(order[:r].tolist())
+
+
+def _echelon_solve(aug: List[List[int]], n_cols: int) -> Optional[Tuple[List[int], int]]:
+    """Reduce the integer rows ``aug`` (right-hand side last) in place by
+    :func:`_bareiss` and solve back over the pivot columns with free
+    variables 0.  Returns integer numerators and their common denominator,
+    the last pivot, or None if the rows are inconsistent.  The last pivot
+    is the determinant of the pivot rows and columns, so by Cramer's rule
+    every numerator is an integer and each division below is exact."""
+    pivot_cols = _bareiss(aug, n_cols)
+    rank = len(pivot_cols)
+    if any(row[n_cols] for row in aug[rank:]):
+        return None
+    den = aug[rank - 1][pivot_cols[-1]] if rank else 1
+    numer = [0] * n_cols
+    for i in reversed(range(rank)):
+        row = aug[i]
+        acc = den * row[n_cols] - sum(row[c] * numer[c] for c in pivot_cols[i + 1 :])
+        numer[pivot_cols[i]] = acc // row[pivot_cols[i]]
+    return numer, den
+
+
 def _solve_exact(rows: Sequence[Sequence[Rational]], rhs: Sequence[Rational]) -> Optional[List[Fraction]]:
-    """Solve an overdetermined rational system exactly by fraction-free
-    integer elimination: each row, right-hand side included, is scaled by the
-    lcm of its denominators, reduced by :func:`_bareiss` and solved back over
-    the pivot columns.  Returns the particular solution with free variables
-    set to zero, or None if the system is inconsistent."""
+    """Solve an overdetermined rational system exactly; returns the
+    particular solution with free variables set to zero, or None if the
+    system is inconsistent.
+
+    Each row, right-hand side included, is scaled by the lcm of its
+    denominators and divided by its content, and each coefficient column c
+    by its content g_c, so the unknowns become y_c = g_c x_c.  Only the
+    rows independent modulo ``_ROW_PRIME`` are eliminated
+    (:func:`_echelon_solve`); the candidate y is accepted only if exact
+    integer substitution holds on every row, and otherwise all rows are
+    eliminated, which also decides inconsistency.  A bad prime can cost
+    time but never change the answer: a pivot column of a row subset is a
+    pivot column of the whole matrix (a column that depends on earlier
+    columns still does on fewer rows), and the solution supported on the
+    pivot columns is unique because they are independent.  So an accepted
+    y, supported on the subset's pivot columns, is the one that
+    eliminating all rows returns."""
     n_cols = len(rows[0]) if rows else 0
     aug = []
     for row, b in zip(rows, rhs):
         full = [*row, b]
         den = math.lcm(*(x.denominator for x in full))
-        aug.append([x.numerator * (den // x.denominator) for x in full])
-    pivot_cols = _bareiss(aug, n_cols)
-    rank = len(pivot_cols)
-    if any(row[n_cols] for row in aug[rank:]):
-        return None
-    solution = [Fraction(0)] * n_cols
-    for i in reversed(range(rank)):
-        row = aug[i]
-        acc = row[n_cols] - sum(row[c] * solution[c] for c in pivot_cols[i + 1 :])
-        solution[pivot_cols[i]] = Fraction(acc) / row[pivot_cols[i]]
-    return solution
+        ints = [x.numerator * (den // x.denominator) for x in full]
+        content = math.gcd(*ints) or 1
+        aug.append([x // content for x in ints])
+    col_content = [math.gcd(*(row[c] for row in aug)) or 1 for c in range(n_cols)]
+    for row in aug:
+        row[:n_cols] = [x // g for x, g in zip(row, col_content)]
+    found = _echelon_solve([aug[i][:] for i in _independent_rows(aug, n_cols)], n_cols)
+    if found is not None:
+        numer, den = found
+        support = [(c, y) for c, y in enumerate(numer) if y]
+        if any(sum(row[c] * y for c, y in support) != row[n_cols] * den for row in aug):
+            found = None
+    if found is None:
+        found = _echelon_solve(aug, n_cols)
+        if found is None:
+            return None
+        numer, den = found
+    return [Fraction(y, den * g) for y, g in zip(numer, col_content)]
 
 
 @dataclass(frozen=True)

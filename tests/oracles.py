@@ -12,7 +12,8 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from numbers import Rational
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 def partitions_into_distinct_parts(limit: int) -> List[int]:
@@ -346,6 +347,36 @@ def gauss_jordan_solve(rows: List[List[Fraction]], rhs: List[Fraction]) -> Optio
     solution = [Fraction(0)] * n_cols
     for row_idx, c in enumerate(pivot_cols):
         solution[c] = aug[row_idx][n_cols]
+    return solution
+
+
+def bareiss_solve(rows: Sequence[Sequence[Rational]], rhs: Sequence[Rational]) -> Optional[List[Fraction]]:
+    """Solve an overdetermined rational system exactly by fraction-free
+    integer elimination: each row, right-hand side included, is scaled by the
+    lcm of its denominators, reduced by :func:`_bareiss` and solved back over
+    the pivot columns.  Returns the particular solution with free variables
+    set to zero, or None if the system is inconsistent.
+
+    The all-rows solve that ``modular._solve_exact`` used before it picked
+    rows modulo a prime; its elimination is the package's ``_bareiss``,
+    which ``tests/test_solver_differential.py`` checks on its own."""
+    from supertriplet.modular import _bareiss
+
+    n_cols = len(rows[0]) if rows else 0
+    aug = []
+    for row, b in zip(rows, rhs):
+        full = [*row, b]
+        den = math.lcm(*(x.denominator for x in full))
+        aug.append([x.numerator * (den // x.denominator) for x in full])
+    pivot_cols = _bareiss(aug, n_cols)
+    rank = len(pivot_cols)
+    if any(row[n_cols] for row in aug[rank:]):
+        return None
+    solution = [Fraction(0)] * n_cols
+    for i in reversed(range(rank)):
+        row = aug[i]
+        acc = row[n_cols] - sum(row[c] * solution[c] for c in pivot_cols[i + 1 :])
+        solution[pivot_cols[i]] = Fraction(acc) / row[pivot_cols[i]]
     return solution
 
 

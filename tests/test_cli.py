@@ -162,6 +162,16 @@ class TestCharCommand:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("selector", [["--all"], ["--family", "RLambda", "--index", "1"]])
+    @pytest.mark.parametrize("cutoff", ["0", "-3", "-1/2"])
+    def test_nonpositive_cutoff_is_usage_error(self, capsys, tmp_path, selector, cutoff):
+        out = tmp_path / "char.json"
+        code = main(["char", "--m", "1", *selector, f"--cutoff={cutoff}", "--out", str(out)])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "char: cutoff must be positive\n"
+        assert captured.out == "" and not out.exists()
+
     def test_huge_cutoff_is_usage_error(self, capsys):
         # the dense run of 10^7 entries is refused before it is allocated
         code = main(["char", "--m", "1", "--all", "--cutoff", "10000000"])

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -277,6 +279,12 @@ class TestMde(object):
     def test_large_m_warns(self):
         with pytest.warns(RuntimeWarning):
             find_mde(2, q_order=4, margin=1)
+
+    def test_m2_q20_json_pinned(self):
+        # the digest of the all-rows Bareiss solve, before rows were picked mod p
+        data = json.dumps(find_mde(2, q_order=20, allow_large_m=True).to_json(), sort_keys=True)
+        digest = hashlib.sha256(data.encode()).hexdigest()
+        assert digest == "3ff97e38da56e31470b660f0bbb8cc31193d2337fa1ec59d92a391369e4dca2b"
 
 
 def _residual_support(result, through):

@@ -10,18 +10,30 @@ with one entry perturbed (usually inconsistent), or free.  The solver must
 return exactly the oracle's particular solution, ``None`` included.  The
 echelon pivots are checked against leading minors computed by the Leibniz
 formula, the defining property of Bareiss elimination.
+
+The solver eliminates only rows independent modulo ``_ROW_PRIME`` and
+accepts that candidate by exact substitution into every row, falling back
+to all rows otherwise.  The same systems with rows and columns multiplied
+by large factors (shared ones, the prime itself and up to 2^64) exercise
+the content division; hand-made systems whose minors the prime divides
+force the fallback; and the systems ``find_mde`` builds are checked against
+``oracles.bareiss_solve``, the all-rows solve, and must not need the
+fallback.
 """
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from supertriplet.modular import _bareiss, _solve_exact
+from supertriplet import modular
+from supertriplet.modular import _ROW_PRIME, _bareiss, _solve_exact
 
-from oracles import gauss_jordan_solve
+from oracles import bareiss_solve, gauss_jordan_solve
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -68,6 +80,85 @@ def test_solver_matches_gauss_jordan(system):
     if got is not None:
         assert all(isinstance(x, Fraction) for x in got)
         assert all(sum(a * x for a, x in zip(row, got)) == b for row, b in zip(rows, rhs))
+
+
+large_factors = st.one_of(
+    st.integers(1, 2**64),
+    st.sampled_from([_ROW_PRIME, 2 * _ROW_PRIME, 2**64, 2**64 - 59]),
+).flatmap(lambda f: st.sampled_from([f, -f]))
+
+
+@st.composite
+def scaled_systems(draw):
+    """A system of ``systems()`` with every row (right-hand side included)
+    and every column multiplied by a factor: a large one, one drawn from a
+    small shared pool, or 1."""
+    rows, rhs = draw(systems())
+    shared = draw(st.lists(large_factors, min_size=1, max_size=3))
+    factor = st.one_of(large_factors, st.sampled_from(shared), st.just(1))
+    n_cols = len(rows[0]) if rows else 0
+    col = draw(st.lists(factor, min_size=n_cols, max_size=n_cols))
+    row = draw(st.lists(factor, min_size=len(rows), max_size=len(rows)))
+    scaled = [[f * x * g for x, g in zip(r, col)] for f, r in zip(row, rows)]
+    return scaled, [f * b for f, b in zip(row, rhs)]
+
+
+@SETTINGS
+@given(scaled_systems())
+def test_solver_matches_gauss_jordan_on_scaled_systems(system):
+    rows, rhs = system
+    assert _solve_exact(rows, rhs) == gauss_jordan_solve(*_as_fractions(rows, rhs))
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    """The row counts of every ``_bareiss`` call made through ``modular``."""
+    calls = []
+
+    def spy(aug, n_cols):
+        calls.append(len(aug))
+        return _bareiss(aug, n_cols)
+
+    monkeypatch.setattr(modular, "_bareiss", spy)
+    return calls
+
+
+P = _ROW_PRIME
+
+
+@pytest.mark.parametrize(
+    "rows, rhs",
+    [
+        # det = -p: rank 2 over Q, rank 1 mod p; the one-row candidate fails row 2
+        ([[P + 1, 1], [1, 1]], [P + 3, 3]),
+        ([[P, 2 * P, 1], [3 * P, P, 2], [1, 1, 1]], [P + 1, 3 * P + 2, 3]),
+        # an all-zero coefficient row with a nonzero right-hand side: inconsistent
+        ([[P, 2 * P], [3 * P, P + 1], [0, 0]], [P, 1, 7]),
+        ([[P, 1], [2 * P, 2], [0, 0]], [1, 2, -1]),
+    ],
+)
+def test_fallback_eliminates_all_rows(bareiss_calls, rows, rhs):
+    assert _solve_exact(rows, rhs) == gauss_jordan_solve(*_as_fractions(rows, rhs))
+    # the candidate from the rows independent mod p, then all rows
+    assert len(bareiss_calls) == 2 and bareiss_calls[1] == len(rows)
+
+
+@pytest.mark.parametrize("m, q_order", [(1, 40), (2, 2)])
+def test_find_mde_systems_match_all_rows_solve(monkeypatch, bareiss_calls, m, q_order):
+    systems_seen = []
+
+    def capture(rows, rhs):
+        systems_seen.append((rows, rhs))
+        return _solve_exact(rows, rhs)
+
+    monkeypatch.setattr(modular, "_solve_exact", capture)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert modular.find_mde(m, q_order=q_order, allow_large_m=True).success
+    (rows, rhs), = systems_seen
+    # the prime is lucky here: the first candidate is accepted, no fallback
+    assert len(bareiss_calls) == 1
+    assert _solve_exact(rows, rhs) == bareiss_solve(rows, rhs)
 
 
 def _det(matrix):
