@@ -42,10 +42,11 @@ def binom(x: RationalLike, n: int) -> Fraction:
     if n < 0:
         raise ValueError("binom: lower index must be >= 0")
     x = Fraction(x)
-    num = Fraction(1)
-    for i in range(n):
-        num *= x - i
-    return num / factorial(n)
+    p, q = x.numerator, x.denominator
+    num = 1
+    for i in range(n):  # (x - i) = (p - i*q) / q: one integer product, one reduction
+        num *= p - i * q
+    return Fraction(num, q**n * factorial(n))
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,8 @@
 """Command-line front end: character tables, verification suites, modular checks.
 
-Exit codes: 0 success, 1 check failure, 2 usage error.  Output is JSON
+Exit codes: 0 success, 1 check failure, 2 usage error (an ``--out`` path
+that cannot be written included), 141 when the reader of stdout closes it
+early (no traceback, as for a writer killed by SIGPIPE).  Output is JSON
 (sorted keys, canonical rationals, schema field "1") or CSV with exact
 values as "num/den" strings.  Configuration is flags only; no environment
 variables, so identical invocations produce byte-identical reports.
@@ -13,6 +15,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -27,20 +30,27 @@ SCHEMA = "1"
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141  # what a shell reports for a writer killed by SIGPIPE
 
 
 def _parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+class _OutError(Exception):
+    """An ``--out`` path that cannot be written: a usage error, not a failed check."""
+
+
 def _emit(payload: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise _OutError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
-        sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.write(payload if payload.endswith("\n") else payload + "\n")
+        sys.stdout.flush()  # a closed pipe raises here, inside main
 
 
 def _json_dump(data) -> str:
@@ -58,6 +68,8 @@ def _json_write(value, newline: str, write) -> None:
     if not isinstance(value, (dict, list, tuple)) or not value:
         return write(json.dumps(value))
     inner = newline + "  "
+    if not isinstance(value, dict) and all(isinstance(item, str) for item in value):
+        return write("[" + inner + ("," + inner).join(map(encode_basestring_ascii, value)) + newline + "]")
     if isinstance(value, dict):
         for i, key in enumerate(sorted(value)):
             write(("," if i else "{") + inner + encode_basestring_ascii(key) + ": ")
@@ -73,6 +85,14 @@ def _frac_str(pair) -> str:
     return f"{pair[0]}/{pair[1]}"
 
 
+def _csv(header: List[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 # ----------------------------------------------------------------------
 # char
 # ----------------------------------------------------------------------
@@ -85,7 +105,7 @@ def _cmd_char(args) -> int:
         print("char: cutoff must be positive", file=sys.stderr)
         return EXIT_USAGE
     if args.all:
-        labels = ch.all_labels(m)
+        labels = tuple(ch.all_labels(m))
     else:
         if not args.family or args.index is None:
             print("char: provide --family and --index, or --all", file=sys.stderr)
@@ -99,32 +119,25 @@ def _cmd_char(args) -> int:
         if label.twisted and flavor == "supercharacter":
             print("char: twisted families have no supercharacter flavor", file=sys.stderr)
             return EXIT_USAGE
-        labels = [(label, flavor)]
+        labels = ((label, flavor),)
     try:
-        rows = ch.char_table_rows(m, cutoff, labels)
+        payload = _char_payload(m, cutoff, labels, args.format)
     except ValueError as exc:
         print(f"char: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.format == "json":
-        _emit(_json_dump({"schema": SCHEMA, "rows": rows}), args.out)
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["family", "index", "flavor", "m", "exponent", "coefficient"])
-        for row in rows:
-            for term in row["series"]["terms"]:
-                writer.writerow(
-                    [
-                        row["family"],
-                        row["index"],
-                        row["flavor"],
-                        row["m"],
-                        _frac_str(term["exp"]),
-                        _frac_str(term["coef"]),
-                    ]
-                )
-        _emit(buf.getvalue(), args.out)
+    _emit(payload, args.out)
     return EXIT_OK
+
+
+@lru_cache(maxsize=None)
+def _char_payload(m: int, cutoff: Fraction, labels: tuple, fmt: str) -> str:
+    """The JSON or CSV reply for the ``(label, flavor)`` rows, rendered once per process."""
+    rows = ch.char_table_rows(m, cutoff, labels)
+    if fmt == "json":
+        return _json_dump({"schema": SCHEMA, "rows": rows})
+    header = ["family", "index", "flavor", "m", "exponent", "coefficient"]
+    return _csv(header, ([r["family"], r["index"], r["flavor"], r["m"], _frac_str(t["exp"]), _frac_str(t["coef"])]
+                         for r in rows for t in r["series"]["terms"]))
 
 
 # ----------------------------------------------------------------------
@@ -168,21 +181,10 @@ def _cmd_classify(args) -> int:
         payload = {"schema": SCHEMA, "m": args.m, "modules": [r.to_json() for r in records]}
         _emit(_json_dump(payload), args.out)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["family", "index", "i_index", "lowest_weight", "top_dim_graded", "g0_squared"])
-        for r in records:
-            writer.writerow(
-                [
-                    r.family,
-                    r.index,
-                    r.i_index,
-                    f"{r.lowest_weight.numerator}/{r.lowest_weight.denominator}",
-                    r.top_dim_graded,
-                    f"{r.g0_squared.numerator}/{r.g0_squared.denominator}",
-                ]
-            )
-        _emit(buf.getvalue(), args.out)
+        header = ["family", "index", "i_index", "lowest_weight", "top_dim_graded", "g0_squared"]
+        rows = ([r.family, r.index, r.i_index, _frac_str(r.lowest_weight.as_integer_ratio()),
+                 r.top_dim_graded, _frac_str(r.g0_squared.as_integer_ratio())] for r in records)
+        _emit(_csv(header, rows), args.out)
     return EXIT_OK
 
 
@@ -327,7 +329,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.m < 1:
         print("m must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _OutError as exc:
+        print(f"supertriplet: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so the flush at exit
+        # raises nothing (Python docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import characters as ch
 from . import fermion as fm
@@ -47,7 +47,8 @@ def _ok(name: str, passed: bool, detail: str = "") -> CheckResult:
 # ----------------------------------------------------------------------
 
 
-def _theta_suite(m: int, cutoff: Fraction) -> List[CheckResult]:
+@lru_cache(maxsize=None)
+def _theta_suite(m: int, cutoff: Fraction) -> Tuple[CheckResult, ...]:
     checks: List[CheckResult] = []
     indices = character_theta_indices(m)
 
@@ -122,7 +123,7 @@ def _theta_suite(m: int, cutoff: Fraction) -> List[CheckResult]:
             if series.coeff(n) != expected:
                 ok = False
     checks.append(_ok("eisenstein-divisor-sum-coefficients", ok))
-    return checks
+    return tuple(checks)
 
 
 # ----------------------------------------------------------------------
@@ -138,7 +139,8 @@ def _is_int_series(series: QExpansion) -> bool:
     return all(c.denominator == 1 for _, c in series.terms)
 
 
-def _characters_suite(m: int, cutoff: Fraction) -> List[CheckResult]:
+@lru_cache(maxsize=None)
+def _characters_suite(m: int, cutoff: Fraction) -> Tuple[CheckResult, ...]:
     checks: List[CheckResult] = []
     c = ch.central_charge(m)
 
@@ -208,7 +210,7 @@ def _characters_suite(m: int, cutoff: Fraction) -> List[CheckResult]:
             f"max deviation {worst:.2e}",
         )
     )
-    return checks
+    return tuple(checks)
 
 
 # ----------------------------------------------------------------------
@@ -335,7 +337,8 @@ def _fermion_checks() -> Tuple[CheckResult, ...]:
     return tuple(checks)
 
 
-_SUITES: Dict[str, Callable[[int, Fraction], List[CheckResult]]] = {
+# memoised per (m, cutoff), per m, or once; run_suite copies results into a fresh list
+_SUITES: Dict[str, Callable[[int, Fraction], Sequence[CheckResult]]] = {
     "theta": _theta_suite,
     "characters": _characters_suite,
     "zhu": _zhu_suite,

@@ -64,6 +64,15 @@ def pentagonal_eta_terms(cutoff: Fraction) -> Dict[Fraction, int]:
     return out
 
 
+def binom_fraction_loop(x, n: int) -> Fraction:
+    """C(x, n) as n ``Fraction`` products x(x-1)...(x-n+1), divided by n!."""
+    x = Fraction(x)
+    num = Fraction(1)
+    for i in range(n):
+        num *= x - i
+    return num / math.factorial(n)
+
+
 def divisor_power_sum(n: int, power: int) -> int:
     return sum(d ** power for d in range(1, n + 1) if n % d == 0)
 

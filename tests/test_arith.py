@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import binom_fraction_loop
 from supertriplet.arith import (
     QuadRational,
     SQRT2,
@@ -40,6 +43,16 @@ class TestBinom:
             x = Fraction(rng.randint(-60, 60), rng.randint(1, 15))
             n = rng.randint(1, 9)
             assert binom(x, n) == binom(x - 1, n - 1) + binom(x - 1, n)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.one_of(st.integers(-200, 200), st.fractions(max_denominator=50, min_value=-200, max_value=200)),
+        st.integers(0, 15),
+    )
+    def test_matches_fraction_product_loop(self, x, n):
+        value = binom(x, n)
+        assert type(value) is Fraction
+        assert value == binom_fraction_loop(x, n)
 
 
 class TestBernoulli:

@@ -1,14 +1,18 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import supertriplet
 from supertriplet import cli, suites
-from supertriplet.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from supertriplet.cli import EXIT_BROKEN_PIPE, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 from supertriplet.suites import CheckResult, run_suite
 
 
@@ -105,6 +109,59 @@ class TestSuites:
             run_suite("nope", 1)
 
 
+class TestSuiteMemo:
+    @pytest.mark.parametrize("suite", ["theta", "characters"])
+    def test_computed_once_per_m_and_cutoff(self, suite):
+        first = run_suite(suite, 2, Fraction(20))
+        again = run_suite(suite, 2, 20)
+        assert again is not first and all(a is b for a, b in zip(again, first))
+        assert run_suite(suite, 2, Fraction(21))[0] is not first[0]
+        assert run_suite(suite, 1, Fraction(20))[0] is not first[0]
+
+    @pytest.mark.parametrize("suite", ["theta", "characters"])
+    def test_matches_recomputation(self, suite):
+        cached = run_suite(suite, 1, 15)
+        getattr(suites, f"_{suite}_suite").cache_clear()
+        fresh = run_suite(suite, 1, 15)
+        assert fresh[0] is not cached[0]
+        assert [c.to_json() for c in fresh] == [c.to_json() for c in cached]
+
+    @pytest.mark.parametrize("suite", ["theta", "characters", "all"])
+    def test_mutating_the_returned_list_leaves_the_next_call_unchanged(self, suite):
+        first = run_suite(suite, 1, 15)
+        expected = [c.to_json() for c in first]
+        first.append(CheckResult("extra", False, ""))
+        del first[0]
+        run_suite(suite, 1, 15).clear()
+        assert [c.to_json() for c in run_suite(suite, 1, 15)] == expected
+
+    @pytest.mark.parametrize("suite", ["theta", "characters", "all"])
+    def test_injected_fault_adds_one_failing_check_to_a_cached_suite(self, suite):
+        clean = run_suite(suite, 1, 15)
+        faulty = run_suite(suite, 1, 15, inject_fault="memo")
+        assert faulty[:-1] == clean and all(c.passed for c in clean)
+        assert [c.name for c in faulty if not c.passed] == ["injected-fault:memo"]
+        assert run_suite(suite, 1, 15) == clean
+
+    def test_verify_all_unchanged_after_single_suite_requests(self, tmp_path):
+        out = tmp_path / "verify.json"
+        argv = ["verify", "--suite", "all", "--m", "1", "--out", str(out)]
+        suites._theta_suite.cache_clear()
+        suites._characters_suite.cache_clear()
+        assert main(argv) == EXIT_OK
+        cold = out.read_bytes()
+        for suite in ("theta", "characters", "zhu", "fermion"):
+            assert main(["verify", "--suite", suite, "--m", "1", "--out", str(out)]) == EXIT_OK
+        assert main(argv) == EXIT_OK
+        assert out.read_bytes() == cold
+        suites._theta_suite.cache_clear()
+        suites._characters_suite.cache_clear()
+        for suite in ("theta", "characters", "zhu", "fermion"):
+            assert main(["verify", "--suite", suite, "--m", "1", "--out", str(out)]) == EXIT_OK
+        assert main(argv) == EXIT_OK
+        assert out.read_bytes() == cold
+
+
 class TestCharCommand:
     def test_single_label_json(self, capsys, tmp_path):
         out = tmp_path / "char.json"
@@ -193,6 +250,62 @@ class TestCharCommand:
         assert main(argv + ["--out", str(out1)]) == EXIT_OK
         assert main(argv + ["--out", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestRenderCache:
+    @staticmethod
+    def _reply(tmp_path, argv) -> bytes:
+        out = tmp_path / "reply"
+        assert main(list(argv) + ["--out", str(out)]) == EXIT_OK
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("cutoff", [20, 30, 40])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_repeats_are_byte_identical(self, tmp_path, m, cutoff, fmt):
+        argv = ["char", "--all", "--m", str(m), "--cutoff", str(cutoff), "--format", fmt]
+        first = self._reply(tmp_path, argv)
+        assert all(self._reply(tmp_path, argv) == first for _ in range(3))
+        labels = tuple(cli.ch.all_labels(m))
+        fresh = cli._char_payload.__wrapped__(m, Fraction(cutoff), labels, fmt)
+        assert first == fresh.encode("utf-8")
+
+    def test_repeat_does_not_rebuild_rows(self, tmp_path, monkeypatch):
+        calls = []
+        build = cli.ch.char_table_rows
+        monkeypatch.setattr(cli.ch, "char_table_rows", lambda *a: calls.append(a) or build(*a))
+        cli._char_payload.cache_clear()
+        argv = ["char", "--all", "--m", "2", "--cutoff", "9"]
+        first = self._reply(tmp_path, argv)
+        assert len(calls) == 1
+        assert self._reply(tmp_path, argv) == first
+        assert self._reply(tmp_path, argv + ["--format", "json"]) == first
+        assert len(calls) == 1
+        self._reply(tmp_path, argv + ["--format", "csv"])
+        assert len(calls) == 2
+
+    def test_equal_cutoffs_share_one_entry(self, tmp_path):
+        cli._char_payload.cache_clear()
+        argv = ["char", "--all", "--m", "1", "--format", "csv"]
+        first = self._reply(tmp_path, argv + ["--cutoff", "30"])
+        assert self._reply(tmp_path, argv + ["--cutoff", "60/2"]) == first
+        assert self._reply(tmp_path, argv) == first  # the default cutoff is 30
+        info = cli._char_payload.cache_info()
+        assert (info.currsize, info.hits, info.misses) == (1, 2, 1)
+
+    @pytest.mark.parametrize("all_first", [True, False])
+    def test_table_and_single_row_never_collide(self, tmp_path, all_first):
+        cli._char_payload.cache_clear()
+        common = ["char", "--m", "2", "--cutoff", "8"]
+        single = common + ["--family", "SPi", "--index", "2", "--flavor", "supercharacter"]
+        order = [common + ["--all"], single] if all_first else [single, common + ["--all"]]
+        for _ in range(2):
+            replies = {argv[-1]: json.loads(self._reply(tmp_path, argv)) for argv in order}
+            assert len(replies["--all"]["rows"]) == 3 * (2 * 2 + 1)
+            assert [(r["family"], r["index"], r["flavor"]) for r in replies["supercharacter"]["rows"]] == [
+                ("SPi", 2, "supercharacter")
+            ]
+        assert cli._char_payload.cache_info().currsize == 2
 
 
 class TestVerifyCommand:
@@ -356,6 +469,57 @@ class TestUsageErrors:
         assert main(["frobnicate"]) == EXIT_USAGE
 
 
+def _run_cli(*argv) -> subprocess.Popen:
+    """``python -m supertriplet.cli ARGV`` with piped stdout and stderr and a buffered stdout.
+
+    With PYTHONUNBUFFERED set, CPython's text stdout sits on the raw file and
+    drops the short count of a write that a closing reader cuts off, so the
+    broken pipe would go unseen; the console default is buffered.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(supertriplet.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    return subprocess.Popen(
+        [sys.executable, "-m", "supertriplet.cli", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+
+
+class TestOutputFailures:
+    @pytest.mark.parametrize("argv", [["classify", "--m", "1"], ["char", "--m", "1", "--all", "--cutoff", "4"]])
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, argv, where):
+        path = str(tmp_path / "missing" / "x.json") if where == "missing-dir" else str(tmp_path)
+        reason = "No such file or directory" if where == "missing-dir" else "Is a directory"
+        assert main(argv + ["--out", path]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"supertriplet: cannot write {path}: {reason}\n"
+        assert captured.out == ""
+
+    def test_unwritable_out_from_the_console(self, tmp_path):
+        path = str(tmp_path / "missing" / "x.json")
+        proc = _run_cli("classify", "--m", "1", "--out", path)
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == EXIT_USAGE == 2
+        assert err.decode() == f"supertriplet: cannot write {path}: No such file or directory\n"
+        assert out == b""
+
+    def test_closed_pipe_exits_quietly(self):
+        # the m=3 table at cutoff 40 is about 251 kB, larger than a pipe buffer
+        proc = _run_cli("char", "--all", "--m", "3", "--cutoff", "40")
+        assert proc.stdout.read(10) == b'{\n  "rows"'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == EXIT_BROKEN_PIPE == 141
+        assert err == b""
+
+    def test_full_read_of_stdout_still_exits_ok(self):
+        proc = _run_cli("classify", "--m", "1")
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == EXIT_OK and err == b""
+        assert json.loads(out)["m"] == 1
+
+
 class TestParserReuse:
     ARGVS = [
         ["char", "--m", "2", "--all", "--cutoff", "5"],
@@ -403,8 +567,13 @@ _JSON_SCALARS = st.one_of(
     st.sampled_from([float("inf"), float("-inf"), float("nan"), -0.0, 5e-324, 1e16, 1.5e300]),
     _JSON_TEXT,
 )
+# non-empty sequences of strings only: the writer's one-write branch
+_JSON_STRINGS = st.one_of(
+    st.lists(_JSON_TEXT, min_size=1, max_size=5),
+    st.lists(_JSON_TEXT, min_size=1, max_size=3).map(tuple),
+)
 _JSON_VALUES = st.recursive(
-    _JSON_SCALARS,
+    st.one_of(_JSON_SCALARS, _JSON_STRINGS),
     lambda children: st.one_of(
         st.lists(children, max_size=5),
         st.lists(children, max_size=3).map(tuple),
@@ -416,8 +585,16 @@ _JSON_VALUES = st.recursive(
 
 class TestJsonWriter:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(_JSON_VALUES)
+    @given(st.tuples(_JSON_VALUES, _JSON_STRINGS).map(list))
     def test_matches_indented_stdlib_dump(self, data):
+        # every example holds at least one sequence of strings written in one piece
+        assert cli._json_dump(data) == json.dumps(data, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize(
+        "data",
+        [["a"], ("a", "b"), ["a", 1], [1, "a"], ["a", ["b"]], ["a", None], {"k": ["x", "\u20ac"]}, [[], ""]],
+    )
+    def test_mixed_and_flat_sequences(self, data):
         assert cli._json_dump(data) == json.dumps(data, sort_keys=True, indent=2)
 
     def test_unserialisable_value_raises(self):
