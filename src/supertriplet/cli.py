@@ -49,8 +49,13 @@ def _emit(payload: str, out: Optional[str]) -> None:
         except OSError as exc:
             raise _OutError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
-        sys.stdout.write(payload if payload.endswith("\n") else payload + "\n")
-        sys.stdout.flush()  # a closed pipe raises here, inside main
+        # each write's count checked: with PYTHONUNBUFFERED the binary layer is the
+        # raw file, and the text layer would drop the short count a closed pipe leaves
+        data = memoryview((payload if payload.endswith("\n") else payload + "\n").encode())
+        sys.stdout.flush()
+        while data:
+            data = data[sys.stdout.buffer.write(data):]
+        sys.stdout.buffer.flush()  # a closed pipe raises here or above, inside main
 
 
 def _json_dump(data) -> str:

@@ -260,6 +260,16 @@ def _normalize_columns(mat: np.ndarray) -> np.ndarray:
     return mat / norms
 
 
+def _basis_and_grid(m: int, grid: Optional[SampleGrid]) -> Tuple[List[BasisFunction], SampleGrid]:
+    """The basis of level m and ``grid`` (``standard_grid(m)`` if None),
+    refused unless the grid has at least two points per basis member."""
+    fns = basis_functions(m)
+    grid = grid or standard_grid(m)
+    if len(grid.points) < 2 * len(fns):
+        raise ValueError("grid must contain at least two points per basis function")
+    return fns, grid
+
+
 def closure_rank(
     m: int,
     grid: Optional[SampleGrid] = None,
@@ -276,10 +286,7 @@ def closure_rank(
     on Im > 0.3 grids sits below any fixed threshold of that kind, which is
     why the scale-free gap rule decides.
     """
-    fns = basis_functions(m)
-    grid = grid or standard_grid(m)
-    if len(grid.points) < 2 * len(fns):
-        raise ValueError("grid must contain at least two points per basis function")
+    fns, grid = _basis_and_grid(m, grid)
     base = _normalize_columns(_evaluation_matrix(fns, grid.points, grid.cutoff))
     svals = np.linalg.svd(base, compute_uv=False)
     threshold_rank = int(np.sum(svals >= svals[0] * rank_threshold))
@@ -350,8 +357,7 @@ def closure_under_s_t(
     ``control_window``; for a true span member this would be roundoff, for
     eta it is order one.  The pointwise control value is reported alongside.
     """
-    fns = basis_functions(m)
-    grid = grid or standard_grid(m)
+    fns, grid = _basis_and_grid(m, grid)
     mat = _evaluation_matrix(fns, grid.points, grid.cutoff)
     s_targets = _evaluation_matrix(fns, [-1 / tau for tau in grid.points], grid.cutoff)
     t_targets = _evaluation_matrix(fns, [tau + 1 for tau in grid.points], grid.cutoff)
@@ -366,13 +372,11 @@ def closure_under_s_t(
         )
         for fn in fns
     ] + [eta(control_window)]
-    column = {e: i for i, e in enumerate(sorted({e for s in window for e, _ in s.terms}))}
-    values = np.zeros((len(window), len(column)))
-    for row, series in zip(values, window):
-        for e, c in series.terms:
-            row[column[e]] = c
+    _, runs = _aligned_runs(window, min(s.min_exponent for s in window if not s.is_zero()), control_window)
+    # c * sn / sd is the correctly rounded float of each exact coefficient
+    values = np.array([[c * s.numerator / s.denominator if c else 0.0 for c in run] for run, s in runs])
     # summed member by member in basis order, so no BLAS summation order enters the residual
-    plain, tau_part = np.zeros(len(column), complex), np.zeros(len(column), complex)
+    plain, tau_part = np.zeros((2, values.shape[1]), complex)
     for x, fn, row in zip(coeffs, fns, values):
         part = tau_part if fn.tau_power else plain
         part += x * row
@@ -395,45 +399,75 @@ def _q_derivative(series: QExpansion) -> QExpansion:
     return QExpansion.from_lattice(offset, d, derived, scale / (step * d), series.cutoff)
 
 
-def _aligned_values(series: QExpansion, offset: Fraction, d: int, n: int) -> Tuple[List[int], Fraction]:
-    """The integer run of ``series`` at ``offset + i/d`` for i < n and its
-    rational scale; its own lattice must be a sublattice starting at or
-    after ``offset``."""
-    own_offset, own_d, coeffs, scale = series.lattice
-    dense = [0] * n
-    if coeffs:
-        start, stride = int((own_offset - offset) * d), d // own_d
-        stop = min(n, start + len(coeffs) * stride)
-        if start < stop:
-            dense[start:stop:stride] = coeffs[: -(-(stop - start) // stride)]
-    return dense, scale
+def _aligned_runs(
+    series_list: Sequence[QExpansion], lead: Fraction, stop: Fraction
+) -> Tuple[int, List[Tuple[List[int], Fraction]]]:
+    """The common lattice ``lead + (1/d) Z`` of ``series_list`` and, for each
+    series, its integer run at ``lead + i/d`` below ``stop`` and its rational
+    scale; every series must start at or after ``lead``."""
+    present = [s for s in series_list if not s.is_zero()]
+    d = math.lcm(*(s.lattice[1] for s in present), *((s.min_exponent - lead).denominator for s in present))
+    n = math.ceil((stop - lead) * d)
+    runs = []
+    for series in series_list:
+        offset, own_d, coeffs, scale = series.lattice
+        run = [0] * n
+        if coeffs:
+            start, stride = int((offset - lead) * d), d // own_d
+            hi = min(n, start + len(coeffs) * stride)
+            if start < hi:
+                run[start:hi:stride] = coeffs[: -(-(hi - start) // stride)]
+        runs.append((run, scale))
+    return d, runs
 
 
-def _eisenstein_monomials(weight: int, cutoff: Fraction) -> Dict[Tuple[Tuple[str, int], ...], QExpansion]:
-    """All monomials in the level-1 and level-2 series of exact total weight.
+Monomial = Tuple[Tuple[str, int], ...]
 
-    Generators are G_{2i} ('full') and G_{2i,1} ('level2-one') for
-    2i <= weight; a monomial is encoded by its sorted multiset of generator
-    names with multiplicities.
+
+def _eisenstein_monomials(max_weight: int, cutoff: Fraction) -> Dict[int, Dict[Monomial, QExpansion]]:
+    """Every monomial of weight 2..``max_weight`` in the level-1 and level-2
+    series, grouped by weight.
+
+    Generators are G_{2i} ('full') and G_{2i,1} ('level2-one'), each built
+    once; a monomial is encoded by its sorted multiset of generator names
+    with multiplicities, and is one product of a lighter stored monomial
+    and one generator.
     """
     gens = [
         (f"G{w}{level}", w, eisenstein(w // 2, variant, cutoff))
-        for w in range(2, weight + 1, 2)
+        for w in range(2, max_weight + 1, 2)
         for level, variant in (("", "full"), (",1", "level2-one"))
     ]
-    out: Dict[Tuple[Tuple[str, int], ...], QExpansion] = {}
+    pool: Dict[int, Dict[Monomial, QExpansion]] = {w: {} for w in range(2, max_weight + 1, 2)}
 
-    # a monomial shares its partial products with every monomial it extends
-    def extend(start: int, remaining: int, chosen: List[str], series: QExpansion):
-        if remaining == 0:
-            out[tuple(sorted(Counter(chosen).items()))] = series
+    def extend(start: int, weight: int, chosen: List[str], series: QExpansion):
         for idx in range(start, len(gens)):
             name, w, gen = gens[idx]
-            if w <= remaining:
-                extend(idx, remaining - w, chosen + [name], series * gen)
+            if weight + w > max_weight:
+                break
+            product = series * gen
+            pool[weight + w][tuple(sorted(Counter(chosen + [name]).items()))] = product
+            extend(idx, weight + w, chosen + [name], product)
 
-    extend(0, weight, [], QExpansion.one(cutoff))
-    return out
+    extend(0, 0, [], QExpansion.one(cutoff))
+    return pool
+
+
+def _operator_columns(
+    series: QExpansion, order: int, columns: Sequence[Tuple[int, Monomial]],
+    pool: Dict[int, Dict[Monomial, QExpansion]],
+) -> List[QExpansion]:
+    """``[D^order s] + [mono * D^j s for each column (j, mono)]``, the
+    monomial of weight 2(order - j) taken from ``pool``."""
+    derivs = [series]
+    for _ in range(order):
+        derivs.append(_q_derivative(derivs[-1]))
+    return [derivs[order]] + [pool[2 * (order - j)][key] * derivs[j] for j, key in columns]
+
+
+def _operator_sum(cols: Sequence[QExpansion], xs: Sequence[Fraction]) -> QExpansion:
+    """``cols[0] + sum(x * col)`` over the nonzero ``xs`` paired with ``cols[1:]``."""
+    return sum((col.scale(x) for col, x in zip(cols[1:], xs) if x), cols[0])
 
 
 def _bareiss(aug: List[List[int]], n_cols: int) -> List[int]:
@@ -561,7 +595,7 @@ class MdeResult:
     order: int
     success: bool
     verified_q_order: int
-    coefficients: Dict[Tuple[int, Tuple[Tuple[str, int], ...]], Fraction]
+    coefficients: Dict[Tuple[int, Monomial], Fraction]
     negative_control_nonzero: bool
     message: str
 
@@ -591,25 +625,6 @@ class MdeResult:
         }
 
 
-def _apply_operator(
-    coeffs: Dict[Tuple[int, Tuple[Tuple[str, int], ...]], Fraction],
-    order: int,
-    series: QExpansion,
-    monomials_by_weight: Dict[int, Dict[Tuple[Tuple[str, int], ...], QExpansion]],
-) -> QExpansion:
-    derivs = [series]
-    for _ in range(order):
-        derivs.append(_q_derivative(derivs[-1]))
-    total = derivs[order]
-    for (j, key), value in coeffs.items():
-        if value == 0:
-            continue
-        weight = 2 * (order - j)
-        mono = monomials_by_weight[weight][key]
-        total = total + (mono * derivs[j]).scale(value)
-    return total
-
-
 def find_mde(
     m: int = 1,
     q_order: int = 60,
@@ -636,46 +651,23 @@ def find_mde(
     cutoff_rel = Fraction(span + 1)
 
     labels = [label for label, _ in all_labels(m) if label.twisted]
-    chars = []
-    for label in labels:
-        lead = twisted_char(label, 4).min_exponent
-        chars.append(twisted_char(label, lead + cutoff_rel))
-
-    monomials_by_weight: Dict[int, Dict[Tuple[Tuple[str, int], ...], QExpansion]] = {}
-    columns: List[Tuple[int, Tuple[Tuple[str, int], ...]]] = []
-    for j in range(order):
-        weight = 2 * (order - j)
-        if weight not in monomials_by_weight:
-            monomials_by_weight[weight] = _eisenstein_monomials(weight, cutoff_rel)
-        for key in sorted(monomials_by_weight[weight]):
-            columns.append((j, key))
+    chars = [twisted_char(label, twisted_char(label, 4).min_exponent + cutoff_rel) for label in labels]
+    pool = _eisenstein_monomials(2 * order, cutoff_rel)
+    columns = [(j, key) for j in range(order) for key in sorted(pool[2 * (order - j)])]
 
     rows: List[List[int]] = []
     rhs: List[int] = []
-    for series in chars:
-        derivs = [series]
-        for _ in range(order):
-            derivs.append(_q_derivative(derivs[-1]))
-        lead = series.min_exponent
-        col_series = []
-        for j, key in columns:
-            weight = 2 * (order - j)
-            col_series.append(monomials_by_weight[weight][key] * derivs[j])
-        window = [cs for cs in [derivs[order]] + col_series if not cs.is_zero()]
-        d = math.lcm(
-            *(cs.lattice[1] for cs in window),
-            *((cs.min_exponent - lead).denominator for cs in window),
-        )
-        n = math.ceil(span * d)
+    char_cols = [_operator_columns(series, order, columns, pool) for series in chars]
+    for series, cols in zip(chars, char_cols):
+        _, runs = _aligned_runs(cols, series.min_exponent, series.min_exponent + span)
         # one integer factor per character block clears every scale denominator
-        runs = [_aligned_values(cs, lead, d, n) for cs in [derivs[order]] + col_series]
         den = math.lcm(*(scale.denominator for _, scale in runs))
         (target, t), *dense = [(run, s.numerator * (den // s.denominator)) for run, s in runs]
-        for i in range(n):
+        for i, b in enumerate(target):
             row = [values[i] * k for values, k in dense]
-            if target[i] or any(row):
+            if b or any(row):
                 rows.append(row)
-                rhs.append(-target[i] * t)
+                rhs.append(-b * t)
 
     solution = _solve_exact(rows, rhs)
     if solution is None:
@@ -684,18 +676,18 @@ def find_mde(
                          "at this order; a wider pool would be needed")
     coeffs = dict(zip(columns, solution))
 
-    verified = q_order
-    for series in chars:
-        lead = series.min_exponent
-        residual = _apply_operator(coeffs, order, series, monomials_by_weight)
-        bad = [e for e, c in residual.terms if e < lead + q_order and c != 0]
+    for series, cols in zip(chars, char_cols):
+        stop = series.min_exponent + q_order
+        bad = [e for e, _ in _operator_sum(cols, solution).terms if e < stop]
         if bad:
             return MdeResult(
                 m, order, False, 0, coeffs, False,
                 f"solution fails verification at exponent {bad[0]}",
             )
 
-    eta_resid = _apply_operator(coeffs, order, eta(Fraction(1, 24) + cutoff_rel), monomials_by_weight)
-    return MdeResult(m, order, True, verified, coeffs, not eta_resid.is_zero(),
-                     f"monic order-{order} operator verified through q-order {verified} "
+    support = {col: x for col, x in coeffs.items() if x}
+    eta_cols = _operator_columns(eta(Fraction(1, 24) + cutoff_rel), order, list(support), pool)
+    eta_resid = _operator_sum(eta_cols, list(support.values()))
+    return MdeResult(m, order, True, q_order, coeffs, not eta_resid.is_zero(),
+                     f"monic order-{order} operator verified through q-order {q_order} "
                      f"on all {len(chars)} twisted characters")

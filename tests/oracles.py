@@ -389,6 +389,27 @@ def bareiss_solve(rows: Sequence[Sequence[Rational]], rhs: Sequence[Rational]) -
     return solution
 
 
+def apply_operator(coeffs, order: int, series, monomials_by_weight):
+    """``D^order s + sum(value * mono * D^j s)`` over the nonzero coefficients
+    ``{(j, mono): value}``, each monomial of weight 2(order - j) looked up in
+    ``monomials_by_weight``: the operator application ``modular.find_mde``
+    ran, with its own derivative tower, before the operator columns were
+    built once per series and reused after the solve."""
+    from supertriplet.modular import _q_derivative
+
+    derivs = [series]
+    for _ in range(order):
+        derivs.append(_q_derivative(derivs[-1]))
+    total = derivs[order]
+    for (j, key), value in coeffs.items():
+        if value == 0:
+            continue
+        weight = 2 * (order - j)
+        mono = monomials_by_weight[weight][key]
+        total = total + (mono * derivs[j]).scale(value)
+    return total
+
+
 def termwise_evaluate(series, tau: complex, growth_bound: float = 2.0 ** 64) -> Tuple[complex, float]:
     """``(value, tail bound)`` of a ``QExpansion`` at one point, one term at a
     time with ``cmath.exp``: the loop ``QExpansion.evaluate`` ran before it

@@ -469,16 +469,18 @@ class TestUsageErrors:
         assert main(["frobnicate"]) == EXIT_USAGE
 
 
-def _run_cli(*argv) -> subprocess.Popen:
-    """``python -m supertriplet.cli ARGV`` with piped stdout and stderr and a buffered stdout.
+def _run_cli(*argv, unbuffered: bool = False) -> subprocess.Popen:
+    """``python -m supertriplet.cli ARGV`` with piped stdout and stderr.
 
-    With PYTHONUNBUFFERED set, CPython's text stdout sits on the raw file and
-    drops the short count of a write that a closing reader cuts off, so the
-    broken pipe would go unseen; the console default is buffered.
+    PYTHONUNBUFFERED is set only when ``unbuffered`` is true, so the default
+    case sees the console default, a buffered stdout; set, CPython's text
+    stdout sits on the raw file.
     """
     src = os.path.dirname(os.path.dirname(os.path.abspath(supertriplet.__file__)))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = src
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.Popen(
         [sys.executable, "-m", "supertriplet.cli", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
     )
@@ -505,7 +507,16 @@ class TestOutputFailures:
 
     def test_closed_pipe_exits_quietly(self):
         # the m=3 table at cutoff 40 is about 251 kB, larger than a pipe buffer
-        proc = _run_cli("char", "--all", "--m", "3", "--cutoff", "40")
+        self._assert_closed_pipe_exits_quietly(unbuffered=False)
+
+    def test_closed_pipe_exits_quietly_unbuffered(self):
+        # the text layer alone would drop the short write that the closing
+        # reader leaves on the raw file, and the command would exit 0
+        self._assert_closed_pipe_exits_quietly(unbuffered=True)
+
+    @staticmethod
+    def _assert_closed_pipe_exits_quietly(unbuffered):
+        proc = _run_cli("char", "--all", "--m", "3", "--cutoff", "40", unbuffered=unbuffered)
         assert proc.stdout.read(10) == b'{\n  "rows"'
         proc.stdout.close()
         err = proc.stderr.read()
@@ -518,6 +529,12 @@ class TestOutputFailures:
         out, err = proc.communicate(timeout=120)
         assert proc.returncode == EXIT_OK and err == b""
         assert json.loads(out)["m"] == 1
+
+    def test_full_read_unbuffered_is_the_buffered_reply(self):
+        argv = ("char", "--all", "--m", "3", "--cutoff", "40")
+        buffered = _run_cli(*argv).communicate(timeout=120)
+        unbuffered = _run_cli(*argv, unbuffered=True).communicate(timeout=120)
+        assert unbuffered == buffered and buffered[1] == b"" and len(buffered[0]) > 200_000
 
 
 class TestParserReuse:

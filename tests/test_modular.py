@@ -1,18 +1,23 @@
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supertriplet.characters import ModuleLabel, twisted_char
 from supertriplet.modular import (
     MdeResult,
     SampleGrid,
-    _apply_operator,
+    _aligned_runs,
     _eisenstein_monomials,
     _evaluation_matrix,
     _normalize_columns,
+    _operator_columns,
+    _operator_sum,
     _q_derivative,
     _solve_exact,
     basis_functions,
@@ -185,6 +190,14 @@ class TestClosureRank:
         with pytest.raises(ValueError):
             closure_rank(1, tiny)
 
+    @pytest.mark.parametrize("check", [closure_rank, closure_under_s_t])
+    def test_fewer_points_than_members_refused(self, check):
+        # 6 points against the 12 members of m=1: any fit of the S and T images would be vacuous
+        grid = standard_grid(1, Fraction(100))
+        short = SampleGrid(grid.points[:6], grid.cutoff)
+        with pytest.raises(ValueError, match="at least two points per basis function"):
+            check(1, short)
+
 
 class TestClosureFit:
     def test_m1_closure(self, rank_grid_m1):
@@ -235,14 +248,54 @@ class TestQDerivative:
 
 class TestEisensteinPool:
     def test_weight_counts(self):
-        for weight, expected in ((2, 2), (4, 5), (6, 10), (8, 20)):
-            assert len(_eisenstein_monomials(weight, Fraction(10))) == expected
+        pool = _eisenstein_monomials(8, Fraction(10))
+        assert {weight: len(monos) for weight, monos in pool.items()} == {2: 2, 4: 5, 6: 10, 8: 20}
 
     def test_monomial_series_shapes(self):
         pool = _eisenstein_monomials(4, Fraction(10))
         key = (("G2", 2),)
-        assert key in pool
-        assert pool[key].coeff(0) == Fraction(-1, 12) * Fraction(-1, 12)
+        assert key in pool[4]
+        assert pool[4][key].coeff(0) == Fraction(-1, 12) * Fraction(-1, 12)
+
+    def test_each_weight_matches_a_pool_built_up_to_it(self):
+        # a lighter monomial is the same series whatever the largest weight asked for
+        full = _eisenstein_monomials(8, Fraction(10))
+        for top in (2, 4, 6):
+            assert {w: full[w] for w in range(2, top + 1, 2)} == _eisenstein_monomials(top, Fraction(10))
+
+
+@st.composite
+def _series_after(draw, lead):
+    """A series on its own lattice starting at or after ``lead``; possibly zero."""
+    d = draw(st.integers(1, 6))
+    offset = lead + Fraction(draw(st.integers(0, 12)), draw(st.integers(1, 6)))
+    coeffs = draw(st.lists(st.integers(-5, 5), max_size=10))
+    scale = draw(st.fractions(min_value=-3, max_value=3, max_denominator=9).filter(bool))
+    return QExpansion.from_lattice(offset, d, coeffs, scale)
+
+
+@st.composite
+def _aligned_case(draw):
+    lead = draw(st.fractions(min_value=-2, max_value=2, max_denominator=24))
+    series_list = draw(st.lists(_series_after(lead), min_size=1, max_size=4))
+    stop = lead + draw(st.fractions(min_value=0, max_value=8, max_denominator=12))
+    return series_list, lead, stop
+
+
+class TestAlignedRuns:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_aligned_case())
+    def test_runs_restate_the_series(self, case):
+        series_list, lead, stop = case
+        d, runs = _aligned_runs(series_list, lead, stop)
+        for series, (run, scale) in zip(series_list, runs):
+            assert len(run) == math.ceil((stop - lead) * d)
+            for i, c in enumerate(run):
+                assert scale * c == series.coeff(lead + Fraction(i, d))
+            # every term below stop sits on the common lattice
+            for e, c in series.terms:
+                if e < stop:
+                    assert ((e - lead) * d).denominator == 1
 
 
 class TestMde(object):
@@ -291,13 +344,15 @@ def _residual_support(result, through):
     """Relative exponents below ``through`` at which the operator of
     ``result`` fails to annihilate a twisted character rebuilt to that order."""
     m, order, cutoff = result.m, result.order, Fraction(through + 1)
-    pool = {2 * (order - j): _eisenstein_monomials(2 * (order - j), cutoff) for j in range(order)}
+    pool = _eisenstein_monomials(2 * order, cutoff)
+    support = {col: x for col, x in result.coefficients.items() if x}
     labels = [ModuleLabel("RLambda", i + 1, m) for i in range(m)]
     labels += [ModuleLabel("RPi", i + 1, m) for i in range(m + 1)]
     bad = set()
     for label in labels:
         lead = twisted_char(label, 4).min_exponent
-        residual = _apply_operator(result.coefficients, order, twisted_char(label, lead + cutoff), pool)
+        cols = _operator_columns(twisted_char(label, lead + cutoff), order, list(support), pool)
+        residual = _operator_sum(cols, list(support.values()))
         assert residual.cutoff >= lead + through
         bad |= {e - lead for e, c in residual.terms if e < lead + through and c != 0}
     return sorted(bad)
