@@ -35,6 +35,12 @@ from .qseries import QExpansion
 from .specialfn import ThetaIndex, _as_index, eisenstein, eta, g_deriv, g_series, theta, theta_deriv
 
 DEFAULT_NUMERIC_CUTOFF = Fraction(400)
+# relative singular-value floor of the reference count ``threshold_rank`` of closure_rank
+_RANK_THRESHOLD = 1e-8
+# the negative control of closure_under_s_t compares exact series below this exponent
+_CONTROL_WINDOW = Fraction(8)
+# q-orders that the rows of find_mde cover past the requested q_order
+_MDE_MARGIN = 6
 
 __all__ = [
     "BasisFunction",
@@ -90,7 +96,7 @@ class SampleGrid:
 _IM_LADDER = (0.305, 0.315, 0.33, 0.36, 0.42, 0.55, 0.8, 1.3, 2.1)
 
 
-def standard_grid(m: int, cutoff=DEFAULT_NUMERIC_CUTOFF, size: Optional[int] = None) -> SampleGrid:
+def standard_grid(m: int, cutoff=DEFAULT_NUMERIC_CUTOFF) -> SampleGrid:
     """At least 3(9m+3) points clustered toward the Im floor with a few tall
     ones, spread over a near-full period in the real direction.
 
@@ -99,8 +105,7 @@ def standard_grid(m: int, cutoff=DEFAULT_NUMERIC_CUTOFF, size: Optional[int] = N
     Im > 0.3 constraint allows, while the tau-weighted members and the
     shift laws want real-part and height diversity.
     """
-    n = size if size is not None else 3 * (9 * m + 3)
-    n_re = max(10, -(-n // len(_IM_LADDER)))
+    n_re = max(10, -(-3 * (9 * m + 3) // len(_IM_LADDER)))
     step = 0.9 / (n_re - 1)
     res = [-0.45 + step * i for i in range(n_re)]
     pts = [complex(re, im) for im in _IM_LADDER for re in res]
@@ -270,18 +275,14 @@ def _basis_and_grid(m: int, grid: Optional[SampleGrid]) -> Tuple[List[BasisFunct
     return fns, grid
 
 
-def closure_rank(
-    m: int,
-    grid: Optional[SampleGrid] = None,
-    rank_threshold: float = 1e-8,
-) -> RankReport:
+def closure_rank(m: int, grid: Optional[SampleGrid] = None) -> RankReport:
     """Numerical rank of the basis evaluation matrix, expected 9m+3.
 
     The decision uses the largest spectral gap of the matrix augmented with
     the S-images of every basis member: those extra columns lie in the span,
     so the singular values past the true rank collapse to roundoff, leaving
     one dominant gap.  An absolute-threshold count (singular values of the
-    plain basis matrix at or above sigma_max * rank_threshold) is reported
+    plain basis matrix at or above sigma_max * _RANK_THRESHOLD) is reported
     alongside for reference; at m >= 2 the family's intrinsic conditioning
     on Im > 0.3 grids sits below any fixed threshold of that kind, which is
     why the scale-free gap rule decides.
@@ -289,7 +290,7 @@ def closure_rank(
     fns, grid = _basis_and_grid(m, grid)
     base = _normalize_columns(_evaluation_matrix(fns, grid.points, grid.cutoff))
     svals = np.linalg.svd(base, compute_uv=False)
-    threshold_rank = int(np.sum(svals >= svals[0] * rank_threshold))
+    threshold_rank = int(np.sum(svals >= svals[0] * _RANK_THRESHOLD))
 
     s_cols = _evaluation_matrix(fns, [-1 / tau for tau in grid.points], grid.cutoff)
     aug = np.hstack([base, _normalize_columns(s_cols)])
@@ -338,11 +339,7 @@ def _fit(mat: np.ndarray, targets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return coeffs, np.linalg.norm(mat @ coeffs - targets, axis=0) / np.where(norms > 0, norms, 1.0)
 
 
-def closure_under_s_t(
-    m: int,
-    grid: Optional[SampleGrid] = None,
-    control_window: Fraction = Fraction(8),
-) -> ClosureReport:
+def closure_under_s_t(m: int, grid: Optional[SampleGrid] = None) -> ClosureReport:
     """Least-squares fit of S- and T-transformed basis members onto the basis.
 
     Transformed members are judged pointwise: their images are genuine span
@@ -354,7 +351,7 @@ def closure_under_s_t(
     pointwise smallness proves nothing for an outsider.  Instead the fitted
     combination is split as P(q) + tau Q(q) with exact series P, Q, and the
     residual is the largest coefficient mismatch of (P - eta, Q) below
-    ``control_window``; for a true span member this would be roundoff, for
+    ``_CONTROL_WINDOW``; for a true span member this would be roundoff, for
     eta it is order one.  The pointwise control value is reported alongside.
     """
     fns, grid = _basis_and_grid(m, grid)
@@ -365,14 +362,14 @@ def closure_under_s_t(
     per = tuple((fn.name, float(s), float(t)) for fn, s, t in zip(fns, rs, rt))
 
     coeffs, pointwise = _fit(mat, eta(grid.cutoff).evaluate(grid.points).value)
-    build = control_window + 1
+    build = _CONTROL_WINDOW + 1
     window = [
         (_quotient(fn.prefactor, build) * _theta_series(fn.kind, fn.j, fn.k, build)).truncated(
-            control_window
+            _CONTROL_WINDOW
         )
         for fn in fns
-    ] + [eta(control_window)]
-    _, runs = _aligned_runs(window, min(s.min_exponent for s in window if not s.is_zero()), control_window)
+    ] + [eta(_CONTROL_WINDOW)]
+    _, runs = _aligned_runs(window, min(s.min_exponent for s in window if not s.is_zero()), _CONTROL_WINDOW)
     # c * sn / sd is the correctly rounded float of each exact coefficient
     values = np.array([[c * s.numerator / s.denominator if c else 0.0 for c in run] for run, s in runs])
     # summed member by member in basis order, so no BLAS summation order enters the residual
@@ -465,9 +462,30 @@ def _operator_columns(
     return [derivs[order]] + [pool[2 * (order - j)][key] * derivs[j] for j, key in columns]
 
 
-def _operator_sum(cols: Sequence[QExpansion], xs: Sequence[Fraction]) -> QExpansion:
-    """``cols[0] + sum(x * col)`` over the nonzero ``xs`` paired with ``cols[1:]``."""
-    return sum((col.scale(x) for col, x in zip(cols[1:], xs) if x), cols[0])
+def _operator_rows(cols: Sequence[QExpansion], lead: Fraction, stop: Fraction) -> Tuple[List[List[int]], List[int]]:
+    """The integer rows and right-hand sides of ``cols[0] + sum(x * col) = 0``
+    over ``cols[1:]``, one per exponent of the common lattice from ``lead``
+    below ``stop``; one integer factor clears every scale denominator, and
+    all-zero rows are dropped, since any ``x`` satisfies them."""
+    _, runs = _aligned_runs(cols, lead, stop)
+    den = math.lcm(*(scale.denominator for _, scale in runs))
+    (target, t), *dense = [(run, s.numerator * (den // s.denominator)) for run, s in runs]
+    rows: List[List[int]] = []
+    rhs: List[int] = []
+    for i, b in enumerate(target):
+        row = [values[i] * k for values, k in dense]
+        if b or any(row):
+            rows.append(row)
+            rhs.append(-b * t)
+    return rows, rhs
+
+
+def _violated(rows: Sequence[Sequence[int]], rhs: Sequence[int], xs: Sequence[Rational]) -> bool:
+    """True if exact substitution of the rationals ``xs`` fails some integer
+    row: ``sum(row[c] * xs[c]) != b`` for a row and its right-hand side b."""
+    den = math.lcm(*(x.denominator for x in xs))
+    support = [(c, x.numerator * (den // x.denominator)) for c, x in enumerate(xs) if x]
+    return any(sum(row[c] * y for c, y in support) != b * den for row, b in zip(rows, rhs))
 
 
 def _bareiss(aug: List[List[int]], n_cols: int) -> List[int]:
@@ -553,17 +571,17 @@ def _solve_exact(rows: Sequence[Sequence[Rational]], rhs: Sequence[Rational]) ->
 
     Each row, right-hand side included, is scaled by the lcm of its
     denominators and divided by its content, and each coefficient column c
-    by its content g_c, so the unknowns become y_c = g_c x_c.  Only the
-    rows independent modulo ``_ROW_PRIME`` are eliminated
-    (:func:`_echelon_solve`); the candidate y is accepted only if exact
-    integer substitution holds on every row, and otherwise all rows are
-    eliminated, which also decides inconsistency.  A bad prime can cost
-    time but never change the answer: a pivot column of a row subset is a
-    pivot column of the whole matrix (a column that depends on earlier
-    columns still does on fewer rows), and the solution supported on the
-    pivot columns is unique because they are independent.  So an accepted
-    y, supported on the subset's pivot columns, is the one that
-    eliminating all rows returns."""
+    by its content g_c, so the unknowns become y_c = g_c x_c.  First the
+    rows independent modulo ``_ROW_PRIME``, then all rows, are eliminated
+    (:func:`_echelon_solve`); the first candidate y that passes exact
+    substitution into every row (:func:`_violated`) is returned, and None if
+    neither does, so nothing is returned unchecked and eliminating all rows
+    decides inconsistency.  A bad prime can cost time but never change the
+    answer: a pivot column of a row subset is a pivot column of the whole
+    matrix (a column that depends on earlier columns still does on fewer
+    rows), and the solution supported on the pivot columns is unique
+    because they are independent.  So an accepted y, supported on the
+    subset's pivot columns, is the one that eliminating all rows returns."""
     n_cols = len(rows[0]) if rows else 0
     aug = []
     for row, b in zip(rows, rhs):
@@ -575,18 +593,15 @@ def _solve_exact(rows: Sequence[Sequence[Rational]], rhs: Sequence[Rational]) ->
     col_content = [math.gcd(*(row[c] for row in aug)) or 1 for c in range(n_cols)]
     for row in aug:
         row[:n_cols] = [x // g for x, g in zip(row, col_content)]
-    found = _echelon_solve([aug[i][:] for i in _independent_rows(aug, n_cols)], n_cols)
-    if found is not None:
-        numer, den = found
-        support = [(c, y) for c, y in enumerate(numer) if y]
-        if any(sum(row[c] * y for c, y in support) != row[n_cols] * den for row in aug):
-            found = None
-    if found is None:
-        found = _echelon_solve(aug, n_cols)
-        if found is None:
-            return None
-        numer, den = found
-    return [Fraction(y, den * g) for y, g in zip(numer, col_content)]
+    targets = [row[n_cols] for row in aug]
+    for subset in (_independent_rows(aug, n_cols), range(len(aug))):
+        found = _echelon_solve([aug[i][:] for i in subset], n_cols)
+        if found is not None:
+            numer, den = found
+            ys = [Fraction(y, den) for y in numer]
+            if not _violated(aug, targets, ys):
+                return [y / g for y, g in zip(ys, col_content)]
+    return None
 
 
 @dataclass(frozen=True)
@@ -625,49 +640,43 @@ class MdeResult:
         }
 
 
-def find_mde(
-    m: int = 1,
-    q_order: int = 60,
-    margin: int = 6,
-    allow_large_m: bool = False,
-) -> MdeResult:
+def find_mde(m: int = 1, q_order: int = 60, allow_large_m: bool = False) -> MdeResult:
     """Search for a monic order-(3m+1) operator in D = q d/dq annihilating
     every twisted character, with weight-homogeneous Eisenstein coefficients.
 
     The coefficient of D^j is an unknown rational combination of monomials
-    of total weight 2(3m+1-j) in the level-1 and level-2 series.  The exact
-    linear system forces each character to solve the equation through
-    ``q_order`` plus a margin; infeasibility is reported as a finding, not
-    raised.  ``verified_q_order`` counts exponents inside that solved
-    window, so it restates the fit rather than checking it out of sample.
+    of total weight 2(3m+1-j) in the level-1 and level-2 series.  Each
+    character gives one integer row per lattice exponent below
+    ``q_order + _MDE_MARGIN`` past its lead, and :func:`_solve_exact`
+    returns only a solution that satisfies every row; infeasibility is
+    reported as a finding, not raised.  ``verified_q_order`` counts
+    exponents inside that solved window, so it restates the fit rather
+    than checking it out of sample.  The eta control reports whether the
+    operator fails on eta's rows.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if q_order < 1:
+        raise ValueError("q_order must be >= 1")
     if m > 1 and not allow_large_m:
         warnings.warn("the exact operator search grows quickly with m; proceeding anyway "
                       "(pass allow_large_m=True to silence)", RuntimeWarning)
     order = 3 * m + 1
-    span = q_order + margin
+    span = q_order + _MDE_MARGIN
     cutoff_rel = Fraction(span + 1)
 
     labels = [label for label, _ in all_labels(m) if label.twisted]
-    chars = [twisted_char(label, twisted_char(label, 4).min_exponent + cutoff_rel) for label in labels]
     pool = _eisenstein_monomials(2 * order, cutoff_rel)
     columns = [(j, key) for j in range(order) for key in sorted(pool[2 * (order - j)])]
 
     rows: List[List[int]] = []
     rhs: List[int] = []
-    char_cols = [_operator_columns(series, order, columns, pool) for series in chars]
-    for series, cols in zip(chars, char_cols):
-        _, runs = _aligned_runs(cols, series.min_exponent, series.min_exponent + span)
-        # one integer factor per character block clears every scale denominator
-        den = math.lcm(*(scale.denominator for _, scale in runs))
-        (target, t), *dense = [(run, s.numerator * (den // s.denominator)) for run, s in runs]
-        for i, b in enumerate(target):
-            row = [values[i] * k for values, k in dense]
-            if b or any(row):
-                rows.append(row)
-                rhs.append(-b * t)
+    for label in labels:
+        series = twisted_char(label, twisted_char(label, 4).min_exponent + cutoff_rel)
+        lead = series.min_exponent
+        block_rows, block_rhs = _operator_rows(_operator_columns(series, order, columns, pool), lead, lead + span)
+        rows += block_rows
+        rhs += block_rhs
 
     solution = _solve_exact(rows, rhs)
     if solution is None:
@@ -675,19 +684,11 @@ def find_mde(
                          "the weight-homogeneous level-1/level-2 pool admits no solution "
                          "at this order; a wider pool would be needed")
     coeffs = dict(zip(columns, solution))
-
-    for series, cols in zip(chars, char_cols):
-        stop = series.min_exponent + q_order
-        bad = [e for e, _ in _operator_sum(cols, solution).terms if e < stop]
-        if bad:
-            return MdeResult(
-                m, order, False, 0, coeffs, False,
-                f"solution fails verification at exponent {bad[0]}",
-            )
-
     support = {col: x for col, x in coeffs.items() if x}
-    eta_cols = _operator_columns(eta(Fraction(1, 24) + cutoff_rel), order, list(support), pool)
-    eta_resid = _operator_sum(eta_cols, list(support.values()))
-    return MdeResult(m, order, True, q_order, coeffs, not eta_resid.is_zero(),
+    # eta's columns are exact below its own cutoff, so its rows reach that far
+    lead = Fraction(1, 24)
+    eta_cols = _operator_columns(eta(lead + cutoff_rel), order, list(support), pool)
+    eta_nonzero = _violated(*_operator_rows(eta_cols, lead, lead + cutoff_rel), list(support.values()))
+    return MdeResult(m, order, True, q_order, coeffs, eta_nonzero,
                      f"monic order-{order} operator verified through q-order {q_order} "
-                     f"on all {len(chars)} twisted characters")
+                     f"on all {len(labels)} twisted characters")

@@ -26,12 +26,12 @@ from itertools import repeat
 from operator import add, sub
 from typing import Tuple, Union
 
-from .arith import bernoulli_number, bernoulli_poly_at
+from .arith import bernoulli_number
 from .qseries import QExpansion, QSeriesError, _run_length, product_expansion
 
 IndexLike = Union["ThetaIndex", Tuple]
 
-EISENSTEIN_VARIANTS = ("full", "level2-one", "level2-zero")
+EISENSTEIN_VARIANTS = ("full", "level2-one")
 
 __all__ = [
     "ThetaIndex",
@@ -181,38 +181,29 @@ def frak_f2(cutoff) -> QExpansion:
 
 
 def eisenstein(k: int, variant: str, cutoff) -> QExpansion:
-    """Weight-2k Eisenstein series in one of three normalizations.
+    """Weight-2k Eisenstein series in one of two normalizations.
 
     ``full``        -B_2k/(2k)! + (2/(2k-1)!) sum n^{2k-1} q^n / (1 - q^n)
     ``level2-one``  +B_2k/(2k)! + (2/(2k-1)!) sum n^{2k-1} q^n / (1 + q^n)
-    ``level2-zero`` B_2k(1/2)/(2k)!
-                    + (2/(2k-1)!) sum (n-1/2)^{2k-1} q^{n-1/2} / (1 + q^{n-1/2})
 
-    All three run one Lambert loop: each base exponent below the cutoff adds
-    its weight at every multiple of itself, with alternating sign in the
-    level-2 variants, into one integer run under the scale 2/(2k-1)!.
+    Both run one Lambert loop: each base exponent below the cutoff adds its
+    weight at every multiple of itself, with alternating sign in the level-2
+    variant, into one integer run under the scale 2/(2k-1)!.
     """
     if k < 1:
         raise ValueError("eisenstein weight index must be >= 1")
     if variant not in EISENSTEIN_VARIANTS:
         raise ValueError(f"variant must be one of {EISENSTEIN_VARIANTS}")
     cutoff = Fraction(cutoff)
-    # the level2-zero bases n - 1/2 sit on the half-integers: index b on
-    # lattice step 1/d stands for the base b/d, with weight b^(2k-1)/d^(2k-1)
-    d = 2 if variant == "level2-zero" else 1
-    constant = {
-        "full": -bernoulli_number(2 * k),
-        "level2-one": bernoulli_number(2 * k),
-        "level2-zero": bernoulli_poly_at(2 * k, Fraction(1, 2)),
-    }[variant] / math.factorial(2 * k)
-    size = max(0, math.ceil(cutoff * d))
+    constant = (-1 if variant == "full" else 1) * bernoulli_number(2 * k) / math.factorial(2 * k)
+    size = max(0, math.ceil(cutoff))
     coeffs = [0] * _run_length(size)
-    for b in range(1, size, d):
+    for b in range(1, size):
         weight = repeat(b ** (2 * k - 1))
         if variant == "full":
             coeffs[b::b] = map(add, coeffs[b::b], weight)
         else:
             coeffs[b::2 * b] = map(add, coeffs[b::2 * b], weight)
             coeffs[2 * b::2 * b] = map(sub, coeffs[2 * b::2 * b], weight)
-    scale = Fraction(2, math.factorial(2 * k - 1) * d ** (2 * k - 1))
-    return QExpansion.from_lattice(0, d, coeffs, scale, cutoff) + constant
+    scale = Fraction(2, math.factorial(2 * k - 1))
+    return QExpansion.from_lattice(0, 1, coeffs, scale, cutoff) + constant

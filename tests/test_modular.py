@@ -8,18 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supertriplet import modular
 from supertriplet.characters import ModuleLabel, twisted_char
 from supertriplet.modular import (
+    _ROW_PRIME,
     MdeResult,
     SampleGrid,
     _aligned_runs,
     _eisenstein_monomials,
     _evaluation_matrix,
     _normalize_columns,
-    _operator_columns,
-    _operator_sum,
     _q_derivative,
     _solve_exact,
+    _violated,
     basis_functions,
     character_theta_indices,
     closure_rank,
@@ -32,6 +33,8 @@ from supertriplet.modular import (
 )
 from supertriplet.qseries import QExpansion
 from supertriplet.specialfn import ThetaIndex, theta
+
+from oracles import apply_operator
 
 UNIT_CUTOFF = Fraction(200)
 
@@ -234,6 +237,31 @@ class TestExactSolver:
         assert sol is not None
         assert sol[0] + sol[1] == 4
 
+    def test_violated_is_exact_substitution(self):
+        rows, rhs = [[3, 0], [1, 2]], [1, 1]
+        assert not _violated(rows, rhs, [Fraction(1, 3), Fraction(1, 3)])
+        assert _violated(rows, rhs, [Fraction(1, 3), Fraction(1, 2)])
+        # an all-zero row holds for any x only with a zero right-hand side
+        assert not _violated([[0, 0]], [0], [Fraction(5), 7])
+        assert _violated([[0, 0]], [1], [0, 0])
+
+    def test_all_rows_answer_is_checked_too(self, monkeypatch):
+        # det = -p: the candidate from the one row independent mod p fails the
+        # second row, so all rows are eliminated; if that pass returned a wrong
+        # answer, the solver must return None rather than that answer
+        rows, rhs = [[_ROW_PRIME + 1, 1], [1, 1]], [_ROW_PRIME + 3, 3]
+        assert _solve_exact(rows, rhs) == [1, 2]
+        real, calls = modular._echelon_solve, []
+
+        def wrong_on_all_rows(aug, n_cols):
+            calls.append(len(aug))
+            numer, den = real(aug, n_cols)
+            return (numer, den) if len(calls) == 1 else ([y + 1 for y in numer], den)
+
+        monkeypatch.setattr(modular, "_echelon_solve", wrong_on_all_rows)
+        assert _solve_exact(rows, rhs) is None
+        assert calls == [1, 2]
+
 
 class TestQDerivative:
     def test_multiplies_by_exponent(self):
@@ -331,7 +359,13 @@ class TestMde(object):
 
     def test_large_m_warns(self):
         with pytest.warns(RuntimeWarning):
-            find_mde(2, q_order=4, margin=1)
+            find_mde(2, q_order=4)
+
+    @pytest.mark.parametrize("q_order", [0, -3])
+    def test_q_order_below_one_refused(self, q_order):
+        # a window of no q-orders verifies nothing, so it is not reported as a success
+        with pytest.raises(ValueError, match="q_order must be >= 1"):
+            find_mde(1, q_order=q_order)
 
     def test_m2_q20_json_pinned(self):
         # the digest of the all-rows Bareiss solve, before rows were picked mod p
@@ -345,21 +379,19 @@ def _residual_support(result, through):
     ``result`` fails to annihilate a twisted character rebuilt to that order."""
     m, order, cutoff = result.m, result.order, Fraction(through + 1)
     pool = _eisenstein_monomials(2 * order, cutoff)
-    support = {col: x for col, x in result.coefficients.items() if x}
     labels = [ModuleLabel("RLambda", i + 1, m) for i in range(m)]
     labels += [ModuleLabel("RPi", i + 1, m) for i in range(m + 1)]
     bad = set()
     for label in labels:
         lead = twisted_char(label, 4).min_exponent
-        cols = _operator_columns(twisted_char(label, lead + cutoff), order, list(support), pool)
-        residual = _operator_sum(cols, list(support.values()))
+        residual = apply_operator(result.coefficients, order, twisted_char(label, lead + cutoff), pool)
         assert residual.cutoff >= lead + through
         bad |= {e - lead for e, c in residual.terms if e < lead + through and c != 0}
     return sorted(bad)
 
 
 class TestMdeOutOfSample:
-    """The solve fits q-orders below ``q_order + margin``; these checks
+    """The solve fits q-orders below ``q_order + _MDE_MARGIN``; these checks
     rebuild the characters further out and apply the operator there."""
 
     def test_m1_annihilates_through_80(self):

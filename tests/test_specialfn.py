@@ -201,7 +201,6 @@ class TestEisenstein:
     def test_constants(self):
         assert eisenstein(1, "full", 5).coeff(0) == Fraction(-1, 12)
         assert eisenstein(1, "level2-one", 5).coeff(0) == Fraction(1, 12)
-        assert eisenstein(1, "level2-zero", 5).coeff(0) == Fraction(-1, 24)
 
     def test_full_divisor_sums(self):
         for k in (1, 2, 3):
@@ -216,13 +215,9 @@ class TestEisenstein:
             total = sum(d * (-1) ** (n // d - 1) for d in range(1, n + 1) if n % d == 0)
             assert series.coeff(n) == 2 * total
 
-    def test_level2_zero_mixed_support(self):
-        series = eisenstein(1, "level2-zero", 6)
-        assert series.coeff(Fraction(1, 2)) == 2 * Fraction(1, 2)
-        # exponent 1 comes from base 1/2 at even (negative-sign) order
-        assert series.coeff(1) == -1
-        # exponent 3/2: base 1/2 at third order gives +1/2, base 3/2 gives +3/2
-        assert series.coeff(Fraction(3, 2)) == 2 * (Fraction(1, 2) + Fraction(3, 2))
+    def test_level2_zero_variant_refused(self):
+        with pytest.raises(ValueError, match="variant must be one of"):
+            eisenstein(1, "level2-zero", 6)
 
     def test_weight_one_full_vs_classical_e2(self):
         # -12 G_2 is the classical normalized quasimodular series 1 - 24 sum sigma_1 q^n
