@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from numbers import Rational
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -514,34 +514,55 @@ def _bareiss(aug: List[List[int]], n_cols: int) -> List[int]:
     return pivot_cols
 
 
-# a prime below 2^31: residues multiply below 2^62, inside numpy int64
+# primes below 2^31: residues multiply below 2^62, inside numpy int64
 _ROW_PRIME = 2_147_483_647
 
 
-def _independent_rows(aug: List[List[int]], n_cols: int) -> List[int]:
-    """Indices, in order, of rows of ``aug`` whose first ``n_cols`` entries
-    are linearly independent modulo ``_ROW_PRIME``: the pivot rows of one
-    int64 elimination of the residues.  Rows independent mod p are
-    independent over Q, but a prime dividing a minor can make fewer rows
-    look independent than the rank over Q."""
-    res = np.array([[x % _ROW_PRIME for x in row[:n_cols]] for row in aug], dtype=np.int64)
-    res = res.reshape(len(aug), n_cols)
-    order = np.arange(len(aug))
-    r = 0
+def _primes() -> Iterator[int]:
+    """The primes below 2^31 in decreasing order from ``_ROW_PRIME``, by the
+    Miller-Rabin test to bases 2, 3, 5 and 7, exact below 3,215,031,751."""
+    for n in range(_ROW_PRIME, 7, -2):
+        s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+        if all(pow(a, (n - 1) >> s, n) == 1 or n - 1 in (pow(a, (n - 1) >> i, n) for i in range(1, s + 1))
+               for a in (2, 3, 5, 7)):
+            yield n
+
+
+def _rref_mod(aug: Sequence[Sequence[int]], n_cols: int, p: int) -> Optional[Tuple[List[int], List[int], List[int]]]:
+    """Gauss-Jordan elimination of the integer rows ``aug`` (right-hand side
+    last) modulo a prime ``p`` < 2^31 in numpy int64: the original indices of
+    the pivot rows, the pivot columns and the solution's residues on them
+    with free variables 0, or None if the rows are inconsistent modulo p."""
+    res = (np.array(aug, dtype=object).reshape(len(aug), n_cols + 1) % p).astype(np.int64)
+    free, pivot_rows, pivot_cols = np.ones(len(aug), dtype=bool), [], []
     for c in range(n_cols):
-        if r == len(res):
-            break
-        nonzero = np.flatnonzero(res[r:, c])
-        if not nonzero.size:
-            continue
-        i = r + nonzero[0]
-        res[[r, i]], order[[r, i]] = res[[i, r]], order[[i, r]]
-        top = res[r, c:] * pow(int(res[r, c]), -1, _ROW_PRIME) % _ROW_PRIME
-        below = res[r + 1 :, c:]
-        below -= np.outer(below[:, 0], top) % _ROW_PRIME
-        below %= _ROW_PRIME
-        r += 1
-    return sorted(order[:r].tolist())
+        nonzero = np.flatnonzero(free & (res[:, c] != 0))
+        if nonzero.size:
+            i = nonzero[0]
+            free[i] = False
+            res[i, c:] = res[i, c:] * pow(int(res[i, c]), -1, p) % p
+            factors = np.where(np.arange(len(res)) == i, 0, res[:, c])
+            res[:, c:] = (res[:, c:] - np.outer(factors, res[i, c:]) % p) % p
+            pivot_rows.append(int(i))
+            pivot_cols.append(c)
+    return None if res[free, n_cols].any() else (pivot_rows, pivot_cols, res[pivot_rows, n_cols].tolist())
+
+
+def _reconstruct(residues: Sequence[int], modulus: int) -> Optional[List[Fraction]]:
+    """The rationals congruent to ``residues`` modulo ``modulus`` whose common
+    denominator, and numerators over it, are at most sqrt(modulus / 2), or
+    None.  Each residue times the common denominator so far is reconstructed
+    by the extended Euclidean algorithm (Wang, Guy and Davenport 1982)."""
+    bound, den, out = math.isqrt(modulus // 2), 1, []
+    for u in residues:
+        r0, r1, t0, t1 = modulus, u * den % modulus, 0, 1
+        while r1 > bound:
+            r0, r1, t0, t1 = r1, r0 % r1, t1, t0 - r0 // r1 * t1
+        if abs(t1) * den > bound or math.gcd(r1, t1) != 1:
+            return None
+        out.append(Fraction(r1, t1 * den))
+        den *= abs(t1)
+    return out
 
 
 def _echelon_solve(aug: List[List[int]], n_cols: int) -> Optional[Tuple[List[int], int]]:
@@ -565,23 +586,27 @@ def _echelon_solve(aug: List[List[int]], n_cols: int) -> Optional[Tuple[List[int
 
 
 def _solve_exact(rows: Sequence[Sequence[Rational]], rhs: Sequence[Rational]) -> Optional[List[Fraction]]:
-    """Solve an overdetermined rational system exactly; returns the
-    particular solution with free variables set to zero, or None if the
-    system is inconsistent.
+    """Solve an overdetermined rational system exactly; returns a solution
+    with free variables 0, or None if the system is inconsistent.
 
-    Each row, right-hand side included, is scaled by the lcm of its
-    denominators and divided by its content, and each coefficient column c
-    by its content g_c, so the unknowns become y_c = g_c x_c.  First the
-    rows independent modulo ``_ROW_PRIME``, then all rows, are eliminated
-    (:func:`_echelon_solve`); the first candidate y that passes exact
-    substitution into every row (:func:`_violated`) is returned, and None if
-    neither does, so nothing is returned unchecked and eliminating all rows
-    decides inconsistency.  A bad prime can cost time but never change the
-    answer: a pivot column of a row subset is a pivot column of the whole
-    matrix (a column that depends on earlier columns still does on fewer
-    rows), and the solution supported on the pivot columns is unique
-    because they are independent.  So an accepted y, supported on the
-    subset's pivot columns, is the one that eliminating all rows returns."""
+    Rows (right-hand side included) and columns are made integer and divided
+    by their contents, so the unknowns become y_c = g_c x_c for the content
+    g_c of column c.  If ``_ROW_PRIME`` and the next prime find the same
+    pivot columns and no inconsistency, more primes lift the first one's
+    pivot block by CRT and reconstruction until a candidate passes exact
+    substitution into every row (:func:`_violated`).  Once the modulus passes
+    twice the squared Hadamard bound of the block, which guarantees its
+    solution, or if the primes disagree or find none, all rows are eliminated
+    exactly (:func:`_echelon_solve`); that answer is returned if it passes.
+
+    So every returned vector satisfies every row exactly, and None comes only
+    from the exact all-rows elimination.  The result is the all-rows answer
+    whenever the two primes find the rational pivot columns, as the solution
+    on those columns is unique; that always holds at full column rank, and
+    otherwise fails only if both primes divide a minor that decides a pivot.
+    For ``[[1, 1, 0], [1, 1 + pq, 1]]`` and right-hand side ``[0, 1]``, the
+    two primes p and q both see pivot columns 0 and 2, not 0 and 1, and the
+    result is (0, 0, 1), not the all-rows (-1/pq, 1/pq, 0)."""
     n_cols = len(rows[0]) if rows else 0
     aug = []
     for row, b in zip(rows, rhs):
@@ -594,14 +619,31 @@ def _solve_exact(rows: Sequence[Sequence[Rational]], rhs: Sequence[Rational]) ->
     for row in aug:
         row[:n_cols] = [x // g for x, g in zip(row, col_content)]
     targets = [row[n_cols] for row in aug]
-    for subset in (_independent_rows(aug, n_cols), range(len(aug))):
-        found = _echelon_solve([aug[i][:] for i in subset], n_cols)
-        if found is not None:
-            numer, den = found
-            ys = [Fraction(y, den) for y in numer]
-            if not _violated(aug, targets, ys):
-                return [y / g for y, g in zip(ys, col_content)]
-    return None
+
+    def checked(ys: Dict[int, Fraction]) -> Optional[List[Fraction]]:
+        xs = [ys.get(c, Fraction(0)) for c in range(n_cols)]
+        return None if _violated(aug, targets, xs) else [x / g for x, g in zip(xs, col_content)]
+
+    primes = _primes()
+    modulus, p = next(primes), next(primes)
+    first, solved = _rref_mod(aug, n_cols, modulus), _rref_mod(aug, n_cols, p)
+    if first and solved and first[1] == solved[1]:
+        pivot_rows, pivot_cols, residues = first
+        block = [[aug[i][c] for c in pivot_cols] + [aug[i][n_cols]] for i in pivot_rows]
+        bound = 2 * math.prod(sum(x * x for x in row) for row in block)
+        while True:
+            if solved and len(solved[1]) == len(block):  # else p divides the block's determinant
+                inv = pow(modulus, -1, p)
+                residues = [x + modulus * ((y - x) * inv % p) for x, y in zip(residues, solved[2])]
+                modulus *= p
+                found = _reconstruct(residues, modulus)
+                if found is not None and (result := checked(dict(zip(pivot_cols, found)))) is not None:
+                    return result
+            if modulus > bound:
+                break
+            solved = _rref_mod(block, len(block), p := next(primes))
+    found = _echelon_solve([row[:] for row in aug], n_cols)
+    return found and checked({c: Fraction(y, found[1]) for c, y in enumerate(found[0])})
 
 
 @dataclass(frozen=True)
@@ -647,9 +689,10 @@ def find_mde(m: int = 1, q_order: int = 60, allow_large_m: bool = False) -> MdeR
     The coefficient of D^j is an unknown rational combination of monomials
     of total weight 2(3m+1-j) in the level-1 and level-2 series.  Each
     character gives one integer row per lattice exponent below
-    ``q_order + _MDE_MARGIN`` past its lead, and :func:`_solve_exact`
-    returns only a solution that satisfies every row; infeasibility is
-    reported as a finding, not raised.  ``verified_q_order`` counts
+    ``q_order + _MDE_MARGIN`` past its lead.  :func:`_solve_exact` returns
+    only a solution that satisfies every row exactly, found modulo primes
+    and lifted, and reports infeasibility only from an exact elimination of
+    all rows; that is a finding, not raised.  ``verified_q_order`` counts
     exponents inside that solved window, so it restates the fit rather
     than checking it out of sample.  The eta control reports whether the
     operator fails on eta's rows.

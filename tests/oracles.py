@@ -359,6 +359,35 @@ def gauss_jordan_solve(rows: List[List[Fraction]], rhs: List[Fraction]) -> Optio
     return solution
 
 
+def gauss_jordan_mod(aug: Sequence[Sequence[int]], n_cols: int, p: int) -> Optional[Tuple[List[int], List[int], List[int]]]:
+    """Gauss-Jordan elimination of the integer rows ``aug`` (right-hand side
+    last) modulo the prime ``p`` over Python ints, which never overflow.
+
+    Column by column, the first row that is not yet a pivot row and has a
+    nonzero entry is scaled to 1 and cleared from every other row.  Returns
+    the pivot rows (original indices, in pivot order), the pivot columns and
+    the residues of the solution on the pivot columns with free variables 0,
+    or None if a row that is not a pivot row keeps a nonzero right-hand
+    side.  ``modular._rref_mod`` computes the same in numpy int64."""
+    res = [[x % p for x in row] for row in aug]
+    pivot_rows: List[int] = []
+    pivot_cols: List[int] = []
+    for c in range(n_cols):
+        i = next((k for k, row in enumerate(res) if k not in pivot_rows and row[c]), None)
+        if i is None:
+            continue
+        inv = pow(res[i][c], -1, p)
+        res[i] = [x * inv % p for x in res[i]]
+        for k, row in enumerate(res):
+            if k != i and row[c]:
+                res[k] = [(x - row[c] * y) % p for x, y in zip(row, res[i])]
+        pivot_rows.append(i)
+        pivot_cols.append(c)
+    if any(row[n_cols] for k, row in enumerate(res) if k not in pivot_rows):
+        return None
+    return pivot_rows, pivot_cols, [res[i][n_cols] for i in pivot_rows]
+
+
 def bareiss_solve(rows: Sequence[Sequence[Rational]], rhs: Sequence[Rational]) -> Optional[List[Fraction]]:
     """Solve an overdetermined rational system exactly by fraction-free
     integer elimination: each row, right-hand side included, is scaled by the
@@ -366,9 +395,10 @@ def bareiss_solve(rows: Sequence[Sequence[Rational]], rhs: Sequence[Rational]) -
     the pivot columns.  Returns the particular solution with free variables
     set to zero, or None if the system is inconsistent.
 
-    The all-rows solve that ``modular._solve_exact`` used before it picked
-    rows modulo a prime; its elimination is the package's ``_bareiss``,
-    which ``tests/test_solver_differential.py`` checks on its own."""
+    The all-rows solve that ``modular._solve_exact`` used before it worked
+    modulo primes, and still falls back to; its elimination is the
+    package's ``_bareiss``, which ``tests/test_solver_differential.py``
+    checks on its own."""
     from supertriplet.modular import _bareiss
 
     n_cols = len(rows[0]) if rows else 0

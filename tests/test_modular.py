@@ -246,9 +246,9 @@ class TestExactSolver:
         assert _violated([[0, 0]], [1], [0, 0])
 
     def test_all_rows_answer_is_checked_too(self, monkeypatch):
-        # det = -p: the candidate from the one row independent mod p fails the
-        # second row, so all rows are eliminated; if that pass returned a wrong
-        # answer, the solver must return None rather than that answer
+        # det = -p: rank 1 modulo _ROW_PRIME, rank 2 modulo the next prime, so the
+        # primes disagree and all rows are eliminated exactly; if that pass
+        # returned a wrong answer, the solver must return None rather than it
         rows, rhs = [[_ROW_PRIME + 1, 1], [1, 1]], [_ROW_PRIME + 3, 3]
         assert _solve_exact(rows, rhs) == [1, 2]
         real, calls = modular._echelon_solve, []
@@ -256,11 +256,11 @@ class TestExactSolver:
         def wrong_on_all_rows(aug, n_cols):
             calls.append(len(aug))
             numer, den = real(aug, n_cols)
-            return (numer, den) if len(calls) == 1 else ([y + 1 for y in numer], den)
+            return [y + 1 for y in numer], den
 
         monkeypatch.setattr(modular, "_echelon_solve", wrong_on_all_rows)
         assert _solve_exact(rows, rhs) is None
-        assert calls == [1, 2]
+        assert calls == [2]
 
 
 class TestQDerivative:
@@ -372,6 +372,20 @@ class TestMde(object):
         data = json.dumps(find_mde(2, q_order=20, allow_large_m=True).to_json(), sort_keys=True)
         digest = hashlib.sha256(data.encode()).hexdigest()
         assert digest == "3ff97e38da56e31470b660f0bbb8cc31193d2337fa1ec59d92a391369e4dca2b"
+
+    @pytest.mark.parametrize(
+        "m, digest",
+        [
+            (1, "2b7450c75610582f02bccfa03068865c2267812e02e521823c106e182eaef9f2"),
+            (2, "d8ed6aaf82acfe29e396607645fe9ec2d832860fcfb5408caa5fa690776fd42f"),
+        ],
+        ids=["m1", "m2"],
+    )
+    def test_cli_default_q60_json_pinned(self, m, digest):
+        # q-order 60 is the default of `modular mde`; the digests are those of
+        # the all-rows solve, before the solve worked modulo primes
+        data = json.dumps(find_mde(m, q_order=60, allow_large_m=True).to_json(), sort_keys=True)
+        assert hashlib.sha256(data.encode()).hexdigest() == digest
 
 
 def _residual_support(result, through):

@@ -1,4 +1,4 @@
-"""Differential tests: the fraction-free solver of ``modular`` against
+"""Differential tests: the multimodular solver of ``modular`` against
 ``oracles.gauss_jordan_solve``, the ``Fraction`` Gauss-Jordan solve it
 replaced.
 
@@ -8,17 +8,23 @@ repeat, combine and lose rank; some columns are forced to zero; the
 right-hand side is the image of a hidden vector (consistent), that image
 with one entry perturbed (usually inconsistent), or free.  The solver must
 return exactly the oracle's particular solution, ``None`` included.  The
-echelon pivots are checked against leading minors computed by the Leibniz
-formula, the defining property of Bareiss elimination.
+echelon pivots of the exact fallback are checked against leading minors
+computed by the Leibniz formula, the defining property of Bareiss
+elimination.
 
-The solver eliminates only rows independent modulo ``_ROW_PRIME`` and
-accepts that candidate by exact substitution into every row, falling back
-to all rows otherwise.  The same systems with rows and columns multiplied
-by large factors (shared ones, the prime itself and up to 2^64) exercise
-the content division; hand-made systems whose minors the prime divides
-force the fallback; and the systems ``find_mde`` builds are checked against
-``oracles.bareiss_solve``, the all-rows solve, and must not need the
-fallback.
+The solver eliminates all rows modulo ``_ROW_PRIME`` and the next prime;
+when both agree, it lifts the solution of the pivot block through more
+primes by CRT and rational reconstruction and accepts a candidate only by
+exact substitution into every row, and otherwise eliminates all rows
+exactly.  The same systems with rows and columns multiplied by large
+factors (shared ones, the prime itself and up to 2^64) exercise the content
+division; systems with base entries up to 2^200 need many primes;
+hand-made systems whose minors the first or the second prime divides force
+the fallback, and one whose minor both divide shows the documented limit;
+the int64 elimination ``_rref_mod`` is checked against
+``oracles.gauss_jordan_mod`` on residues up to p - 1; and the systems
+``find_mde`` builds are checked against ``oracles.bareiss_solve``, the
+all-rows solve, and must not need the fallback.
 """
 
 import itertools
@@ -31,9 +37,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from supertriplet import modular
-from supertriplet.modular import _ROW_PRIME, _bareiss, _solve_exact
+from supertriplet.modular import _ROW_PRIME, _bareiss, _primes, _rref_mod, _solve_exact
 
-from oracles import bareiss_solve, gauss_jordan_solve
+from oracles import bareiss_solve, gauss_jordan_mod, gauss_jordan_solve
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -42,11 +48,13 @@ small_fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 9))
 
 
 @st.composite
-def systems(draw):
+def systems(draw, entries=None):
+    """A system as described above; ``entries``, if given, draws the entries
+    of the base rows and the hidden vector instead of the scalars."""
     scalars = draw(st.sampled_from([small_ints, st.one_of(small_ints, small_fractions)]))
     n_cols = draw(st.integers(1, 12))
     zero_cols = draw(st.sets(st.integers(0, n_cols - 1), max_size=n_cols // 2))
-    vectors = st.lists(scalars, min_size=n_cols, max_size=n_cols)
+    vectors = st.lists(scalars if entries is None else entries, min_size=n_cols, max_size=n_cols)
     base = draw(st.lists(vectors, min_size=1, max_size=12))
     base = [[0 if c in zero_cols else x for c, x in enumerate(row)] for row in base]
     combined = st.lists(scalars, min_size=len(base), max_size=len(base)).map(
@@ -70,13 +78,25 @@ def _as_fractions(rows, rhs):
     return [[Fraction(x) for x in row] for row in rows], [Fraction(b) for b in rhs]
 
 
+def _solve_counting_fallbacks(rows, rhs):
+    """``_solve_exact(rows, rhs)`` and the number of exact all-rows
+    eliminations (``_bareiss`` calls) it made."""
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modular, "_bareiss", lambda aug, n_cols: calls.append(len(aug)) or _bareiss(aug, n_cols))
+        return _solve_exact(rows, rhs), len(calls)
+
+
 @SETTINGS
 @given(systems())
 def test_solver_matches_gauss_jordan(system):
     rows, rhs = system
     expected = gauss_jordan_solve(*_as_fractions(rows, rhs))
-    got = _solve_exact(rows, rhs)
+    got, fallbacks = _solve_counting_fallbacks(rows, rhs)
     assert got == expected
+    # neither prime divides a minor here: the lift solves every consistent
+    # system, and only an inconsistent one reaches the exact elimination
+    assert fallbacks == (expected is None)
     if got is not None:
         assert all(isinstance(x, Fraction) for x in got)
         assert all(sum(a * x for a, x in zip(row, got)) == b for row, b in zip(rows, rhs))
@@ -110,6 +130,14 @@ def test_solver_matches_gauss_jordan_on_scaled_systems(system):
     assert _solve_exact(rows, rhs) == gauss_jordan_solve(*_as_fractions(rows, rhs))
 
 
+@SETTINGS
+@given(systems(entries=st.integers(-(2**200), 2**200)))
+def test_solver_matches_gauss_jordan_on_large_entries(system):
+    rows, rhs = system
+    expected = gauss_jordan_solve(*_as_fractions(rows, rhs))
+    assert _solve_counting_fallbacks(rows, rhs) == (expected, expected is None)
+
+
 @pytest.fixture
 def bareiss_calls(monkeypatch):
     """The row counts of every ``_bareiss`` call made through ``modular``."""
@@ -123,24 +151,45 @@ def bareiss_calls(monkeypatch):
     return calls
 
 
-P = _ROW_PRIME
+P, P2 = itertools.islice(_primes(), 2)
 
 
 @pytest.mark.parametrize(
     "rows, rhs",
     [
-        # det = -p: rank 2 over Q, rank 1 mod p; the one-row candidate fails row 2
+        # det = -p: rank 2 over Q, rank 1 mod p, rank 2 mod the second prime
         ([[P + 1, 1], [1, 1]], [P + 3, 3]),
         ([[P, 2 * P, 1], [3 * P, P, 2], [1, 1, 1]], [P + 1, 3 * P + 2, 3]),
         # an all-zero coefficient row with a nonzero right-hand side: inconsistent
         ([[P, 2 * P], [3 * P, P + 1], [0, 0]], [P, 1, 7]),
         ([[P, 1], [2 * P, 2], [0, 0]], [1, 2, -1]),
+        # det = the second prime: the primes disagree on the pivot columns
+        ([[P2 + 1, 1], [1, 1]], [P2 + 3, 3]),
+        # consistent over Q, inconsistent modulo the second prime only
+        ([[1, 1], [1, 1 + P2]], [0, 1]),
+        # inconsistent over Q, consistent modulo both primes: the lifted
+        # candidate fails row 2 exactly, and the exact elimination decides
+        ([[1], [1]], [0, P * P2]),
     ],
 )
 def test_fallback_eliminates_all_rows(bareiss_calls, rows, rhs):
     assert _solve_exact(rows, rhs) == gauss_jordan_solve(*_as_fractions(rows, rhs))
-    # the candidate from the rows independent mod p, then all rows
-    assert len(bareiss_calls) == 2 and bareiss_calls[1] == len(rows)
+    # one exact elimination of all rows, no other
+    assert bareiss_calls == [len(rows)]
+
+
+def test_both_primes_unlucky_still_satisfies_every_row(bareiss_calls):
+    """The documented limit.  Over Q the rows reduce to (0, pq, 1 | 1), so
+    the pivot columns are 0 and 1 and the all-rows answer, free variable 0,
+    is (-1/pq, 1/pq, 0).  Modulo either prime pq vanishes, both primes see
+    pivot columns 0 and 2, and the lift returns the solution supported on
+    those: (0, 0, 1).  It satisfies every row exactly, as every returned
+    vector does, but it is another point of the solution line."""
+    rows, rhs = [[1, 1, 0], [1, 1 + P * P2, 1]], [0, 1]
+    got = _solve_exact(rows, rhs)
+    assert all(sum(a * x for a, x in zip(row, got)) == b for row, b in zip(rows, rhs))
+    assert got == [0, 0, 1] and bareiss_calls == []
+    assert bareiss_solve(rows, rhs) == [Fraction(-1, P * P2), Fraction(1, P * P2), 0]
 
 
 @pytest.mark.parametrize("m, q_order", [(1, 40), (2, 2)])
@@ -156,9 +205,48 @@ def test_find_mde_systems_match_all_rows_solve(monkeypatch, bareiss_calls, m, q_
         warnings.simplefilter("ignore", RuntimeWarning)
         assert modular.find_mde(m, q_order=q_order, allow_large_m=True).success
     (rows, rhs), = systems_seen
-    # the prime is lucky here: the first candidate is accepted, no fallback
-    assert len(bareiss_calls) == 1
+    # the primes are lucky here: the lift is accepted, no exact elimination
+    assert bareiss_calls == []
     assert _solve_exact(rows, rhs) == bareiss_solve(rows, rhs)
+
+
+@st.composite
+def residue_systems(draw):
+    """Integer rows with right-hand side for a prime p: entries near p - 1,
+    small ones, random residues and large integers, with repeated rows."""
+    p = draw(st.sampled_from([P, P2]))
+    entry = st.one_of(
+        st.sampled_from([0, 1, p - 1, p - 2, p + 1, -1]), st.integers(0, p - 1), st.integers(-(2**70), 2**70)
+    )
+    n_cols = draw(st.integers(1, 8))
+    base = draw(st.lists(st.lists(entry, min_size=n_cols + 1, max_size=n_cols + 1), min_size=1, max_size=8))
+    aug = draw(st.lists(st.sampled_from(base), min_size=1, max_size=10))
+    return [row[:] for row in aug], n_cols, p
+
+
+@SETTINGS
+@given(residue_systems())
+def test_rref_mod_matches_python_ints(system):
+    aug, n_cols, p = system
+    assert _rref_mod(aug, n_cols, p) == gauss_jordan_mod(aug, n_cols, p)
+
+
+def test_rref_mod_on_all_p_minus_one():
+    # every product of two residues is (p - 1)^2, just below 2^62
+    for p in (P, P2):
+        aug = [[p - 1] * 4 for _ in range(3)]
+        assert _rref_mod(aug, 3, p) == gauss_jordan_mod(aug, 3, p) == ([0], [0], [1])
+
+
+def test_prime_sequence_is_the_primes_below_2_31():
+    head = list(itertools.islice(_primes(), 200))
+    assert head[0] == _ROW_PRIME < 2**31
+    assert all(a > b for a, b in zip(head, head[1:]))
+
+    def trial_division(n):
+        return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert head[:20] == list(itertools.islice(filter(trial_division, range(2**31 - 1, 1, -1)), 20))
 
 
 def _det(matrix):
