@@ -29,10 +29,11 @@ import numpy as np
 
 # _PREFACTOR_BUILDERS names the BasisFunction prefactors; perfbench/selftest.py reads it here
 from .characters import (
-    _PREFACTOR_BUILDERS, _SECTORS, BasisFunction, _quotient, _theta_series, all_labels, theta_rows, twisted_char,
+    _PREFACTOR_BUILDERS, _SECTORS, BasisFunction, ModuleLabel, _quotient, _theta_series, theta_rows, twisted_char,
 )
 from .qseries import QExpansion
 from .specialfn import ThetaIndex, _as_index, eisenstein, eta, g_deriv, g_series, theta, theta_deriv
+from .zhu import classify_twisted
 
 DEFAULT_NUMERIC_CUTOFF = Fraction(400)
 # relative singular-value floor of the reference count ``threshold_rank`` of closure_rank
@@ -488,32 +489,6 @@ def _violated(rows: Sequence[Sequence[int]], rhs: Sequence[int], xs: Sequence[Ra
     return any(sum(row[c] * y for c, y in support) != b * den for row, b in zip(rows, rhs))
 
 
-def _bareiss(aug: List[List[int]], n_cols: int) -> List[int]:
-    """Fraction-free (Bareiss) elimination of the integer rows ``aug`` to
-    row-echelon form in place over the first ``n_cols`` columns; returns the
-    pivot columns.  A pivot is the first nonzero entry at or below the current
-    row; rows below become ``(p*x - f*y) // prev``, exact by Sylvester's
-    identity, so entries stay integer minors and pivot k is a k-by-k minor."""
-    pivot_cols: List[int] = []
-    prev, r = 1, 0
-    for c in range(n_cols):
-        if r == len(aug):
-            break
-        pivot = next((rr for rr in range(r, len(aug)) if aug[rr][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        top = aug[r][c:]
-        p = top[0]
-        for row in aug[r + 1 :]:
-            f = row[c]
-            row[c:] = [(p * x - f * y) // prev for x, y in zip(row[c:], top)]
-        pivot_cols.append(c)
-        prev = p
-        r += 1
-    return pivot_cols
-
-
 # primes below 2^31: residues multiply below 2^62, inside numpy int64
 _ROW_PRIME = 2_147_483_647
 
@@ -528,14 +503,15 @@ def _primes() -> Iterator[int]:
             yield n
 
 
-def _rref_mod(aug: Sequence[Sequence[int]], n_cols: int, p: int) -> Optional[Tuple[List[int], List[int], List[int]]]:
-    """Gauss-Jordan elimination of the integer rows ``aug`` (right-hand side
-    last) modulo a prime ``p`` < 2^31 in numpy int64: the original indices of
-    the pivot rows, the pivot columns and the solution's residues on them
-    with free variables 0, or None if the rows are inconsistent modulo p."""
+def _rref_mod(aug: Sequence[Sequence[int]], n_cols: int, p: int) -> Tuple[List[int], List[int], List[int]]:
+    """Gauss-Jordan elimination modulo a prime ``p`` < 2^31, in numpy int64, of
+    the integer rows ``aug`` with the right-hand side as column ``n_cols``: the
+    original indices of the pivot rows, the pivot columns and the right-hand
+    side's residues on the pivot rows.  These solve the rows, free variables 0,
+    unless ``n_cols`` is a pivot column, whose row is the first inconsistent."""
     res = (np.array(aug, dtype=object).reshape(len(aug), n_cols + 1) % p).astype(np.int64)
     free, pivot_rows, pivot_cols = np.ones(len(aug), dtype=bool), [], []
-    for c in range(n_cols):
+    for c in range(n_cols + 1):
         nonzero = np.flatnonzero(free & (res[:, c] != 0))
         if nonzero.size:
             i = nonzero[0]
@@ -545,7 +521,7 @@ def _rref_mod(aug: Sequence[Sequence[int]], n_cols: int, p: int) -> Optional[Tup
             res[:, c:] = (res[:, c:] - np.outer(factors, res[i, c:]) % p) % p
             pivot_rows.append(int(i))
             pivot_cols.append(c)
-    return None if res[free, n_cols].any() else (pivot_rows, pivot_cols, res[pivot_rows, n_cols].tolist())
+    return pivot_rows, pivot_cols, res[pivot_rows, n_cols].tolist()
 
 
 def _reconstruct(residues: Sequence[int], modulus: int) -> Optional[List[Fraction]]:
@@ -565,48 +541,58 @@ def _reconstruct(residues: Sequence[int], modulus: int) -> Optional[List[Fractio
     return out
 
 
-def _echelon_solve(aug: List[List[int]], n_cols: int) -> Optional[Tuple[List[int], int]]:
-    """Reduce the integer rows ``aug`` (right-hand side last) in place by
-    :func:`_bareiss` and solve back over the pivot columns with free
-    variables 0.  Returns integer numerators and their common denominator,
-    the last pivot, or None if the rows are inconsistent.  The last pivot
-    is the determinant of the pivot rows and columns, so by Cramer's rule
-    every numerator is an integer and each division below is exact."""
-    pivot_cols = _bareiss(aug, n_cols)
-    rank = len(pivot_cols)
-    if any(row[n_cols] for row in aug[rank:]):
-        return None
-    den = aug[rank - 1][pivot_cols[-1]] if rank else 1
-    numer = [0] * n_cols
-    for i in reversed(range(rank)):
-        row = aug[i]
-        acc = den * row[n_cols] - sum(row[c] * numer[c] for c in pivot_cols[i + 1 :])
-        numer[pivot_cols[i]] = acc // row[pivot_cols[i]]
-    return numer, den
+def _lifts(block: Sequence[Sequence[int]], seeds: Sequence[Tuple[int, List[int]]],
+           primes: Iterator[int]) -> Iterator[List[Fraction]]:
+    """Candidate solutions of the square integer system ``block`` (right-hand
+    side last), nonsingular over Q: residues from the ``seeds`` (prime,
+    residues), then from :func:`_rref_mod` modulo each of ``primes`` not
+    dividing its determinant, combined by CRT and reconstructed, until the
+    modulus passes twice the squared Hadamard bound; the last is the solution."""
+    k, bound = len(block), 2 * math.prod(sum(x * x for x in row) for row in block)
+    modulus, residues = 1, [0] * k
+    while modulus <= bound:
+        if seeds:
+            (p, found), *seeds = seeds
+        else:
+            _, cols, found = _rref_mod(block, k, p := next(primes))
+            if cols != list(range(k)):  # p divides the block's determinant
+                continue
+        inv = pow(modulus, -1, p)
+        residues = [x + modulus * ((y - x) * inv % p) for x, y in zip(residues, found)]
+        modulus *= p
+        candidate = _reconstruct(residues, modulus)
+        if candidate is not None:
+            yield candidate
+
+
+def _certifies(aug: Sequence[Sequence[int]], ys: Sequence[Rational]) -> bool:
+    """True if ``sum(y * row)`` over ``ys`` and the integer rows ``aug`` is 0
+    in every column but the last, the right-hand side, and not 0 there."""
+    *cols, rhs = zip(*aug)
+    return not _violated(cols, [0] * len(cols), ys) and _violated([rhs], [0], ys)
 
 
 def _solve_exact(rows: Sequence[Sequence[Rational]], rhs: Sequence[Rational]) -> Optional[List[Fraction]]:
-    """Solve an overdetermined rational system exactly; returns a solution
-    with free variables 0, or None if the system is inconsistent.
+    """Solve an overdetermined rational system A x = b exactly: a solution
+    with free variables 0 that satisfies every row (:func:`_violated`), or
+    None only with a certificate of inconsistency checked in integers.
 
     Rows (right-hand side included) and columns are made integer and divided
     by their contents, so the unknowns become y_c = g_c x_c for the content
-    g_c of column c.  If ``_ROW_PRIME`` and the next prime find the same
-    pivot columns and no inconsistency, more primes lift the first one's
-    pivot block by CRT and reconstruction until a candidate passes exact
-    substitution into every row (:func:`_violated`).  Once the modulus passes
-    twice the squared Hadamard bound of the block, which guarantees its
-    solution, or if the primes disagree or find none, all rows are eliminated
-    exactly (:func:`_echelon_solve`); that answer is returned if it passes.
+    g_c of column c.  Consecutive pairs of :func:`_primes`, from
+    ``_ROW_PRIME`` on, eliminate all rows (:func:`_rref_mod`).  A pair that
+    agrees on the pivot rows R and columns P lifts (:func:`_lifts`) either
+    the solution of A[R, P] | b[R], from both residues, or, on the same first
+    inconsistent row i, y_R with A[R, P]^T y_R = -A[i, P]^T, and returns None
+    once y (y_i = 1) passes :func:`_certifies`.  Else, or if a lift ends
+    without a passing candidate, the next pair decides.  A pair fails only
+    if one of its primes divides one of the finitely many nonzero minors of
+    A | b that decide the pivots over Q, block determinants included, so
+    only finitely many pairs fail.
 
-    So every returned vector satisfies every row exactly, and None comes only
-    from the exact all-rows elimination.  The result is the all-rows answer
-    whenever the two primes find the rational pivot columns, as the solution
-    on those columns is unique; that always holds at full column rank, and
-    otherwise fails only if both primes divide a minor that decides a pivot.
-    For ``[[1, 1, 0], [1, 1 + pq, 1]]`` and right-hand side ``[0, 1]``, the
-    two primes p and q both see pivot columns 0 and 2, not 0 and 1, and the
-    result is (0, 0, 1), not the all-rows (-1/pq, 1/pq, 0)."""
+    Both primes can divide a minor that decides a pivot: for [[1, 1, 0],
+    [1, 1 + pq, 1]] | [0, 1] the first two, p and q, see pivot columns 0 and
+    2, and the result is (0, 0, 1), not (-1/pq, 1/pq, 0) on columns 0 and 1."""
     n_cols = len(rows[0]) if rows else 0
     aug = []
     for row, b in zip(rows, rhs):
@@ -620,30 +606,24 @@ def _solve_exact(rows: Sequence[Sequence[Rational]], rhs: Sequence[Rational]) ->
         row[:n_cols] = [x // g for x, g in zip(row, col_content)]
     targets = [row[n_cols] for row in aug]
 
-    def checked(ys: Dict[int, Fraction]) -> Optional[List[Fraction]]:
-        xs = [ys.get(c, Fraction(0)) for c in range(n_cols)]
-        return None if _violated(aug, targets, xs) else [x / g for x, g in zip(xs, col_content)]
-
     primes = _primes()
-    modulus, p = next(primes), next(primes)
-    first, solved = _rref_mod(aug, n_cols, modulus), _rref_mod(aug, n_cols, p)
-    if first and solved and first[1] == solved[1]:
-        pivot_rows, pivot_cols, residues = first
-        block = [[aug[i][c] for c in pivot_cols] + [aug[i][n_cols]] for i in pivot_rows]
-        bound = 2 * math.prod(sum(x * x for x in row) for row in block)
-        while True:
-            if solved and len(solved[1]) == len(block):  # else p divides the block's determinant
-                inv = pow(modulus, -1, p)
-                residues = [x + modulus * ((y - x) * inv % p) for x, y in zip(residues, solved[2])]
-                modulus *= p
-                found = _reconstruct(residues, modulus)
-                if found is not None and (result := checked(dict(zip(pivot_cols, found)))) is not None:
-                    return result
-            if modulus > bound:
-                break
-            solved = _rref_mod(block, len(block), p := next(primes))
-    found = _echelon_solve([row[:] for row in aug], n_cols)
-    return found and checked({c: Fraction(y, found[1]) for c, y in enumerate(found[0])})
+    while True:
+        p, q = next(primes), next(primes)
+        (pivot_rows, pivot_cols, residues), second = _rref_mod(aug, n_cols, p), _rref_mod(aug, n_cols, q)
+        if second[:2] != (pivot_rows, pivot_cols):
+            continue
+        if n_cols not in pivot_cols:
+            block = [[aug[i][c] for c in pivot_cols] + [aug[i][n_cols]] for i in pivot_rows]
+            for ys in _lifts(block, [(p, residues), (q, second[2])], primes):
+                xs = dict(zip(pivot_cols, ys))
+                xs = [xs.get(c, Fraction(0)) for c in range(n_cols)]
+                if not _violated(aug, targets, xs):
+                    return [x / g for x, g in zip(xs, col_content)]
+        else:
+            *used, i = pivot_rows
+            block = [[aug[r][c] for r in used] + [-aug[i][c]] for c in pivot_cols[:-1]]
+            if any(_certifies([aug[r] for r in pivot_rows], [*ys, 1]) for ys in _lifts(block, [], primes)):
+                return None
 
 
 @dataclass(frozen=True)
@@ -689,13 +669,13 @@ def find_mde(m: int = 1, q_order: int = 60, allow_large_m: bool = False) -> MdeR
     The coefficient of D^j is an unknown rational combination of monomials
     of total weight 2(3m+1-j) in the level-1 and level-2 series.  Each
     character gives one integer row per lattice exponent below
-    ``q_order + _MDE_MARGIN`` past its lead.  :func:`_solve_exact` returns
-    only a solution that satisfies every row exactly, found modulo primes
-    and lifted, and reports infeasibility only from an exact elimination of
-    all rows; that is a finding, not raised.  ``verified_q_order`` counts
-    exponents inside that solved window, so it restates the fit rather
-    than checking it out of sample.  The eta control reports whether the
-    operator fails on eta's rows.
+    ``q_order + _MDE_MARGIN`` past its lead, the classification's lowest
+    weight - c/24.  :func:`_solve_exact` returns only a solution that
+    satisfies every row exactly, or None (a finding, not raised) only with
+    a certificate y, yA = 0 and yb != 0, checked in integers.
+    ``verified_q_order`` counts exponents inside that solved window, so it
+    restates the fit rather than checking it out of sample.  The eta
+    control reports whether the operator fails on eta's rows.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -708,15 +688,15 @@ def find_mde(m: int = 1, q_order: int = 60, allow_large_m: bool = False) -> MdeR
     span = q_order + _MDE_MARGIN
     cutoff_rel = Fraction(span + 1)
 
-    labels = [label for label, _ in all_labels(m) if label.twisted]
+    records = classify_twisted(m)
     pool = _eisenstein_monomials(2 * order, cutoff_rel)
     columns = [(j, key) for j in range(order) for key in sorted(pool[2 * (order - j)])]
 
     rows: List[List[int]] = []
     rhs: List[int] = []
-    for label in labels:
-        series = twisted_char(label, twisted_char(label, 4).min_exponent + cutoff_rel)
-        lead = series.min_exponent
+    for rec in records:
+        lead = rec.g0_squared
+        series = twisted_char(ModuleLabel(rec.family, rec.index, m), lead + cutoff_rel)
         block_rows, block_rhs = _operator_rows(_operator_columns(series, order, columns, pool), lead, lead + span)
         rows += block_rows
         rhs += block_rhs
@@ -734,4 +714,4 @@ def find_mde(m: int = 1, q_order: int = 60, allow_large_m: bool = False) -> MdeR
     eta_nonzero = _violated(*_operator_rows(eta_cols, lead, lead + cutoff_rel), list(support.values()))
     return MdeResult(m, order, True, q_order, coeffs, eta_nonzero,
                      f"monic order-{order} operator verified through q-order {q_order} "
-                     f"on all {len(labels)} twisted characters")
+                     f"on all {len(records)} twisted characters")

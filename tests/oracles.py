@@ -359,20 +359,23 @@ def gauss_jordan_solve(rows: List[List[Fraction]], rhs: List[Fraction]) -> Optio
     return solution
 
 
-def gauss_jordan_mod(aug: Sequence[Sequence[int]], n_cols: int, p: int) -> Optional[Tuple[List[int], List[int], List[int]]]:
-    """Gauss-Jordan elimination of the integer rows ``aug`` (right-hand side
-    last) modulo the prime ``p`` over Python ints, which never overflow.
+def gauss_jordan_mod(aug: Sequence[Sequence[int]], n_cols: int, p: int) -> Tuple[List[int], List[int], List[int]]:
+    """Gauss-Jordan elimination of the integer rows ``aug`` modulo the prime
+    ``p`` over Python ints, which never overflow, with the right-hand side
+    last and eliminated as one more column, ``n_cols``.
 
     Column by column, the first row that is not yet a pivot row and has a
     nonzero entry is scaled to 1 and cleared from every other row.  Returns
     the pivot rows (original indices, in pivot order), the pivot columns and
-    the residues of the solution on the pivot columns with free variables 0,
-    or None if a row that is not a pivot row keeps a nonzero right-hand
-    side.  ``modular._rref_mod`` computes the same in numpy int64."""
+    the right-hand side's residues on the pivot rows.  If ``n_cols`` is a
+    pivot column, the rows are inconsistent modulo p and its pivot row is
+    the first row that keeps a nonzero right-hand side; otherwise the
+    residues are the solution's on the pivot columns with free variables 0.
+    ``modular._rref_mod`` computes the same in numpy int64."""
     res = [[x % p for x in row] for row in aug]
     pivot_rows: List[int] = []
     pivot_cols: List[int] = []
-    for c in range(n_cols):
+    for c in range(n_cols + 1):
         i = next((k for k, row in enumerate(res) if k not in pivot_rows and row[c]), None)
         if i is None:
             continue
@@ -383,31 +386,52 @@ def gauss_jordan_mod(aug: Sequence[Sequence[int]], n_cols: int, p: int) -> Optio
                 res[k] = [(x - row[c] * y) % p for x, y in zip(row, res[i])]
         pivot_rows.append(i)
         pivot_cols.append(c)
-    if any(row[n_cols] for k, row in enumerate(res) if k not in pivot_rows):
-        return None
     return pivot_rows, pivot_cols, [res[i][n_cols] for i in pivot_rows]
+
+
+def bareiss_echelon(aug: List[List[int]], n_cols: int) -> List[int]:
+    """Fraction-free (Bareiss) elimination of the integer rows ``aug`` to
+    row-echelon form in place over the first ``n_cols`` columns; returns the
+    pivot columns.  A pivot is the first nonzero entry at or below the current
+    row; rows below become ``(p*x - f*y) // prev``, exact by Sylvester's
+    identity, so entries stay integer minors and pivot k is a k-by-k minor."""
+    pivot_cols: List[int] = []
+    prev, r = 1, 0
+    for c in range(n_cols):
+        if r == len(aug):
+            break
+        pivot = next((rr for rr in range(r, len(aug)) if aug[rr][c]), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        top = aug[r][c:]
+        p = top[0]
+        for row in aug[r + 1 :]:
+            f = row[c]
+            row[c:] = [(p * x - f * y) // prev for x, y in zip(row[c:], top)]
+        pivot_cols.append(c)
+        prev = p
+        r += 1
+    return pivot_cols
 
 
 def bareiss_solve(rows: Sequence[Sequence[Rational]], rhs: Sequence[Rational]) -> Optional[List[Fraction]]:
     """Solve an overdetermined rational system exactly by fraction-free
     integer elimination: each row, right-hand side included, is scaled by the
-    lcm of its denominators, reduced by :func:`_bareiss` and solved back over
-    the pivot columns.  Returns the particular solution with free variables
-    set to zero, or None if the system is inconsistent.
+    lcm of its denominators, reduced by :func:`bareiss_echelon` and solved
+    back over the pivot columns.  Returns the particular solution with free
+    variables set to zero, or None if the system is inconsistent.
 
-    The all-rows solve that ``modular._solve_exact`` used before it worked
-    modulo primes, and still falls back to; its elimination is the
-    package's ``_bareiss``, which ``tests/test_solver_differential.py``
-    checks on its own."""
-    from supertriplet.modular import _bareiss
-
+    The all-rows solve that ``modular._solve_exact`` replaced;
+    ``tests/test_solver_differential.py`` checks :func:`bareiss_echelon` on
+    its own."""
     n_cols = len(rows[0]) if rows else 0
     aug = []
     for row, b in zip(rows, rhs):
         full = [*row, b]
         den = math.lcm(*(x.denominator for x in full))
         aug.append([x.numerator * (den // x.denominator) for x in full])
-    pivot_cols = _bareiss(aug, n_cols)
+    pivot_cols = bareiss_echelon(aug, n_cols)
     rank = len(pivot_cols)
     if any(row[n_cols] for row in aug[rank:]):
         return None

@@ -34,7 +34,7 @@ from supertriplet.modular import (
 from supertriplet.qseries import QExpansion
 from supertriplet.specialfn import ThetaIndex, theta
 
-from oracles import apply_operator
+from oracles import apply_operator, gauss_jordan_solve
 
 UNIT_CUTOFF = Fraction(200)
 
@@ -246,21 +246,30 @@ class TestExactSolver:
         assert _violated([[0, 0]], [1], [0, 0])
 
     def test_all_rows_answer_is_checked_too(self, monkeypatch):
-        # det = -p: rank 1 modulo _ROW_PRIME, rank 2 modulo the next prime, so the
-        # primes disagree and all rows are eliminated exactly; if that pass
-        # returned a wrong answer, the solver must return None rather than it
-        rows, rhs = [[_ROW_PRIME + 1, 1], [1, 1]], [_ROW_PRIME + 3, 3]
-        assert _solve_exact(rows, rhs) == [1, 2]
-        real, calls = modular._echelon_solve, []
+        # the first lifted candidate, a solution or a certificate, is
+        # corrupted once: the solver must reject it, reconstruct again and
+        # still return the oracle's answer
+        real = modular._reconstruct
+        for rows, rhs in [
+            # det = -p: rank 1 modulo _ROW_PRIME, rank 2 modulo the next
+            # prime, so the second pair of primes lifts the solution (1, 2)
+            ([[_ROW_PRIME + 1, 1], [1, 1]], [_ROW_PRIME + 3, 3]),
+            # inconsistent: the first pair lifts the certificate y = (-2, 1)
+            ([[1, 1], [2, 2]], [1, 3]),
+        ]:
+            candidates = []
 
-        def wrong_on_all_rows(aug, n_cols):
-            calls.append(len(aug))
-            numer, den = real(aug, n_cols)
-            return [y + 1 for y in numer], den
+            def corrupt_first(residues, modulus):
+                found = real(residues, modulus)
+                if found is not None:
+                    candidates.append([x + 1 for x in found] if not candidates else found)
+                    return candidates[-1]
+                return found
 
-        monkeypatch.setattr(modular, "_echelon_solve", wrong_on_all_rows)
-        assert _solve_exact(rows, rhs) is None
-        assert calls == [2]
+            monkeypatch.setattr(modular, "_reconstruct", corrupt_first)
+            expected = gauss_jordan_solve([[Fraction(x) for x in row] for row in rows], [Fraction(b) for b in rhs])
+            assert _solve_exact(rows, rhs) == expected
+            assert len(candidates) >= 2
 
 
 class TestQDerivative:
@@ -356,6 +365,12 @@ class TestMde(object):
         assert data["success"] is True
         assert data["order"] == 4
         assert all(len(c["value"]) == 2 for c in data["coefficients"])
+
+    def test_m4_leads_come_from_the_classification(self):
+        # RPi(1) at m=4 has no term below q^4, so a lead probed from a series
+        # cut at q^4 was None; the classification gives every lead
+        result = find_mde(4, q_order=1, allow_large_m=True)
+        assert result.success and result.order == 13
 
     def test_large_m_warns(self):
         with pytest.warns(RuntimeWarning):

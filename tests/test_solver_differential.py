@@ -7,24 +7,29 @@ Rows are drawn as rational combinations of a few random base rows, so they
 repeat, combine and lose rank; some columns are forced to zero; the
 right-hand side is the image of a hidden vector (consistent), that image
 with one entry perturbed (usually inconsistent), or free.  The solver must
-return exactly the oracle's particular solution, ``None`` included.  The
-echelon pivots of the exact fallback are checked against leading minors
-computed by the Leibniz formula, the defining property of Bareiss
-elimination.
+return exactly the oracle's particular solution, ``None`` included, and
+every ``None`` must come with a certificate that passed ``_certifies``.
 
-The solver eliminates all rows modulo ``_ROW_PRIME`` and the next prime;
-when both agree, it lifts the solution of the pivot block through more
-primes by CRT and rational reconstruction and accepts a candidate only by
-exact substitution into every row, and otherwise eliminates all rows
-exactly.  The same systems with rows and columns multiplied by large
-factors (shared ones, the prime itself and up to 2^64) exercise the content
-division; systems with base entries up to 2^200 need many primes;
-hand-made systems whose minors the first or the second prime divides force
-the fallback, and one whose minor both divide shows the documented limit;
+The solver eliminates all rows modulo consecutive pairs of primes, from
+``_ROW_PRIME`` on.  When a pair agrees on the pivot rows and columns, it
+lifts, through more primes by CRT and rational reconstruction, either the
+solution of the pivot block, accepted only by exact substitution into every
+row, or a certificate y of inconsistency, accepted only if yA = 0 and
+yb != 0 in integers; otherwise the next pair decides.  The same systems
+with rows and columns multiplied by large factors (shared ones, the prime
+itself and up to 2^64) exercise the content division; systems with base
+entries up to 2^200 need many primes; hand-made systems whose minors the
+first or the second prime divides are decided by the second pair, and one
+whose minor both divide shows the documented limit; hand-made certificates
+cover a system consistent modulo both first primes, an all-zero coefficient
+matrix and a certificate block whose determinant a lifting prime divides;
 the int64 elimination ``_rref_mod`` is checked against
 ``oracles.gauss_jordan_mod`` on residues up to p - 1; and the systems
 ``find_mde`` builds are checked against ``oracles.bareiss_solve``, the
-all-rows solve, and must not need the fallback.
+all-rows Bareiss solve, and are decided by the first pair.  The echelon
+pivots of ``oracles.bareiss_echelon`` are checked against leading minors
+computed by the Leibniz formula, the defining property of Bareiss
+elimination.
 """
 
 import itertools
@@ -37,9 +42,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from supertriplet import modular
-from supertriplet.modular import _ROW_PRIME, _bareiss, _primes, _rref_mod, _solve_exact
+from supertriplet.modular import _ROW_PRIME, _certifies, _primes, _rref_mod, _solve_exact
 
-from oracles import bareiss_solve, gauss_jordan_mod, gauss_jordan_solve
+from oracles import bareiss_echelon, bareiss_solve, gauss_jordan_mod, gauss_jordan_solve
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -78,13 +83,18 @@ def _as_fractions(rows, rhs):
     return [[Fraction(x) for x in row] for row in rows], [Fraction(b) for b in rhs]
 
 
-def _solve_counting_fallbacks(rows, rhs):
-    """``_solve_exact(rows, rhs)`` and the number of exact all-rows
-    eliminations (``_bareiss`` calls) it made."""
-    calls = []
+def _solve_checking_certificates(rows, rhs):
+    """``_solve_exact(rows, rhs)`` and each certificate it checked
+    (``_certifies`` calls) with the result of the check, in order."""
+    checks = []
+
+    def spy(aug, ys):
+        checks.append((list(ys), _certifies(aug, ys)))
+        return checks[-1][1]
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(modular, "_bareiss", lambda aug, n_cols: calls.append(len(aug)) or _bareiss(aug, n_cols))
-        return _solve_exact(rows, rhs), len(calls)
+        patch.setattr(modular, "_certifies", spy)
+        return _solve_exact(rows, rhs), checks
 
 
 @SETTINGS
@@ -92,11 +102,11 @@ def _solve_counting_fallbacks(rows, rhs):
 def test_solver_matches_gauss_jordan(system):
     rows, rhs = system
     expected = gauss_jordan_solve(*_as_fractions(rows, rhs))
-    got, fallbacks = _solve_counting_fallbacks(rows, rhs)
+    got, checks = _solve_checking_certificates(rows, rhs)
     assert got == expected
-    # neither prime divides a minor here: the lift solves every consistent
-    # system, and only an inconsistent one reaches the exact elimination
-    assert fallbacks == (expected is None)
+    # every None came with a certificate that passed the exact check, and a
+    # solution with none
+    assert any(ok for _, ok in checks) == (got is None)
     if got is not None:
         assert all(isinstance(x, Fraction) for x in got)
         assert all(sum(a * x for a, x in zip(row, got)) == b for row, b in zip(rows, rhs))
@@ -135,50 +145,93 @@ def test_solver_matches_gauss_jordan_on_scaled_systems(system):
 def test_solver_matches_gauss_jordan_on_large_entries(system):
     rows, rhs = system
     expected = gauss_jordan_solve(*_as_fractions(rows, rhs))
-    assert _solve_counting_fallbacks(rows, rhs) == (expected, expected is None)
+    got, checks = _solve_checking_certificates(rows, rhs)
+    assert got == expected and any(ok for _, ok in checks) == (expected is None)
 
 
 @pytest.fixture
-def bareiss_calls(monkeypatch):
-    """The row counts of every ``_bareiss`` call made through ``modular``."""
+def eliminations(monkeypatch):
+    """The rows, the prime and the pivot columns of every ``_rref_mod`` call
+    made through ``modular``, in order."""
     calls = []
 
-    def spy(aug, n_cols):
-        calls.append(len(aug))
-        return _bareiss(aug, n_cols)
+    def spy(aug, n_cols, p):
+        result = _rref_mod(aug, n_cols, p)
+        calls.append((aug, p, result[1]))
+        return result
 
-    monkeypatch.setattr(modular, "_bareiss", spy)
+    monkeypatch.setattr(modular, "_rref_mod", spy)
     return calls
 
 
-P, P2 = itertools.islice(_primes(), 2)
+def _all_rows_primes(eliminations):
+    """The primes of the eliminations of all rows: the rows of the first
+    call, which every pair passes again and no lift does."""
+    return [p for aug, p, _ in eliminations if aug is eliminations[0][0]]
+
+
+PRIMES = list(itertools.islice(_primes(), 8))
+P, P2, P3 = PRIMES[:3]
 
 
 @pytest.mark.parametrize(
-    "rows, rhs",
+    "rows, rhs, pairs",
     [
         # det = -p: rank 2 over Q, rank 1 mod p, rank 2 mod the second prime
-        ([[P + 1, 1], [1, 1]], [P + 3, 3]),
-        ([[P, 2 * P, 1], [3 * P, P, 2], [1, 1, 1]], [P + 1, 3 * P + 2, 3]),
-        # an all-zero coefficient row with a nonzero right-hand side: inconsistent
-        ([[P, 2 * P], [3 * P, P + 1], [0, 0]], [P, 1, 7]),
-        ([[P, 1], [2 * P, 2], [0, 0]], [1, 2, -1]),
+        ([[P + 1, 1], [1, 1]], [P + 3, 3], 2),
+        ([[P, 2 * P, 1], [3 * P, P, 2], [1, 1, 1]], [P + 1, 3 * P + 2, 3], 2),
+        # an all-zero coefficient row with a nonzero right-hand side: both
+        # primes find it the first inconsistent row, and y is its unit vector
+        ([[P, 2 * P], [3 * P, P + 1], [0, 0]], [P, 1, 7], 1),
+        ([[P, 1], [2 * P, 2], [0, 0]], [1, 2, -1], 1),
         # det = the second prime: the primes disagree on the pivot columns
-        ([[P2 + 1, 1], [1, 1]], [P2 + 3, 3]),
+        ([[P2 + 1, 1], [1, 1]], [P2 + 3, 3], 2),
         # consistent over Q, inconsistent modulo the second prime only
-        ([[1, 1], [1, 1 + P2]], [0, 1]),
-        # inconsistent over Q, consistent modulo both primes: the lifted
-        # candidate fails row 2 exactly, and the exact elimination decides
-        ([[1], [1]], [0, P * P2]),
+        ([[1, 1], [1, 1 + P2]], [0, 1], 2),
+        # inconsistent over Q, consistent modulo both first primes: the
+        # lifted candidate fails row 2 exactly, and the certificate of the
+        # second pair decides
+        ([[1], [1]], [0, P * P2], 2),
+    ],
+    ids=[f"rows{i}-rhs{i}" for i in range(7)],
+)
+def test_fallback_eliminates_all_rows(eliminations, rows, rhs, pairs):
+    """Systems the first pair cannot decide, and two it decides by a
+    certificate: the answer is the oracle's, and ``pairs`` pairs of primes,
+    each eliminating all rows once, were used."""
+    assert _solve_exact(rows, rhs) == gauss_jordan_solve(*_as_fractions(rows, rhs))
+    assert _all_rows_primes(eliminations) == PRIMES[: 2 * pairs]
+
+
+@pytest.mark.parametrize(
+    "rows, rhs, certificate",
+    [
+        # inconsistent over Q, consistent modulo both first primes
+        ([[1], [1]], [0, P * P2], [-1, 1]),
+        # an all-zero coefficient matrix: the block is empty and y is the
+        # unit vector of the first row with a nonzero right-hand side
+        ([[0, 0], [0, 0], [0, 0]], [0, 5, 7], [1]),
     ],
 )
-def test_fallback_eliminates_all_rows(bareiss_calls, rows, rhs):
-    assert _solve_exact(rows, rhs) == gauss_jordan_solve(*_as_fractions(rows, rhs))
-    # one exact elimination of all rows, no other
-    assert bareiss_calls == [len(rows)]
+def test_none_comes_with_a_checked_certificate(rows, rhs, certificate):
+    got, checks = _solve_checking_certificates(rows, rhs)
+    assert got is None and gauss_jordan_solve(*_as_fractions(rows, rhs)) is None
+    assert checks[-1] == (certificate, True)
 
 
-def test_both_primes_unlucky_still_satisfies_every_row(bareiss_calls):
+def test_lift_skips_a_prime_dividing_the_certificate_block(eliminations):
+    # rows 0 and 1 are the pivot rows and row 2 the first inconsistent one;
+    # the certificate block A[R, P]^T has determinant P3, the first prime
+    # after the pair, so the lift skips P3 and finishes with the next prime
+    rows, rhs = [[P3 + 1, 1], [1, 1], [1, 1]], [0, 0, 1]
+    got, checks = _solve_checking_certificates(rows, rhs)
+    assert got is None and checks == [([0, -1, 1], True)]
+    assert _all_rows_primes(eliminations) == [P, P2]
+    blocks = [(p, cols) for aug, p, cols in eliminations if aug is not eliminations[0][0]]
+    assert blocks == [(P3, [0]), (PRIMES[3], [0, 1])]
+
+
+def test_both_primes_unlucky_still_satisfies_every_row(eliminations):
     """The documented limit.  Over Q the rows reduce to (0, pq, 1 | 1), so
     the pivot columns are 0 and 1 and the all-rows answer, free variable 0,
     is (-1/pq, 1/pq, 0).  Modulo either prime pq vanishes, both primes see
@@ -188,12 +241,12 @@ def test_both_primes_unlucky_still_satisfies_every_row(bareiss_calls):
     rows, rhs = [[1, 1, 0], [1, 1 + P * P2, 1]], [0, 1]
     got = _solve_exact(rows, rhs)
     assert all(sum(a * x for a, x in zip(row, got)) == b for row, b in zip(rows, rhs))
-    assert got == [0, 0, 1] and bareiss_calls == []
+    assert got == [0, 0, 1] and _all_rows_primes(eliminations) == [P, P2]
     assert bareiss_solve(rows, rhs) == [Fraction(-1, P * P2), Fraction(1, P * P2), 0]
 
 
 @pytest.mark.parametrize("m, q_order", [(1, 40), (2, 2)])
-def test_find_mde_systems_match_all_rows_solve(monkeypatch, bareiss_calls, m, q_order):
+def test_find_mde_systems_match_all_rows_solve(monkeypatch, eliminations, m, q_order):
     systems_seen = []
 
     def capture(rows, rhs):
@@ -205,8 +258,8 @@ def test_find_mde_systems_match_all_rows_solve(monkeypatch, bareiss_calls, m, q_
         warnings.simplefilter("ignore", RuntimeWarning)
         assert modular.find_mde(m, q_order=q_order, allow_large_m=True).success
     (rows, rhs), = systems_seen
-    # the primes are lucky here: the lift is accepted, no exact elimination
-    assert bareiss_calls == []
+    # the primes are lucky here: the first pair decides, by a lifted solution
+    assert _all_rows_primes(eliminations) == [P, P2]
     assert _solve_exact(rows, rhs) == bareiss_solve(rows, rhs)
 
 
@@ -273,6 +326,6 @@ def test_pivots_are_leading_minors(matrix):
     minors = [_det([row[:k] for row in matrix[:k]]) for k in range(1, n + 1)]
     assume(all(minors))
     aug = [row[:] for row in matrix]
-    assert _bareiss(aug, n) == list(range(n))
+    assert bareiss_echelon(aug, n) == list(range(n))
     assert [aug[k][k] for k in range(n)] == minors
     assert all(aug[i][k] == 0 for i in range(n) for k in range(i))
