@@ -17,6 +17,7 @@ the upper half plane since -i tau has positive real part there.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
 from collections import Counter
@@ -31,7 +32,7 @@ import numpy as np
 from .characters import (
     _PREFACTOR_BUILDERS, _SECTORS, BasisFunction, ModuleLabel, _quotient, _theta_series, theta_rows, twisted_char,
 )
-from .qseries import QExpansion
+from .qseries import QExpansion, _convolve
 from .specialfn import ThetaIndex, _as_index, eisenstein, eta, g_deriv, g_series, theta, theta_deriv
 from .zhu import classify_twisted
 
@@ -420,57 +421,59 @@ def _aligned_runs(
 
 
 Monomial = Tuple[Tuple[str, int], ...]
+Run = Tuple[Sequence[int], Fraction]  # an integer run on q^0, q^1, ... and its rational scale
 
 
-def _eisenstein_monomials(max_weight: int, cutoff: Fraction) -> Dict[int, Dict[Monomial, QExpansion]]:
+def _eisenstein_monomials(max_weight: int, cutoff: Fraction) -> Dict[int, Dict[Monomial, Run]]:
     """Every monomial of weight 2..``max_weight`` in the level-1 and level-2
-    series, grouped by weight.
+    series below ``cutoff``, grouped by weight, as a :data:`Run`.
 
     Generators are G_{2i} ('full') and G_{2i,1} ('level2-one'), each built
     once; a monomial is encoded by its sorted multiset of generator names
-    with multiplicities, and is one product of a lighter stored monomial
-    and one generator.
+    with multiplicities, and is one kernel product of a lighter stored
+    monomial and one generator, under the product of their scales.
     """
     gens = [
-        (f"G{w}{level}", w, eisenstein(w // 2, variant, cutoff))
+        (f"G{w}{level}", w, *eisenstein(w // 2, variant, cutoff).lattice[2:])  # offset 0, d = 1
         for w in range(2, max_weight + 1, 2)
         for level, variant in (("", "full"), (",1", "level2-one"))
     ]
-    pool: Dict[int, Dict[Monomial, QExpansion]] = {w: {} for w in range(2, max_weight + 1, 2)}
+    pool: Dict[int, Dict[Monomial, Run]] = {w: {} for w in range(2, max_weight + 1, 2)}
 
-    def extend(start: int, weight: int, chosen: List[str], series: QExpansion):
+    def extend(start: int, weight: int, chosen: List[str], run: Sequence[int], scale: Fraction):
         for idx in range(start, len(gens)):
-            name, w, gen = gens[idx]
+            name, w, gen, gen_scale = gens[idx]
             if weight + w > max_weight:
                 break
-            product = series * gen
+            product = _convolve(run, 1, gen, 1, math.ceil(cutoff)), scale * gen_scale
             pool[weight + w][tuple(sorted(Counter(chosen + [name]).items()))] = product
-            extend(idx, weight + w, chosen + [name], product)
+            extend(idx, weight + w, chosen + [name], *product)
 
-    extend(0, 0, [], QExpansion.one(cutoff))
+    extend(0, 0, [], [1], Fraction(1))
     return pool
 
 
-def _operator_columns(
+def _operator_rows(
     series: QExpansion, order: int, columns: Sequence[Tuple[int, Monomial]],
-    pool: Dict[int, Dict[Monomial, QExpansion]],
-) -> List[QExpansion]:
-    """``[D^order s] + [mono * D^j s for each column (j, mono)]``, the
-    monomial of weight 2(order - j) taken from ``pool``."""
+    pool: Dict[int, Dict[Monomial, Run]], lead: Fraction, stop: Fraction,
+) -> Tuple[List[List[int]], List[int]]:
+    """The integer rows and right-hand sides of ``D^order s + sum(x * mono * D^j s)
+    = 0`` over the ``columns`` (j, mono of weight 2(order - j) in ``pool``), one
+    per exponent of the derivatives' common lattice from ``lead`` below ``stop``;
+    a column is one kernel product under the monomial's scale times the
+    derivative's, one integer factor clears every scale denominator, and
+    all-zero rows are dropped, since any ``x`` satisfies them."""
     derivs = [series]
     for _ in range(order):
         derivs.append(_q_derivative(derivs[-1]))
-    return [derivs[order]] + [pool[2 * (order - j)][key] * derivs[j] for j, key in columns]
-
-
-def _operator_rows(cols: Sequence[QExpansion], lead: Fraction, stop: Fraction) -> Tuple[List[List[int]], List[int]]:
-    """The integer rows and right-hand sides of ``cols[0] + sum(x * col) = 0``
-    over ``cols[1:]``, one per exponent of the common lattice from ``lead``
-    below ``stop``; one integer factor clears every scale denominator, and
-    all-zero rows are dropped, since any ``x`` satisfies them."""
-    _, runs = _aligned_runs(cols, lead, stop)
-    den = math.lcm(*(scale.denominator for _, scale in runs))
-    (target, t), *dense = [(run, s.numerator * (den // s.denominator)) for run, s in runs]
+    d, runs = _aligned_runs(derivs, lead, stop)
+    n = len(runs[0][0])
+    cols = [runs[order]]
+    for j, key in columns:
+        mono, mono_scale = pool[2 * (order - j)][key]
+        cols.append((_convolve(mono, d, runs[j][0], 1, n), mono_scale * runs[j][1]))
+    den = math.lcm(*(scale.denominator for _, scale in cols))
+    (target, t), *dense = [(run, s.numerator * (den // s.denominator)) for run, s in cols]
     rows: List[List[int]] = []
     rhs: List[int] = []
     for i, b in enumerate(target):
@@ -491,26 +494,39 @@ def _violated(rows: Sequence[Sequence[int]], rhs: Sequence[int], xs: Sequence[Ra
 
 # primes below 2^31: residues multiply below 2^62, inside numpy int64
 _ROW_PRIME = 2_147_483_647
+_PRIMES_FOUND: List[int] = []  # every prime _primes() has found in this process, in order
 
 
 def _primes() -> Iterator[int]:
-    """The primes below 2^31 in decreasing order from ``_ROW_PRIME``, by the
-    Miller-Rabin test to bases 2, 3, 5 and 7, exact below 3,215,031,751."""
-    for n in range(_ROW_PRIME, 7, -2):
-        s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
-        if all(pow(a, (n - 1) >> s, n) == 1 or n - 1 in (pow(a, (n - 1) >> i, n) for i in range(1, s + 1))
-               for a in (2, 3, 5, 7)):
-            yield n
+    """The primes below 2^31 in decreasing order from ``_ROW_PRIME``, each
+    found once per process by the Miller-Rabin test to bases 2, 3, 5 and 7,
+    exact below 3,215,031,751: with n - 1 = d 2^s, d odd, a^d = 1 or
+    a^(d 2^r) = n - 1 for some r < s, from one ``pow`` and squarings."""
+    for i in itertools.count():
+        n = _PRIMES_FOUND[-1] - 2 if _PRIMES_FOUND else _ROW_PRIME
+        while i == len(_PRIMES_FOUND):
+            s = ((n - 1) & (1 - n)).bit_length() - 1
+            if all(x == 1 or n - 1 in itertools.accumulate(range(s - 1), lambda y, _: y * y % n, initial=x)
+                   for x in (pow(a, (n - 1) >> s, n) for a in (2, 3, 5, 7))):
+                _PRIMES_FOUND.append(n)
+            n -= 2
+        yield _PRIMES_FOUND[i]
 
 
-def _rref_mod(aug: Sequence[Sequence[int]], n_cols: int, p: int) -> Tuple[List[int], List[int], List[int]]:
+def _residues(aug: Sequence[Sequence[int]], n_cols: int, modulus: int) -> np.ndarray:
+    """The integer rows ``aug``, right-hand side last, modulo ``modulus`` < 2^63 in int64."""
+    return (np.array(aug, dtype=object).reshape(len(aug), n_cols + 1) % modulus).astype(np.int64)
+
+
+def _rref_mod(res: np.ndarray, p: int) -> Tuple[List[int], List[int], List[int]]:
     """Gauss-Jordan elimination modulo a prime ``p`` < 2^31, in numpy int64, of
-    the integer rows ``aug`` with the right-hand side as column ``n_cols``: the
-    original indices of the pivot rows, the pivot columns and the right-hand
-    side's residues on the pivot rows.  These solve the rows, free variables 0,
-    unless ``n_cols`` is a pivot column, whose row is the first inconsistent."""
-    res = (np.array(aug, dtype=object).reshape(len(aug), n_cols + 1) % p).astype(np.int64)
-    free, pivot_rows, pivot_cols = np.ones(len(aug), dtype=bool), [], []
+    integer rows given as residues ``res`` modulo a multiple of ``p``, with the
+    right-hand side as the last column ``n_cols``: the original indices of the
+    pivot rows, the pivot columns and the right-hand side's residues on the
+    pivot rows.  These solve the rows, free variables 0, unless ``n_cols`` is a
+    pivot column, whose row is the first inconsistent."""
+    res, n_cols = res % p, res.shape[1] - 1
+    free, pivot_rows, pivot_cols = np.ones(len(res), dtype=bool), [], []
     for c in range(n_cols + 1):
         nonzero = np.flatnonzero(free & (res[:, c] != 0))
         if nonzero.size:
@@ -554,7 +570,7 @@ def _lifts(block: Sequence[Sequence[int]], seeds: Sequence[Tuple[int, List[int]]
         if seeds:
             (p, found), *seeds = seeds
         else:
-            _, cols, found = _rref_mod(block, k, p := next(primes))
+            _, cols, found = _rref_mod(_residues(block, k, p := next(primes)), p)
             if cols != list(range(k)):  # p divides the block's determinant
                 continue
         inv = pow(modulus, -1, p)
@@ -609,7 +625,8 @@ def _solve_exact(rows: Sequence[Sequence[Rational]], rhs: Sequence[Rational]) ->
     primes = _primes()
     while True:
         p, q = next(primes), next(primes)
-        (pivot_rows, pivot_cols, residues), second = _rref_mod(aug, n_cols, p), _rref_mod(aug, n_cols, q)
+        both = _residues(aug, n_cols, p * q)  # below 2^62: one pass for the pair, split in int64
+        (pivot_rows, pivot_cols, residues), second = _rref_mod(both, p), _rref_mod(both, q)
         if second[:2] != (pivot_rows, pivot_cols):
             continue
         if n_cols not in pivot_cols:
@@ -697,7 +714,7 @@ def find_mde(m: int = 1, q_order: int = 60, allow_large_m: bool = False) -> MdeR
     for rec in records:
         lead = rec.g0_squared
         series = twisted_char(ModuleLabel(rec.family, rec.index, m), lead + cutoff_rel)
-        block_rows, block_rhs = _operator_rows(_operator_columns(series, order, columns, pool), lead, lead + span)
+        block_rows, block_rhs = _operator_rows(series, order, columns, pool, lead, lead + span)
         rows += block_rows
         rhs += block_rhs
 
@@ -710,8 +727,8 @@ def find_mde(m: int = 1, q_order: int = 60, allow_large_m: bool = False) -> MdeR
     support = {col: x for col, x in coeffs.items() if x}
     # eta's columns are exact below its own cutoff, so its rows reach that far
     lead = Fraction(1, 24)
-    eta_cols = _operator_columns(eta(lead + cutoff_rel), order, list(support), pool)
-    eta_nonzero = _violated(*_operator_rows(eta_cols, lead, lead + cutoff_rel), list(support.values()))
+    eta_rows = _operator_rows(eta(lead + cutoff_rel), order, list(support), pool, lead, lead + cutoff_rel)
+    eta_nonzero = _violated(*eta_rows, list(support.values()))
     return MdeResult(m, order, True, q_order, coeffs, eta_nonzero,
                      f"monic order-{order} operator verified through q-order {q_order} "
                      f"on all {len(records)} twisted characters")

@@ -10,13 +10,13 @@ go through :attr:`QExpansion.terms`, the ``(Fraction, Fraction)`` pairs.
 Every exponent below the cutoff is represented exactly, everything at or
 above it has been discarded; a cutoff of ``None`` marks an exact
 expansion.  Sums place both runs on a common lattice under the rational gcd
-of the scales; products are integer convolutions over the nonzero entries
-of the sparser operand; reciprocals run an integer recurrence with the
-powers of the leading entry kept in the scale; shifts, ``tau -> tau/2``
-and ``tau -> 2 tau`` move only the offset and the step.  Memory is the
-exponent span times ``d``, so the lattice suits series whose exponents share
-a small denominator, as every series of this package does; a run longer than
-``MAX_RUN`` is refused before it is allocated.
+of the scales; products are one integer convolution, :func:`_convolve`
+(schoolbook, or Kronecker substitution for two long dense runs); reciprocals
+run an integer recurrence with the powers of the leading entry kept in the
+scale; shifts, ``tau -> tau/2`` and ``tau -> 2 tau`` move only the offset and
+the step.  Memory is the exponent span times ``d``, so the lattice suits
+series whose exponents share a small denominator, as every series of this
+package does; a run longer than ``MAX_RUN`` is refused before it is allocated.
 
 Coefficients and scalars are exact rationals; a float or complex one is
 refused with :class:`QSeriesError`.  Floats appear only in
@@ -303,21 +303,11 @@ class QExpansion:
                 f"product cutoff {cut} at or below leading exponent {offset}"
             )
         d = math.lcm(self._d, other._d)
-        outer, r_out, inner, r_in = self._coeffs, d // self._d, other._coeffs, d // other._d
-        n = (len(outer) - 1) * r_out + (len(inner) - 1) * r_in + 1
+        r_self, r_other = d // self._d, d // other._d
+        n = (len(self._coeffs) - 1) * r_self + (len(other._coeffs) - 1) * r_other + 1
         if cut is not None:
             n = min(n, math.ceil((cut - offset) * d))
-        # cost is (nonzero entries of the outer run) x (length of the inner one)
-        if len(other) * len(self._coeffs) < len(self) * len(other._coeffs):
-            outer, r_out, inner, r_in = inner, r_in, outer, r_out
-        out: List[int] = [0] * _run_length(n)
-        for i, x in enumerate(outer):
-            start = i * r_out
-            if start >= n:
-                break
-            if x:
-                stop = min(n, start + len(inner) * r_in)
-                out[start:stop:r_in] = map(add, out[start:stop:r_in], map(mul, inner, repeat(x)))
+        out = _convolve(self._coeffs, r_self, other._coeffs, r_other, _run_length(n))
         return QExpansion.from_lattice(offset, d, out, self._scale * other._scale, cut)
 
     __rmul__ = __mul__
@@ -497,6 +487,51 @@ class QExpansion:
         if len(terms) > 6:
             shown += ", ..."
         return f"QExpansion([{shown}], cutoff={self._cutoff})"
+
+
+# Kronecker substitution needs unit strides and this many nonzero entries in both runs: on dense runs
+# cut to their own length it ties the schoolbook loop at 24 entries of 150 bits, and wins with fewer
+# bits or more entries (1.4x at 24 entries of 8 bits, 2-4x from 64 entries on).
+_KRONECKER_MIN = 24
+
+
+def _convolve(a: Sequence[int], stride_a: int, b: Sequence[int], stride_b: int, n: int) -> List[int]:
+    """The first ``n`` >= 0 entries of the product of the integer runs ``a``
+    and ``b``, entry i of ``a`` at ``i * stride_a`` and j of ``b`` at ``j *
+    stride_b``: :func:`_kronecker`, or schoolbook over the nonzero entries of
+    the sparser run at a cost of its nonzero entries times the other's length."""
+    a, b = a[: -(-n // stride_a)], b[: -(-n // stride_b)]  # entries at or past n add nothing
+    nonzero_a, nonzero_b = len(a) - a.count(0), len(b) - b.count(0)
+    if stride_a == stride_b == 1 and min(nonzero_a, nonzero_b) >= _KRONECKER_MIN:
+        return _kronecker(a, b, n)
+    if nonzero_b * len(a) < nonzero_a * len(b):
+        a, stride_a, b, stride_b = b, stride_b, a, stride_a
+    out = [0] * n
+    for i, x in enumerate(a):
+        if x:
+            start = i * stride_a
+            stop = min(n, start + len(b) * stride_b)
+            out[start:stop:stride_b] = map(add, out[start:stop:stride_b], map(mul, b, repeat(x)))
+    return out
+
+
+def _kronecker(a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
+    """The first ``n`` entries of the product of two nonempty unit-stride runs
+    by Kronecker substitution: each run is one int with a byte-aligned slot of
+    k > top bits per entry, every product entry being below 2^top in size; the
+    two ints are multiplied once and the slots read back through ``to_bytes``
+    with 2^(k-1) added to each, so that no negative slot borrows."""
+    top = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + min(len(a), len(b)).bit_length()
+    size, width = top // 8 + 1, len(a) + len(b) - 1
+    bias, biases = 1 << (8 * size - 1), bytes(size - 1) + b"\x80"
+
+    def pack(run):
+        raw = b"".join(map(int.to_bytes, map(add, run, repeat(bias)), repeat(size), repeat("little")))
+        return int.from_bytes(raw, "little") - int.from_bytes(biases * len(run), "little")
+
+    raw = memoryview((pack(a) * pack(b) + int.from_bytes(biases * width, "little")).to_bytes(width * size, "little"))
+    out = [int.from_bytes(raw[i : i + size], "little") - bias for i in range(0, min(n, width) * size, size)]
+    return out + [0] * (n - len(out))
 
 
 def _init(series: QExpansion, *fields) -> None:

@@ -443,10 +443,66 @@ def bareiss_solve(rows: Sequence[Sequence[Rational]], rhs: Sequence[Rational]) -
     return solution
 
 
+def eisenstein_monomials(max_weight: int, cutoff: Fraction):
+    """``{weight: {monomial: QExpansion}}``: the Eisenstein monomial pool as
+    series, built the way ``modular._eisenstein_monomials`` built it before it
+    returned integer runs.  Each monomial is one ``QExpansion`` product of a
+    lighter one and a generator, starting from ``QExpansion.one(cutoff)``."""
+    from collections import Counter
+
+    from supertriplet.qseries import QExpansion
+    from supertriplet.specialfn import eisenstein
+
+    gens = [
+        (f"G{w}{level}", w, eisenstein(w // 2, variant, cutoff))
+        for w in range(2, max_weight + 1, 2)
+        for level, variant in (("", "full"), (",1", "level2-one"))
+    ]
+    pool = {w: {} for w in range(2, max_weight + 1, 2)}
+
+    def extend(start, weight, chosen, series):
+        for idx in range(start, len(gens)):
+            name, w, gen = gens[idx]
+            if weight + w > max_weight:
+                break
+            product = series * gen
+            pool[weight + w][tuple(sorted(Counter(chosen + [name]).items()))] = product
+            extend(idx, weight + w, chosen + [name], product)
+
+    extend(0, 0, [], QExpansion.one(cutoff))
+    return pool
+
+
+def operator_rows(series, order: int, columns, pool, lead: Fraction, stop: Fraction):
+    """The integer rows and right-hand sides of ``modular._operator_rows``,
+    built the way it built them before the kernel took the columns: every
+    column ``mono * D^j s`` one ``QExpansion`` product with its monomial from
+    the series pool of :func:`eisenstein_monomials`, then the target and all
+    columns aligned together, one integer factor clearing every scale
+    denominator, and all-zero rows dropped."""
+    from supertriplet.modular import _aligned_runs, _q_derivative
+
+    derivs = [series]
+    for _ in range(order):
+        derivs.append(_q_derivative(derivs[-1]))
+    cols = [derivs[order]] + [pool[2 * (order - j)][key] * derivs[j] for j, key in columns]
+    _, runs = _aligned_runs(cols, lead, stop)
+    den = math.lcm(*(scale.denominator for _, scale in runs))
+    (target, t), *dense = [(run, s.numerator * (den // s.denominator)) for run, s in runs]
+    rows, rhs = [], []
+    for i, b in enumerate(target):
+        row = [values[i] * k for values, k in dense]
+        if b or any(row):
+            rows.append(row)
+            rhs.append(-b * t)
+    return rows, rhs
+
+
 def apply_operator(coeffs, order: int, series, monomials_by_weight):
     """``D^order s + sum(value * mono * D^j s)`` over the nonzero coefficients
-    ``{(j, mono): value}``, each monomial of weight 2(order - j) looked up in
-    ``monomials_by_weight``: the operator application ``modular.find_mde``
+    ``{(j, mono): value}``, each monomial of weight 2(order - j) a series
+    looked up in ``monomials_by_weight``, the pool of
+    :func:`eisenstein_monomials`: the operator application ``modular.find_mde``
     ran, with its own derivative tower, before the operator columns were
     built once per series and reused after the solve."""
     from supertriplet.modular import _q_derivative

@@ -33,8 +33,9 @@ from supertriplet.modular import (
 )
 from supertriplet.qseries import QExpansion
 from supertriplet.specialfn import ThetaIndex, theta
+from supertriplet.zhu import classify_twisted
 
-from oracles import apply_operator, gauss_jordan_solve
+from oracles import apply_operator, eisenstein_monomials, gauss_jordan_solve
 
 UNIT_CUTOFF = Fraction(200)
 
@@ -292,7 +293,21 @@ class TestEisensteinPool:
         pool = _eisenstein_monomials(4, Fraction(10))
         key = (("G2", 2),)
         assert key in pool[4]
-        assert pool[4][key].coeff(0) == Fraction(-1, 12) * Fraction(-1, 12)
+        run, scale = pool[4][key]
+        assert len(run) == 10 and scale * run[0] == Fraction(-1, 12) * Fraction(-1, 12)
+
+    @pytest.mark.parametrize("max_weight, cutoff", [(8, Fraction(10)), (6, Fraction(47)), (12, Fraction(17, 2))])
+    def test_runs_match_oracle_series(self, max_weight, cutoff):
+        # every run restates the series pool of the oracle exactly: same
+        # integers on q^0, q^1, ... below the cutoff, under the same scale
+        pool, oracle = _eisenstein_monomials(max_weight, cutoff), eisenstein_monomials(max_weight, cutoff)
+        assert {w: set(monos) for w, monos in pool.items()} == {w: set(monos) for w, monos in oracle.items()}
+        for weight, monos in oracle.items():
+            for key, series in monos.items():
+                run, scale = pool[weight][key]
+                assert len(run) == math.ceil(cutoff)
+                assert series.lattice == (0, 1, tuple(run[: len(series.lattice[2])]), scale)
+                assert not any(run[len(series.lattice[2]) :])
 
     def test_each_weight_matches_a_pool_built_up_to_it(self):
         # a lighter monomial is the same series whatever the largest weight asked for
@@ -405,14 +420,13 @@ class TestMde(object):
 
 def _residual_support(result, through):
     """Relative exponents below ``through`` at which the operator of
-    ``result`` fails to annihilate a twisted character rebuilt to that order."""
+    ``result`` fails to annihilate a twisted character rebuilt to that order,
+    each from the lead of the classification, lowest weight - c/24."""
     m, order, cutoff = result.m, result.order, Fraction(through + 1)
-    pool = _eisenstein_monomials(2 * order, cutoff)
-    labels = [ModuleLabel("RLambda", i + 1, m) for i in range(m)]
-    labels += [ModuleLabel("RPi", i + 1, m) for i in range(m + 1)]
+    pool = eisenstein_monomials(2 * order, cutoff)
     bad = set()
-    for label in labels:
-        lead = twisted_char(label, 4).min_exponent
+    for rec in classify_twisted(m):
+        lead, label = rec.g0_squared, ModuleLabel(rec.family, rec.index, m)
         residual = apply_operator(result.coefficients, order, twisted_char(label, lead + cutoff), pool)
         assert residual.cutoff >= lead + through
         bad |= {e - lead for e, c in residual.terms if e < lead + through and c != 0}

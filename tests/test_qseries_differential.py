@@ -1,21 +1,29 @@
 """Differential tests: the lattice kernel of QExpansion against SparseSeries,
-and its grid evaluation against the termwise sum.
+its product kernel ``_convolve`` against a plain double loop, and its grid
+evaluation against the termwise sum.
 
 Each generated series lives on one lattice ``offset + (1/d) Z`` with d in
 1..48, may start at a negative exponent and may lead with any nonzero
 coefficient; operands of one operation are drawn independently, so sums and
 products mix lattices.  Results must agree on ``terms`` and ``cutoff``, and
-both kernels must refuse the same inputs.  Float sums must agree within a
-rounding bound derived from the terms, and tail bounds exactly.
+both kernels must refuse the same inputs.  Long dense series, with entries
+up to 200 bits, take the Kronecker branch of ``_convolve`` when their
+lattices agree.  ``_convolve`` itself gets runs of 0-8 or 24-60 negative,
+zero, small and 200-bit entries, empty runs, unequal strides and
+truncations shorter and longer than the full product; a spy on
+``_kronecker`` shows which branch ran.  Float sums must agree within a rounding bound derived from the terms,
+and tail bounds exactly.
 """
 
 import cmath
 import math
 from fractions import Fraction
 
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from supertriplet import qseries
 from supertriplet.qseries import QExpansion
 
 from oracles import SparseSeries, termwise_evaluate
@@ -105,6 +113,107 @@ def test_sum_matches_sparse_kernel(a, b):
 def test_product_matches_sparse_kernel(a, b):
     (fa, sa), (fb, sb) = both(*a), both(*b)
     check_op(lambda: fa * fb, lambda: sa * sb)
+
+
+big_coeffs = st.one_of(exact_coeffs, st.integers(-(2**200), 2**200))
+
+
+@st.composite
+def dense_series_terms(draw):
+    """(terms, cutoff): 24-40 consecutive lattice entries with d in 1..2,
+    mostly nonzero and up to 200 bits, and a cutoff near their end or none."""
+    d = draw(st.sampled_from([1, 1, 2]))
+    offset = Fraction(draw(st.integers(-2 * d, 2 * d)), d)
+    coeffs = draw(st.lists(big_coeffs, min_size=draw(st.integers(24, 40)), max_size=40))
+    terms = [(offset + Fraction(i, d), c) for i, c in enumerate(coeffs)] + [(offset, 1)]
+    near_end = st.integers(len(coeffs) - 6, len(coeffs) + 4).map(lambda k: offset + Fraction(k, d))
+    return terms, draw(st.one_of(st.none(), near_end))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(dense_series_terms(), dense_series_terms())
+def test_long_dense_products_match_sparse_kernel(a, b):
+    (fa, sa), (fb, sb) = both(*a), both(*b)
+    check_op(lambda: fa * fb, lambda: sa * sb)
+
+
+def double_loop(a, stride_a, b, stride_b, n):
+    out = [0] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i * stride_a + j * stride_b < n:
+                out[i * stride_a + j * stride_b] += x * y
+    return out
+
+
+run_entries = st.one_of(st.integers(-9, 9), st.integers(-(2**200), 2**200))
+
+
+@st.composite
+def runs(draw):
+    """0-8 or 24-60 entries, negative, zero, small or up to 200 bits: all
+    drawn freely, or all but every fifth set to zero."""
+    size = draw(st.one_of(st.integers(0, 8), st.integers(24, 60)))
+    entries = draw(st.lists(run_entries, min_size=size, max_size=size))
+    if draw(st.booleans()):
+        entries = [x if i % 5 == 0 else 0 for i, x in enumerate(entries)]
+    return entries
+
+
+@st.composite
+def convolutions(draw):
+    a, b = draw(runs()), draw(runs())
+    stride_a, stride_b = draw(st.sampled_from([(1, 1), (1, 1), (1, 2), (3, 1), (2, 2)]))
+    full = (len(a) - 1) * stride_a + (len(b) - 1) * stride_b + 1 if a and b else 0
+    # a truncation from none to past the full product
+    return a, stride_a, b, stride_b, draw(st.one_of(st.integers(0, full + 8), st.integers(max(0, full - 8), full + 8)))
+
+
+def convolve_with_spy(a, stride_a, b, stride_b, n):
+    """``_convolve(a, stride_a, b, stride_b, n)`` and the number of
+    ``_kronecker`` calls it made."""
+    calls = []
+    kronecker = qseries._kronecker
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qseries, "_kronecker", lambda *args: calls.append(args) or kronecker(*args))
+        return qseries._convolve(a, stride_a, b, stride_b, n), len(calls)
+
+
+DENSE = [(i + 1) * (-1) ** i << (5 * i) for i in range(40)]
+SPARSE = [x if i % 5 == 0 else 0 for i, x in enumerate(DENSE)]
+
+
+@SETTINGS
+@given(convolutions())
+@example((DENSE, 1, DENSE[::-1], 1, 79))
+@example((DENSE, 1, DENSE, 1, 30))
+@example(([], 1, DENSE, 1, 5))
+def test_convolve_matches_double_loop_and_sparse_series(case):
+    a, stride_a, b, stride_b, n = case
+    got, kronecker_calls = convolve_with_spy(a, stride_a, b, stride_b, n)
+    assert got == double_loop(a, stride_a, b, stride_b, n)
+    product = SparseSeries([(i * stride_a, x) for i, x in enumerate(a)]) * SparseSeries(
+        [(j * stride_b, y) for j, y in enumerate(b)]
+    )
+    assert got == [dict(product.terms).get(k, 0) for k in range(n)]
+    # Kronecker exactly when both runs have unit stride and enough nonzero entries below n
+    nonzero = min(len(r[:n]) - r[:n].count(0) for r in (a, b))
+    assert kronecker_calls == (stride_a == stride_b == 1 and nonzero >= qseries._KRONECKER_MIN)
+
+
+@pytest.mark.parametrize(
+    "a, stride_a, b, stride_b, n, kronecker_calls",
+    [
+        (DENSE, 1, DENSE, 1, 79, 1),
+        (DENSE, 1, DENSE, 1, 30, 1),
+        (DENSE, 1, DENSE, 1, 23, 0),  # cut below _KRONECKER_MIN entries per run
+        (DENSE, 1, SPARSE, 1, 79, 0),
+        (DENSE, 2, DENSE, 1, 100, 0),
+    ],
+    ids=["dense", "dense-cut-to-30", "dense-cut-to-23", "sparse", "stride-2"],
+)
+def test_convolve_runs_both_branches(a, stride_a, b, stride_b, n, kronecker_calls):
+    assert convolve_with_spy(a, stride_a, b, stride_b, n) == (double_loop(a, stride_a, b, stride_b, n), kronecker_calls)
 
 
 @SETTINGS

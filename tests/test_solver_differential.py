@@ -23,8 +23,9 @@ first or the second prime divides are decided by the second pair, and one
 whose minor both divide shows the documented limit; hand-made certificates
 cover a system consistent modulo both first primes, an all-zero coefficient
 matrix and a certificate block whose determinant a lifting prime divides;
-the int64 elimination ``_rref_mod`` is checked against
-``oracles.gauss_jordan_mod`` on residues up to p - 1; and the systems
+the int64 elimination ``_rref_mod`` of residues reduced once modulo the
+product of the first two primes (``_residues``) and split modulo either is
+checked against ``oracles.gauss_jordan_mod`` on residues up to p - 1; and the systems
 ``find_mde`` builds are checked against ``oracles.bareiss_solve``, the
 all-rows Bareiss solve, and are decided by the first pair.  The echelon
 pivots of ``oracles.bareiss_echelon`` are checked against leading minors
@@ -34,6 +35,9 @@ elimination.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -42,7 +46,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from supertriplet import modular
-from supertriplet.modular import _ROW_PRIME, _certifies, _primes, _rref_mod, _solve_exact
+from supertriplet.modular import _ROW_PRIME, _certifies, _primes, _residues, _rref_mod, _solve_exact
 
 from oracles import bareiss_echelon, bareiss_solve, gauss_jordan_mod, gauss_jordan_solve
 
@@ -152,14 +156,21 @@ def test_solver_matches_gauss_jordan_on_large_entries(system):
 @pytest.fixture
 def eliminations(monkeypatch):
     """The rows, the prime and the pivot columns of every ``_rref_mod`` call
-    made through ``modular``, in order."""
-    calls = []
+    made through ``modular``, in order; the rows are those that ``_residues``
+    reduced to the residues the call eliminated."""
+    calls, sources = [], {}
 
-    def spy(aug, n_cols, p):
-        result = _rref_mod(aug, n_cols, p)
-        calls.append((aug, p, result[1]))
+    def reduce_spy(aug, n_cols, modulus):
+        res = _residues(aug, n_cols, modulus)
+        sources[id(res)] = (res, aug)  # holding res keeps its id from being reused
+        return res
+
+    def spy(res, p):
+        result = _rref_mod(res, p)
+        calls.append((sources[id(res)][1], p, result[1]))
         return result
 
+    monkeypatch.setattr(modular, "_residues", reduce_spy)
     monkeypatch.setattr(modular, "_rref_mod", spy)
     return calls
 
@@ -280,15 +291,16 @@ def residue_systems(draw):
 @SETTINGS
 @given(residue_systems())
 def test_rref_mod_matches_python_ints(system):
+    # the residues modulo the pair's product, split modulo p as _solve_exact does
     aug, n_cols, p = system
-    assert _rref_mod(aug, n_cols, p) == gauss_jordan_mod(aug, n_cols, p)
+    assert _rref_mod(_residues(aug, n_cols, P * P2), p) == gauss_jordan_mod(aug, n_cols, p)
 
 
 def test_rref_mod_on_all_p_minus_one():
     # every product of two residues is (p - 1)^2, just below 2^62
     for p in (P, P2):
         aug = [[p - 1] * 4 for _ in range(3)]
-        assert _rref_mod(aug, 3, p) == gauss_jordan_mod(aug, 3, p) == ([0], [0], [1])
+        assert _rref_mod(_residues(aug, 3, P * P2), p) == gauss_jordan_mod(aug, 3, p) == ([0], [0], [1])
 
 
 def test_prime_sequence_is_the_primes_below_2_31():
@@ -300,6 +312,20 @@ def test_prime_sequence_is_the_primes_below_2_31():
         return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
     assert head[:20] == list(itertools.islice(filter(trial_division, range(2**31 - 1, 1, -1)), 20))
+
+
+def test_primes_are_found_once_per_process_and_not_at_import():
+    # a fresh interpreter that imports modular has found no prime yet
+    src = os.path.dirname(os.path.dirname(os.path.abspath(modular.__file__)))
+    probe = "from supertriplet import modular; print(len(modular._PRIMES_FOUND))"
+    found = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                           capture_output=True, text=True, check=True)
+    assert found.stdout == "0\n"
+    # interleaved iterators read and extend one list
+    first, second = _primes(), _primes()
+    interleaved = [next(it) for _ in range(300) for it in (first, second)]
+    assert interleaved[::2] == interleaved[1::2] == modular._PRIMES_FOUND[:300]
+    assert len(modular._PRIMES_FOUND) == len(set(modular._PRIMES_FOUND))
 
 
 def _det(matrix):
