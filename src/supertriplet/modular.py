@@ -494,23 +494,18 @@ def _violated(rows: Sequence[Sequence[int]], rhs: Sequence[int], xs: Sequence[Ra
 
 # primes below 2^31: residues multiply below 2^62, inside numpy int64
 _ROW_PRIME = 2_147_483_647
-_PRIMES_FOUND: List[int] = []  # every prime _primes() has found in this process, in order
 
 
 def _primes() -> Iterator[int]:
-    """The primes below 2^31 in decreasing order from ``_ROW_PRIME``, each
-    found once per process by the Miller-Rabin test to bases 2, 3, 5 and 7,
-    exact below 3,215,031,751: with n - 1 = d 2^s, d odd, a^d = 1 or
-    a^(d 2^r) = n - 1 for some r < s, from one ``pow`` and squarings."""
-    for i in itertools.count():
-        n = _PRIMES_FOUND[-1] - 2 if _PRIMES_FOUND else _ROW_PRIME
-        while i == len(_PRIMES_FOUND):
-            s = ((n - 1) & (1 - n)).bit_length() - 1
-            if all(x == 1 or n - 1 in itertools.accumulate(range(s - 1), lambda y, _: y * y % n, initial=x)
-                   for x in (pow(a, (n - 1) >> s, n) for a in (2, 3, 5, 7))):
-                _PRIMES_FOUND.append(n)
-            n -= 2
-        yield _PRIMES_FOUND[i]
+    """The primes below 2^31 in decreasing order from ``_ROW_PRIME``, by the
+    Miller-Rabin test to bases 2, 3, 5 and 7, exact below 3,215,031,751: with
+    n - 1 = d 2^s, d odd, a^d = 1 or a^(d 2^r) = n - 1 for some r < s, from
+    one ``pow`` and squarings."""
+    for n in range(_ROW_PRIME, 7, -2):
+        s = ((n - 1) & (1 - n)).bit_length() - 1
+        if all(x == 1 or n - 1 in itertools.accumulate(range(s - 1), lambda y, _: y * y % n, initial=x)
+               for x in (pow(a, (n - 1) >> s, n) for a in (2, 3, 5, 7))):
+            yield n
 
 
 def _residues(aug: Sequence[Sequence[int]], n_cols: int, modulus: int) -> np.ndarray:

@@ -35,9 +35,6 @@ elimination.
 
 import itertools
 import math
-import os
-import subprocess
-import sys
 import warnings
 from fractions import Fraction
 
@@ -312,20 +309,6 @@ def test_prime_sequence_is_the_primes_below_2_31():
         return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
     assert head[:20] == list(itertools.islice(filter(trial_division, range(2**31 - 1, 1, -1)), 20))
-
-
-def test_primes_are_found_once_per_process_and_not_at_import():
-    # a fresh interpreter that imports modular has found no prime yet
-    src = os.path.dirname(os.path.dirname(os.path.abspath(modular.__file__)))
-    probe = "from supertriplet import modular; print(len(modular._PRIMES_FOUND))"
-    found = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
-                           capture_output=True, text=True, check=True)
-    assert found.stdout == "0\n"
-    # interleaved iterators read and extend one list
-    first, second = _primes(), _primes()
-    interleaved = [next(it) for _ in range(300) for it in (first, second)]
-    assert interleaved[::2] == interleaved[1::2] == modular._PRIMES_FOUND[:300]
-    assert len(modular._PRIMES_FOUND) == len(set(modular._PRIMES_FOUND))
 
 
 def _det(matrix):
