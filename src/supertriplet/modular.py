@@ -32,7 +32,7 @@ import numpy as np
 from .characters import (
     _PREFACTOR_BUILDERS, _SECTORS, BasisFunction, ModuleLabel, _quotient, _theta_series, theta_rows, twisted_char,
 )
-from .qseries import QExpansion, _convolve
+from .qseries import QExpansion, _convolve, _evaluate_grid
 from .specialfn import ThetaIndex, _as_index, eisenstein, eta, g_deriv, g_series, theta, theta_deriv
 from .zhu import classify_twisted
 
@@ -125,11 +125,12 @@ def theta_transform_grid(cutoff=DEFAULT_NUMERIC_CUTOFF) -> SampleGrid:
 # ----------------------------------------------------------------------
 
 
-def _check_eval_bound(series: QExpansion, taus: np.ndarray, tolerance: float) -> np.ndarray:
-    """``series`` summed over the grid ``taus``, refused if its tail bound
-    exceeds tolerance/10 anywhere; the message names the first such point."""
-    values, bounds = series.evaluate(taus)
-    over = np.flatnonzero(bounds > tolerance / 10)
+def _check_eval_bound(series: Sequence[QExpansion], taus: np.ndarray, tolerance: float) -> np.ndarray:
+    """Every one of ``series`` summed over the grid ``taus`` (points x series),
+    refused if a tail bound exceeds tolerance/10 anywhere; the message names
+    the first such point."""
+    values, bounds = _evaluate_grid(series, taus)
+    over = np.flatnonzero((bounds > tolerance / 10).any(axis=1))
     if over.size:
         raise ValueError(
             f"series cutoff too small: evaluation bound {bounds.max():.3e} exceeds "
@@ -164,7 +165,7 @@ def s_transform_residual(
     k_half_odd = two_k.denominator == 1 and two_k.numerator % 2 == 1
     deriv = variant == "theta_deriv"
     taus = np.asarray(grid.points, dtype=complex)
-    lhs = _check_eval_bound((theta_deriv if deriv else theta)(idx, cutoff), -1 / taus, tolerance)
+    lhs = _check_eval_bound([(theta_deriv if deriv else theta)(idx, cutoff)], -1 / taus, tolerance)[:, 0]
     if k_half_odd:
         if idx.j_is_integer:
             family = theta_deriv if deriv else theta
@@ -179,10 +180,8 @@ def s_transform_residual(
         family = theta_deriv if deriv else theta
         images = [(ThetaIndex(Fraction(2 * jp), four_k), jp * j / k) for jp in range(int(four_k))]
         norm = np.sqrt(-1j * taus) / math.sqrt(float(two_k))
-    total = sum(
-        cmath.exp(-1j * math.pi * float(turn)) * _check_eval_bound(family(image, cutoff), taus, tolerance)
-        for image, turn in images
-    )
+    values = _check_eval_bound([family(image, cutoff) for image, _ in images], taus, tolerance)
+    total = values @ np.array([cmath.exp(-1j * math.pi * float(turn)) for _, turn in images])
     rhs = norm * total
     if deriv:
         rhs = rhs * taus
@@ -250,12 +249,12 @@ class RankReport:
 def _evaluation_matrix(
     fns: Sequence[BasisFunction], points: Sequence[complex], cutoff: Fraction
 ) -> np.ndarray:
-    """Basis members (columns) at ``points`` (rows); each distinct prefactor
-    and theta series is summed once over the whole grid."""
+    """Basis members (columns) at ``points`` (rows); every distinct prefactor
+    and theta series is summed over the whole grid in one call."""
     taus = np.asarray(points, dtype=complex)
     prefs = {tag: _quotient(tag, cutoff) for tag in dict.fromkeys(fn.prefactor for fn in fns)}
     parts = {key: _theta_series(*key, cutoff) for key in dict.fromkeys((fn.kind, fn.j, fn.k) for fn in fns)}
-    value = {key: series.evaluate(taus).value for key, series in (*prefs.items(), *parts.items())}
+    value = dict(zip([*prefs, *parts], _evaluate_grid([*prefs.values(), *parts.values()], taus).value.T))
     return np.column_stack(
         [value[fn.prefactor] * value[fn.kind, fn.j, fn.k] * taus ** fn.tau_power for fn in fns]
     )

@@ -19,9 +19,9 @@ series whose exponents share a small denominator, as every series of this
 package does; a run longer than ``MAX_RUN`` is refused before it is allocated.
 
 Coefficients and scalars are exact rationals; a float or complex one is
-refused with :class:`QSeriesError`.  Floats appear only in
-:meth:`QExpansion.evaluate` and :meth:`QExpansion.shift_tau_deviation`,
-which return numbers, never series.
+refused with :class:`QSeriesError`.  Floats appear only in :func:`_evaluate_grid`
+(whose one-series case is :meth:`QExpansion.evaluate`) and
+:meth:`QExpansion.shift_tau_deviation`, which return numbers, never series.
 
 Cutoff propagation: addition takes the minimum of the operand cutoffs, and a
 product of ``A`` and ``B`` is exact below
@@ -33,7 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from numbers import Number, Rational
 from operator import add, mul, sub
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -405,42 +405,12 @@ class QExpansion:
         return worst
 
     def evaluate(self, tau, growth_bound: float = 2.0 ** 64) -> EvalResult:
-        """Sum the stored terms at ``q = e^{2 pi i tau}`` on the upper half plane.
-
-        ``tau`` is one point or a sequence of points.  One point gives a
-        complex value and a float bound; a sequence gives an array of each,
-        the whole grid summed as ``exp(2 pi i tau (x) e) @ c`` over the
-        exponents ``e`` and float coefficients ``c`` of the nonzero entries.
-        The error bound covers the discarded tail: ``growth_bound`` is a
-        caller-supplied cap on coefficient magnitude, multiplied by the
-        geometric tail |q|^cutoff / (1 - |q|).
-        """
-        taus = np.asarray(tau, dtype=complex)
-        if (taus.imag <= 0).any():
-            raise QSeriesError("evaluation requires Im(tau) > 0")
-        base, step, den = self._exponent_ratio()
-        sn, sd = self._scale.numerator, self._scale.denominator
-        nonzero = [(i, c) for i, c in enumerate(self._coeffs) if c]
-        exps = np.array([(base + i * step) / den for i, _ in nonzero])
-        # c * sn / sd is the correctly rounded float of the exact coefficient
-        coeffs = np.array([c * sn / sd for _, c in nonzero])
-        phase = np.outer(taus, 2j * math.pi * exps)
-        with np.errstate(over="raise"):  # a term too large for a float raises, never becomes inf
-            np.exp(phase, out=phase)
-        values = phase @ coeffs
-        tails = np.array([self._tail(im, growth_bound) for im in taus.imag.flat])
-        if taus.ndim == 0:
-            return EvalResult(complex(values[0]), float(tails[0]))
-        return EvalResult(values, tails)
-
-    def _tail(self, im: float, growth_bound: float) -> float:
-        if self._cutoff is None:
-            return 0.0
-        absq = math.exp(-2 * math.pi * im)
-        try:
-            return growth_bound * absq ** float(self._cutoff) / (1 - absq)
-        except (OverflowError, ZeroDivisionError):  # |q| too large, or 0.0 ** negative cutoff
-            return math.inf
+        """The one-series case of :func:`_evaluate_grid`: at one point ``tau``
+        a complex value and a float bound, on a 1-D grid an array of each."""
+        values, bounds = _evaluate_grid([self], tau, growth_bound)
+        if np.ndim(tau) == 0:
+            return EvalResult(complex(values[0, 0]), float(bounds[0, 0]))
+        return EvalResult(values[:, 0], bounds[:, 0])
 
     # -- serialization --
 
@@ -487,6 +457,52 @@ class QExpansion:
         if len(terms) > 6:
             shown += ", ..."
         return f"QExpansion([{shown}], cutoff={self._cutoff})"
+
+
+def _evaluate_grid(series: Sequence[QExpansion], taus, growth_bound: float = 2.0 ** 64) -> EvalResult:
+    """Values and tail bounds, as points x series arrays, of every series at
+    ``q = e^{2 pi i tau}`` for each ``tau`` of one point or a 1-D grid.
+
+    One table ``exp(2 pi i tau (x) e)`` over the union of the exponents, each
+    an exact integer over the lcm of the denominators, times the exponents x
+    series matrix of float coefficients.  A term too large for a float raises
+    ``FloatingPointError`` for the whole batch.  The tail bound, once per
+    distinct cutoff and point, is ``growth_bound`` (a caller-supplied cap on
+    coefficient magnitude) times |q|^cutoff / (1 - |q|).
+    """
+    taus = np.asarray(taus, dtype=complex)
+    if taus.ndim > 1:
+        raise QSeriesError(f"evaluation takes one point or a 1-D grid, not shape {taus.shape}")
+    taus = taus.reshape(-1)
+    if (taus.imag <= 0).any():
+        raise QSeriesError("evaluation requires Im(tau) > 0")
+    ratios = [s._exponent_ratio() for s in series]
+    lcm = math.lcm(*(den for _, _, den in ratios))
+    keys, coeffs, cols = [], [], []
+    for col, (s, (base, step, den)) in enumerate(zip(series, ratios)):
+        sn, sd, f = s._scale.numerator, s._scale.denominator, lcm // den
+        nonzero = list(compress(range(len(s._coeffs)), s._coeffs))
+        keys += [(base + i * step) * f for i in nonzero]
+        # c * sn / sd is the correctly rounded float of the exact coefficient
+        coeffs += [c * sn / sd for c in s._coeffs if c]
+        cols += [col] * len(nonzero)
+    keys, rows = np.unique(np.array(keys), return_inverse=True)
+    mat = np.zeros((len(keys), len(series)))
+    mat[rows, cols] = coeffs
+    phase = np.outer(taus, 2j * math.pi * np.array([k / lcm for k in keys.tolist()]))
+    with np.errstate(over="raise"):  # a term too large for a float raises, never becomes inf
+        np.exp(phase, out=phase)
+    absqs = [math.exp(-2 * math.pi * im) for im in taus.imag.tolist()]
+    tails: Dict[Optional[Fraction], List[float]] = {None: [0.0] * len(taus)}
+    for cut in {s._cutoff for s in series} - {None}:
+        tails[cut] = []
+        for absq in absqs:
+            try:
+                tails[cut].append(growth_bound * absq ** float(cut) / (1 - absq))
+            except (OverflowError, ZeroDivisionError):  # |q| too large, or 0.0 ** negative cutoff
+                tails[cut].append(math.inf)
+    bounds = np.array([tails[s._cutoff] for s in series]).reshape(len(series), len(taus))
+    return EvalResult(phase @ mat, bounds.T)
 
 
 # Kronecker substitution needs unit strides and this many nonzero entries in both runs: on dense runs

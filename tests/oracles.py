@@ -546,6 +546,21 @@ def termwise_evaluate(series, tau: complex, growth_bound: float = 2.0 ** 64) -> 
     return total, tail
 
 
+def rounding_bound(series, tau):
+    """How far two float summations of ``series`` at ``tau`` may differ.
+
+    Term ``c q^e`` of ``n`` contributes ``|c| |q^e| (n + 2 pi |e| |tau| + 4)``
+    units of 2^-52: ``n`` for the two summation orders, ``2 pi |e| |tau|`` for
+    rounding of the argument of ``exp``, and 4 for ``exp`` and the product.
+    """
+    n = len(series)
+    total = 0.0
+    for e, c in series.terms:
+        size = abs(float(c)) * math.exp(-2 * math.pi * float(e) * tau.imag)
+        total += size * (n + 2 * math.pi * abs(float(e)) * abs(tau) + 4)
+    return total * 2.0 ** -52
+
+
 def character_oracle(label, flavor: str, cutoff, halve: bool = False):
     """A twisted or untwisted character (or supercharacter) from the explicit
     per-family row formulas that ``characters`` used before its theta-row

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supertriplet import modular
-from supertriplet.characters import ModuleLabel, twisted_char
+from supertriplet.characters import ModuleLabel, _quotient, _theta_series, twisted_char
 from supertriplet.modular import (
     _ROW_PRIME,
     MdeResult,
@@ -35,7 +35,7 @@ from supertriplet.qseries import QExpansion
 from supertriplet.specialfn import ThetaIndex, theta
 from supertriplet.zhu import classify_twisted
 
-from oracles import apply_operator, eisenstein_monomials, gauss_jordan_solve
+from oracles import apply_operator, eisenstein_monomials, gauss_jordan_solve, rounding_bound, termwise_evaluate
 
 UNIT_CUTOFF = Fraction(200)
 
@@ -136,6 +136,14 @@ class TestThetaTransforms:
         assert f"bound {bounds[2]:.3e} exceeds" in str(info.value)
         assert str(info.value).endswith(f"at tau={images[1]}")
 
+    def test_eval_bound_refuses_when_any_series_exceeds(self):
+        # one short series among long ones refuses the batch, naming the first point it fails at
+        idx = ThetaIndex(Fraction(1, 2), Fraction(3, 2))
+        taus = np.array([2j, 0.5j])
+        with pytest.raises(ValueError, match=r"at tau=0\.5j$"):
+            modular._check_eval_bound([theta(idx, 400), theta(idx, 4), theta(idx, 400)], taus, 1.0)
+        assert modular._check_eval_bound([theta(idx, 400)] * 2, taus, 1.0).shape == (2, 2)
+
     def test_t_swaps_prefactor_families(self, small_grid):
         # (f/eta) Theta_{j,k} at tau+1 equals e^{-i pi/8} e^{i pi j^2/2k}
         # (f1/eta) G_{j,k} at tau: the plus-product swaps to the minus-product
@@ -188,6 +196,25 @@ class TestClosureRank:
         sv = np.linalg.svd(dup, compute_uv=False)
         rank = int(np.sum(sv >= sv[0] * 1e-8))
         assert rank == 12
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_matrix_matches_termwise_columns(self, m):
+        # entry (tau, fn) is prefactor x theta part x tau^p; the two factors, each summed one
+        # term at a time, lie within their rounding bounds of the grid sums, and the two
+        # products and the factor tau add at most 8 units of 2^-52 of the entry's size
+        grid = standard_grid(m, Fraction(100))
+        points = [*grid.points, *(-1 / tau for tau in grid.points)]
+        fns = basis_functions(m)
+        mat = _evaluation_matrix(fns, points, grid.cutoff)
+        series = {fn.prefactor: _quotient(fn.prefactor, grid.cutoff) for fn in fns}
+        series.update({(fn.kind, fn.j, fn.k): _theta_series(fn.kind, fn.j, fn.k, grid.cutoff) for fn in fns})
+        for i, tau in enumerate(points):
+            sums = {key: (termwise_evaluate(s, tau)[0], rounding_bound(s, tau)) for key, s in series.items()}
+            for col, fn in enumerate(fns):
+                (a, ra), (b, rb) = sums[fn.prefactor], sums[fn.kind, fn.j, fn.k]
+                size = (abs(a) + ra) * (abs(b) + rb)
+                tolerance = (ra * abs(b) + (abs(a) + ra) * rb + 8 * 2.0 ** -52 * size) * abs(tau) ** fn.tau_power
+                assert abs(mat[i, col] - a * b * tau ** fn.tau_power) <= tolerance
 
     def test_small_grid_rejected(self):
         tiny = SampleGrid(tuple(complex(0.1 * a, 0.8) for a in range(5)), UNIT_CUTOFF)

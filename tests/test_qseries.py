@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from supertriplet.qseries import (
@@ -10,6 +11,7 @@ from supertriplet.qseries import (
     CutoffUnderflowError,
     QExpansion,
     QSeriesError,
+    _evaluate_grid,
     product_expansion,
 )
 from supertriplet.specialfn import ThetaIndex, eisenstein, theta
@@ -228,10 +230,21 @@ class TestEvaluate:
         res = QExpansion.zero(-1).evaluate(200j)
         assert res.value == 0j
         assert res.error_bound == math.inf
-        grid = QExpansion.zero(-1).evaluate([1j, 200j])
-        assert grid.value.tolist() == [0j, 0j]
+        grid = QExpansion.zero(-1).evaluate([1j, 200j, 118j])
+        assert grid.value.tolist() == [0j, 0j, 0j]
         assert math.isfinite(grid.error_bound[0])
         assert grid.error_bound[1] == math.inf
+        # |q| = e^{-236 pi} is subnormal, and |q| ** -1 overflows a float
+        assert grid.error_bound[2] == math.inf
+
+    def test_two_dimensional_grid_refused(self):
+        # a 2-D tau array would come back flattened to shape (4,), so it is refused
+        eta = product_expansion(-1, 0, Fraction(1, 24), 30)
+        points = np.array([[1j, 2j], [1.5j, 0.7j]])
+        with pytest.raises(QSeriesError, match="1-D grid"):
+            eta.evaluate(points)
+        with pytest.raises(QSeriesError, match="1-D grid"):
+            _evaluate_grid([eta, QExpansion({1: 1})], points)
 
     def test_empty_series_and_empty_grid(self):
         assert QExpansion.zero(3).evaluate(1j).value == 0j

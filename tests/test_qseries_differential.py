@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from supertriplet import qseries
 from supertriplet.qseries import QExpansion
 
-from oracles import SparseSeries, termwise_evaluate
+from oracles import SparseSeries, rounding_bound, termwise_evaluate
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -59,21 +59,6 @@ grid_points = st.lists(
     min_size=1,
     max_size=12,
 ).map(lambda points: points + [-1 / tau for tau in points])
-
-
-def rounding_bound(series, tau):
-    """How far two float summations of ``series`` at ``tau`` may differ.
-
-    Term ``c q^e`` of ``n`` contributes ``|c| |q^e| (n + 2 pi |e| |tau| + 4)``
-    units of 2^-52: ``n`` for the two summation orders, ``2 pi |e| |tau|`` for
-    rounding of the argument of ``exp``, and 4 for ``exp`` and the product.
-    """
-    n = len(series)
-    total = 0.0
-    for e, c in series.terms:
-        size = abs(float(c)) * math.exp(-2 * math.pi * float(e) * tau.imag)
-        total += size * (n + 2 * math.pi * abs(float(e)) * abs(tau) + 4)
-    return total * 2.0 ** -52
 
 
 def both(terms, cutoff):
@@ -276,3 +261,37 @@ def test_grid_evaluation_matches_termwise(a, points, growth):
         assert abs(grid.value[i] - value) <= tolerance
         assert abs(single.value - value) <= tolerance
         assert grid.error_bound[i] == single.error_bound == bound
+
+
+@st.composite
+def grid_series(draw):
+    """A series on ``offset + (1/d) Z`` with d in {1, 2, 3, 8}, a negative or
+    positive offset, 0-8 terms (so possibly empty) and a cutoff or None."""
+    d = draw(st.sampled_from([1, 2, 3, 8]))
+    offset = Fraction(draw(st.integers(-2 * d, 3 * d)), d)
+    steps = draw(st.lists(st.integers(0, 4 * d), max_size=8))
+    terms = [(offset + Fraction(s, d), draw(exact_coeffs)) for s in steps]
+    cutoff = draw(st.none() | st.integers(1, 6 * d).map(lambda s: offset + Fraction(s, d)))
+    return QExpansion(terms, cutoff=cutoff)
+
+
+@SETTINGS
+@given(
+    st.lists(grid_series(), min_size=1, max_size=6),
+    grid_points | st.just([]),
+    st.sampled_from([2.0, 2.0 ** 64]),
+)
+def test_batched_grid_matches_termwise_per_series(series, points, growth):
+    values, bounds = qseries._evaluate_grid(series, points, growth)
+    assert values.shape == bounds.shape == (len(points), len(series))
+    for col, s in enumerate(series):
+        for i, tau in enumerate(points):
+            value, bound = termwise_evaluate(s, tau, growth)
+            assert abs(values[i, col] - value) <= rounding_bound(s, tau)
+            assert bounds[i, col] == bound
+    # one Laurent term too large for a float refuses the whole batch, as it does alone
+    laurent = QExpansion({-2: 1}, cutoff=1)
+    with pytest.raises(FloatingPointError):
+        laurent.evaluate(points + [200j])
+    with pytest.raises(FloatingPointError):
+        qseries._evaluate_grid(series + [laurent], points + [200j], growth)
