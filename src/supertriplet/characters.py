@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Literal, Optional, Tuple
 
-from .qseries import QExpansion
+from .qseries import QExpansion, _exponent
 from .specialfn import ThetaIndex, eta, frak_f, frak_f1, frak_f2, g_deriv, g_series, theta, theta_deriv
 
 Family = Literal["RLambda", "RPi", "SLambda", "SPi"]
@@ -199,7 +199,7 @@ def character_terms(label: ModuleLabel, flavor: Flavor) -> Tuple[Tuple[Fraction,
 
 def _character(label: ModuleLabel, flavor: Flavor, cutoff, factor: int) -> QExpansion:
     """``factor`` times the prefactor quotient times the theta part, exact below ``cutoff``."""
-    cutoff = Fraction(cutoff)
+    cutoff = _exponent(cutoff)
     build = cutoff + 1
     (a, first), *rest = character_terms(label, flavor)
     body = _theta_series(first.kind, first.j, first.k, build) * a
@@ -242,7 +242,7 @@ def ramond_irred_char(i: int, n: int, m: int, cutoff, halve: bool = False) -> QE
     """
     if not 0 <= i <= 2 * m:
         raise ValueError(f"grid row i must lie in [0, {2 * m}] for m={m}")
-    cutoff = Fraction(cutoff)
+    cutoff = _exponent(cutoff)
     h1 = conformal_weight(i, n, m)
     h2 = conformal_weight(i, -n - 1, m)
     if h1 > h2:
@@ -263,7 +263,7 @@ def fock_char(i: int, m: int, cutoff) -> QExpansion:
     """
     if not 0 <= i <= 2 * m:
         raise ValueError(f"Fock index must lie in [0, {2 * m}] for m={m}")
-    cutoff = Fraction(cutoff)
+    cutoff = _exponent(cutoff)
     build = cutoff + 1
     # (t - m)^2 / (2(2m+1)) with t - m = (2m+1) n + (i - m + 1/2): a theta sum
     lattice_part = theta((Fraction(2 * (i - m) + 1, 2), Fraction(2 * m + 1, 2)), build)
@@ -289,7 +289,7 @@ def triplet_char_bridge(m: int, cutoff) -> Dict[str, Dict[int, QExpansion]]:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    cutoff = Fraction(cutoff)
+    cutoff = _exponent(cutoff)
     half_cut = cutoff / 2 + 1
     f = frak_f(half_cut)
     f2 = frak_f2(half_cut)

@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .arith import QuadRational, SQRT2, binom
-from .qseries import QExpansion
+from .qseries import QExpansion, _exponent
 
 Monomial = Tuple[int, ...]
 Scalar = Union[QuadRational, Fraction, int]
@@ -432,7 +432,7 @@ def graded_dimension_M(cutoff) -> QExpansion:
 
 def graded_dimension_M_half(cutoff) -> QExpansion:
     """Graded dimension of either parity half: distinct-part partitions only."""
-    cutoff = Fraction(cutoff)
+    cutoff = _exponent(cutoff)
     limit = int(cutoff - Fraction(1, 24)) if cutoff > Fraction(1, 24) else 0
     counts = _distinct_partition_counts(limit)
     return QExpansion.from_lattice(Fraction(1, 24), 1, counts, 1, cutoff)

@@ -32,7 +32,7 @@ import numpy as np
 from .characters import (
     _PREFACTOR_BUILDERS, _SECTORS, BasisFunction, ModuleLabel, _quotient, _theta_series, theta_rows, twisted_char,
 )
-from .qseries import QExpansion, _convolve, _evaluate_grid
+from .qseries import QExpansion, _convolve, _evaluate_grid, _exponent
 from .specialfn import ThetaIndex, _as_index, eisenstein, eta, g_deriv, g_series, theta, theta_deriv
 from .zhu import classify_twisted
 
@@ -111,13 +111,13 @@ def standard_grid(m: int, cutoff=DEFAULT_NUMERIC_CUTOFF) -> SampleGrid:
     step = 0.9 / (n_re - 1)
     res = [-0.45 + step * i for i in range(n_re)]
     pts = [complex(re, im) for im in _IM_LADDER for re in res]
-    return SampleGrid(tuple(pts), Fraction(cutoff))
+    return SampleGrid(tuple(pts), _exponent(cutoff))
 
 
 def theta_transform_grid(cutoff=DEFAULT_NUMERIC_CUTOFF) -> SampleGrid:
     """Small mixed grid for pointwise transformation-law residuals."""
     pts = (0.8j, 1.0j, 1.25j, complex(0.1, 0.9), complex(-0.15, 0.75))
-    return SampleGrid(pts, Fraction(cutoff))
+    return SampleGrid(pts, _exponent(cutoff))
 
 
 # ----------------------------------------------------------------------
@@ -236,14 +236,7 @@ class RankReport:
     threshold_rank: int
 
     def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "rank": self.rank,
-            "expected": self.expected,
-            "gap": self.gap,
-            "threshold_rank": self.threshold_rank,
-            "singular_values": list(self.singular_values),
-        }
+        return {**vars(self)}
 
 
 def _evaluation_matrix(
@@ -320,15 +313,8 @@ class ClosureReport:
 
     def to_json(self) -> dict:
         return {
-            "m": self.m,
-            "worst_s_residual": self.worst_s_residual,
-            "worst_t_residual": self.worst_t_residual,
-            "negative_control_residual": self.negative_control_residual,
-            "negative_control_pointwise": self.negative_control_pointwise,
-            "per_member": [
-                {"name": n, "s_residual": s, "t_residual": t}
-                for n, s, t in self.per_member
-            ],
+            **vars(self),
+            "per_member": [{"name": n, "s_residual": s, "t_residual": t} for n, s, t in self.per_member],
         }
 
 
@@ -662,15 +648,7 @@ class MdeResult:
                     "value": [str(value.numerator), str(value.denominator)],
                 }
             )
-        return {
-            "m": self.m,
-            "order": self.order,
-            "success": self.success,
-            "verified_q_order": self.verified_q_order,
-            "negative_control_nonzero": self.negative_control_nonzero,
-            "coefficients": coeffs,
-            "message": self.message,
-        }
+        return {**vars(self), "coefficients": coeffs}
 
 
 def find_mde(m: int = 1, q_order: int = 60, allow_large_m: bool = False) -> MdeResult:

@@ -19,9 +19,10 @@ series whose exponents share a small denominator, as every series of this
 package does; a run longer than ``MAX_RUN`` is refused before it is allocated.
 
 Coefficients and scalars are exact rationals; a float or complex one is
-refused with :class:`QSeriesError`.  Floats appear only in :func:`_evaluate_grid`
-(whose one-series case is :meth:`QExpansion.evaluate`) and
-:meth:`QExpansion.shift_tau_deviation`, which return numbers, never series.
+refused with :class:`QSeriesError`, as is a float exponent, offset, shift or
+cutoff.  Floats appear only in :func:`_evaluate_grid` (whose one-series case
+is :meth:`QExpansion.evaluate`) and :meth:`QExpansion.shift_tau_deviation`,
+which return numbers, never series.
 
 Cutoff propagation: addition takes the minimum of the operand cutoffs, and a
 product of ``A`` and ``B`` is exact below
@@ -80,6 +81,14 @@ def _exact(value) -> Fraction:
     return Fraction(value)
 
 
+def _exponent(value) -> Fraction:
+    """``value`` (an exponent, offset, shift or cutoff) as a Fraction; a float is
+    refused, since it would become a binary fraction (0.1 as 3602879701896397/2^55)."""
+    if isinstance(value, float):
+        raise QSeriesError(f"exponents and cutoffs must be exact, not the float {value!r}")
+    return Fraction(value)
+
+
 def _common_scale(values: Iterable[Fraction]) -> Fraction:
     """The largest rational of which every value is an integer multiple."""
     values = list(values)
@@ -111,10 +120,10 @@ class QExpansion:
         cutoff: Optional[ExpLike] = None,
     ) -> None:
         items = terms.items() if isinstance(terms, dict) else terms
-        cut = Fraction(cutoff) if cutoff is not None else None
+        cut = _exponent(cutoff) if cutoff is not None else None
         acc: Dict[Fraction, Fraction] = {}
         for e, c in items:
-            e, c = Fraction(e), _exact(c)
+            e, c = _exponent(e), _exact(c)
             if cut is None or e < cut:
                 acc[e] = acc.get(e, 0) + c
         values = {e: c for e, c in acc.items() if c}
@@ -144,10 +153,10 @@ class QExpansion:
         or above ``cutoff`` are dropped and zero entries at either end are
         trimmed.
         """
-        offset = Fraction(offset)
+        offset = _exponent(offset)
         hi = len(coeffs)
         if cutoff is not None:
-            cutoff = Fraction(cutoff)
+            cutoff = _exponent(cutoff)
             hi = max(0, min(hi, math.ceil((cutoff - offset) * d)))
         while hi and not coeffs[hi - 1]:
             hi -= 1
@@ -209,7 +218,7 @@ class QExpansion:
         return (self._offset, self._value(self._coeffs[0])) if self._coeffs else None
 
     def coeff(self, exp: ExpLike) -> Fraction:
-        pos = (Fraction(exp) - self._offset) * self._d
+        pos = (_exponent(exp) - self._offset) * self._d
         if pos.denominator == 1 and 0 <= pos < len(self._coeffs) and self._coeffs[int(pos)]:
             return self._value(self._coeffs[int(pos)])
         return Fraction(0)
@@ -357,14 +366,14 @@ class QExpansion:
     # -- substitutions and reshaping --
 
     def truncated(self, cutoff: ExpLike) -> "QExpansion":
-        cut = Fraction(cutoff)
+        cut = _exponent(cutoff)
         if self._cutoff is not None and cut > self._cutoff:
             raise QSeriesError(f"cannot extend cutoff {self._cutoff} to {cut}")
         return self._with(cutoff=cut)
 
     def shifted(self, delta: ExpLike) -> "QExpansion":
         """Multiply by q^delta: every exponent moves by ``delta``."""
-        d = Fraction(delta)
+        d = _exponent(delta)
         cut = self._cutoff + d if self._cutoff is not None else None
         return self._with(offset=self._offset + d, cutoff=cut)
 
@@ -569,11 +578,11 @@ def product_expansion(
     """
     if sign not in (1, -1):
         raise QSeriesError("sign must be +1 or -1")
-    offset = Fraction(offset)
+    offset = _exponent(offset)
     if offset not in (Fraction(0), Fraction(1, 2)):
         raise QSeriesError("offset must be 0 or 1/2")
-    prefactor_exp = Fraction(prefactor_exp)
-    cutoff = Fraction(cutoff)
+    prefactor_exp = _exponent(prefactor_exp)
+    cutoff = _exponent(cutoff)
     if cutoff <= prefactor_exp:
         raise CutoffUnderflowError("cutoff must exceed the prefactor exponent")
     d = offset.denominator

@@ -27,7 +27,7 @@ from operator import add, sub
 from typing import Tuple, Union
 
 from .arith import bernoulli_number
-from .qseries import QExpansion, QSeriesError, _run_length, product_expansion
+from .qseries import QExpansion, QSeriesError, _exponent, _run_length, product_expansion
 
 IndexLike = Union["ThetaIndex", Tuple]
 
@@ -83,26 +83,6 @@ def _as_index(idx: IndexLike) -> ThetaIndex:
     return ThetaIndex(Fraction(j), Fraction(k))
 
 
-def _index_window(j: Fraction, k: Fraction, cutoff: Fraction) -> range:
-    """All integers n with (2kn + j)^2 / 4k < cutoff, via exact isqrt bounds."""
-    bound = 4 * k * cutoff
-    if bound <= 0:
-        return range(0)
-    two_k = 2 * k
-    lattice = math.lcm(two_k.denominator, j.denominator)
-    step = int(two_k * lattice)
-    base = int(j * lattice)
-    # (step*n + base)^2 < bound * lattice^2, over integers
-    top = bound * lattice * lattice
-    limit = (top.numerator - 1) // top.denominator
-    if limit < 0:
-        return range(0)
-    root = math.isqrt(limit)
-    lo = -((root + base) // step)
-    hi = (root - base) // step
-    return range(lo, hi + 1)
-
-
 def _lattice_sum(idx: IndexLike, cutoff, weighted: bool, alternating: bool) -> QExpansion:
     """Sum of ``w_n q^{(2kn+j)^2/4k}`` over the window below ``cutoff``.
 
@@ -116,13 +96,15 @@ def _lattice_sum(idx: IndexLike, cutoff, weighted: bool, alternating: bool) -> Q
     idx = _as_index(idx)
     if alternating and not idx.j_is_integer:
         raise ValueError("alternating theta series require an integer first index")
-    cutoff = Fraction(cutoff)
+    cutoff = _exponent(cutoff)
     if cutoff <= 0:
         raise QSeriesError("theta cutoff must be positive")
     lat = math.lcm((2 * idx.k).denominator, idx.j.denominator)
     step, base = int(2 * idx.k * lat), int(idx.j * lat)
     den = 2 * step * lat
-    window = _index_window(idx.j, idx.k, cutoff)
+    # the exponent T^2 / den with T = step*n + base is below cutoff iff |T| <= root
+    root = math.isqrt(math.ceil(cutoff * den) - 1)
+    window = range(-((root + base) // step), (root - base) // step + 1)
     squares = [(step * n + base) ** 2 for n in window]
     if not squares:
         return QExpansion.zero(cutoff)
@@ -159,25 +141,25 @@ def g_deriv(idx: IndexLike, cutoff) -> QExpansion:
 @lru_cache(maxsize=None)
 def eta(cutoff) -> QExpansion:
     """Dedekind eta product q^{1/24} prod_{n>=1} (1 - q^n)."""
-    return product_expansion(-1, 0, Fraction(1, 24), Fraction(cutoff))
+    return product_expansion(-1, 0, Fraction(1, 24), cutoff)
 
 
 @lru_cache(maxsize=None)
 def frak_f(cutoff) -> QExpansion:
     """q^{-1/48} prod_{n>=0} (1 + q^{n+1/2})."""
-    return product_expansion(1, Fraction(1, 2), Fraction(-1, 48), Fraction(cutoff))
+    return product_expansion(1, Fraction(1, 2), Fraction(-1, 48), cutoff)
 
 
 @lru_cache(maxsize=None)
 def frak_f1(cutoff) -> QExpansion:
     """q^{-1/48} prod_{n>=1} (1 - q^{n-1/2})."""
-    return product_expansion(-1, Fraction(1, 2), Fraction(-1, 48), Fraction(cutoff))
+    return product_expansion(-1, Fraction(1, 2), Fraction(-1, 48), cutoff)
 
 
 @lru_cache(maxsize=None)
 def frak_f2(cutoff) -> QExpansion:
     """q^{1/24} prod_{n>=1} (1 + q^n)."""
-    return product_expansion(1, 0, Fraction(1, 24), Fraction(cutoff))
+    return product_expansion(1, 0, Fraction(1, 24), cutoff)
 
 
 def eisenstein(k: int, variant: str, cutoff) -> QExpansion:
@@ -194,7 +176,7 @@ def eisenstein(k: int, variant: str, cutoff) -> QExpansion:
         raise ValueError("eisenstein weight index must be >= 1")
     if variant not in EISENSTEIN_VARIANTS:
         raise ValueError(f"variant must be one of {EISENSTEIN_VARIANTS}")
-    cutoff = Fraction(cutoff)
+    cutoff = _exponent(cutoff)
     constant = (-1 if variant == "full" else 1) * bernoulli_number(2 * k) / math.factorial(2 * k)
     size = max(0, math.ceil(cutoff))
     coeffs = [0] * _run_length(size)

@@ -13,14 +13,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import characters as ch
 from . import fermion as fm
 from . import zhu
 from .arith import QuadRational, bernoulli_number
 from .modular import character_theta_indices
-from .qseries import QExpansion
+from .qseries import QExpansion, _exponent
 from .specialfn import ThetaIndex, eisenstein, eta, frak_f2, g_series, theta, theta_deriv
 
 SUITE_NAMES = ("theta", "characters", "zhu", "fermion", "all")
@@ -90,27 +90,15 @@ def _theta_suite(m: int, cutoff: Fraction) -> Tuple[CheckResult, ...]:
         _ok("theta-shift-law", worst < 1e-12, f"max coefficient deviation {worst:.2e}")
     )
 
-    # eta against the pentagonal-number expansion
-    pent = {}
-    j = 0
-    while True:
-        done = True
-        for s in (j, -j):
-            e = Fraction(1, 24) + Fraction(s * (3 * s - 1), 2)
-            if e < cutoff:
-                pent[e] = Fraction((-1) ** (s & 1))
-                done = False
-            if s == 0:
-                break
-        if done and j > 0:
-            break
-        j += 1
+    # eta against the pentagonal-number expansion: s(3s-1)/2 >= s^2, so |s|^2 < cutoff
+    r = math.isqrt(math.ceil(cutoff))
+    pent = {Fraction(1, 24) + Fraction(s * (3 * s - 1), 2): (-1) ** (s & 1) for s in range(-r, r + 1)}
     ok = (eta(cutoff) - QExpansion(pent, cutoff=cutoff)).is_zero()
     checks.append(_ok("eta-pentagonal-expansion", ok))
 
     # f2 = eta(2 tau) / eta(tau) as exact series
-    doubled = eta(Fraction(cutoff) / 2 + 1).double_exponents()
-    ratio = doubled / eta(Fraction(cutoff) + 2)
+    doubled = eta(cutoff / 2 + 1).double_exponents()
+    ratio = doubled / eta(cutoff + 2)
     ok = (ratio.truncated(cutoff) - frak_f2(cutoff)).is_zero()
     checks.append(_ok("f2-is-eta-doubling-quotient", ok))
 
@@ -188,7 +176,7 @@ def _characters_suite(m: int, cutoff: Fraction) -> Tuple[CheckResult, ...]:
     ok = True
     N = 6
     for i in range(m):
-        window = min(Fraction(cutoff), ch.conformal_weight(i, N, m) - c / 24)
+        window = min(cutoff, ch.conformal_weight(i, N, m) - c / 24)
         total = QExpansion.zero(cutoff)
         for n in range(N + 1):
             total = total + ch.ramond_irred_char(i, n, m, cutoff).scale(2 * n + 1)
@@ -216,11 +204,6 @@ def _characters_suite(m: int, cutoff: Fraction) -> Tuple[CheckResult, ...]:
 # ----------------------------------------------------------------------
 # zhu suite
 # ----------------------------------------------------------------------
-
-
-def _zhu_suite(m: int, cutoff: Fraction) -> List[CheckResult]:
-    """The Zhu checks read only ``m``: run once per ``m`` and process."""
-    return list(_zhu_checks(m))
 
 
 @lru_cache(maxsize=None)
@@ -259,11 +242,6 @@ def _zhu_checks(m: int) -> Tuple[CheckResult, ...]:
 # ----------------------------------------------------------------------
 # fermion suite
 # ----------------------------------------------------------------------
-
-
-def _fermion_suite(m: int, cutoff: Fraction) -> List[CheckResult]:
-    """The fermion checks read neither ``m`` nor ``cutoff``: run once per process."""
-    return list(_fermion_checks())
 
 
 @lru_cache(maxsize=1)
@@ -337,12 +315,12 @@ def _fermion_checks() -> Tuple[CheckResult, ...]:
     return tuple(checks)
 
 
-# memoised per (m, cutoff), per m, or once; run_suite copies results into a fresh list
-_SUITES: Dict[str, Callable[[int, Fraction], Sequence[CheckResult]]] = {
+# memoised per (m, cutoff), per m (zhu) or once (fermion); run_suite copies results into a fresh list
+_SUITES: Dict[str, Callable[[int, Fraction], Tuple[CheckResult, ...]]] = {
     "theta": _theta_suite,
     "characters": _characters_suite,
-    "zhu": _zhu_suite,
-    "fermion": _fermion_suite,
+    "zhu": lambda m, cutoff: _zhu_checks(m),
+    "fermion": lambda m, cutoff: _fermion_checks(),
 }
 
 
@@ -359,7 +337,7 @@ def run_suite(
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    cutoff = Fraction(cutoff)
+    cutoff = _exponent(cutoff)
     if cutoff <= 0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
     names = ["theta", "characters", "zhu", "fermion"] if name == "all" else [name]

@@ -174,18 +174,9 @@ class TwistedModuleRecord:
 
     def to_json(self) -> dict:
         return {
-            "family": self.family,
-            "index": self.index,
-            "i_index": self.i_index,
-            "lowest_weight": [
-                str(self.lowest_weight.numerator),
-                str(self.lowest_weight.denominator),
-            ],
-            "top_dim_graded": self.top_dim_graded,
-            "g0_squared": [
-                str(self.g0_squared.numerator),
-                str(self.g0_squared.denominator),
-            ],
+            **vars(self),
+            "lowest_weight": [str(self.lowest_weight.numerator), str(self.lowest_weight.denominator)],
+            "g0_squared": [str(self.g0_squared.numerator), str(self.g0_squared.denominator)],
         }
 
 

@@ -64,6 +64,24 @@ def pentagonal_eta_terms(cutoff: Fraction) -> Dict[Fraction, int]:
     return out
 
 
+def lattice_sum_terms(j: Fraction, k: Fraction, cutoff: Fraction, weighted: bool, alternating: bool) -> Dict[Fraction, Fraction]:
+    """Exponent -> coefficient map of ``sum_n w_n q^{(2kn+j)^2/4k}`` below cutoff,
+    ``w_n`` being ``2kn+j`` when weighted (else 1), times ``(-1)^n`` when alternating.
+
+    A plain loop over |n| <= cutoff + |j| + 1, which holds every term: for
+    k >= 1/2, ``|2kn+j| < 2 sqrt(k cutoff) <= k + cutoff`` gives
+    ``|n| < 1/2 + (cutoff + |j|) / 2k <= 1/2 + cutoff + |j|``.
+    """
+    out: Dict[Fraction, Fraction] = {}
+    bound = math.ceil(cutoff + abs(j)) + 1
+    for n in range(-bound, bound + 1):
+        e = (2 * k * n + j) ** 2 / (4 * k)
+        if e < cutoff:
+            w = (2 * k * n + j if weighted else 1) * (-1 if alternating and n % 2 else 1)
+            out[e] = out.get(e, Fraction(0)) + w
+    return {e: c for e, c in out.items() if c}
+
+
 def binom_fraction_loop(x, n: int) -> Fraction:
     """C(x, n) as n ``Fraction`` products x(x-1)...(x-n+1), divided by n!."""
     x = Fraction(x)

@@ -18,7 +18,7 @@ from supertriplet.characters import (
     twisted_char,
     untwisted_char,
 )
-from supertriplet.qseries import QExpansion
+from supertriplet.qseries import QExpansion, QSeriesError
 from supertriplet.specialfn import frak_f2, frak_f, eta, theta
 from supertriplet.zhu import classify_twisted
 
@@ -331,3 +331,21 @@ class TestExport:
         assert sample["family"] == "RLambda"
         assert sample["series"]["terms"]
         assert sample["leading_exponent"] == ["1", "24"]
+
+
+class TestFloatCutoffRefused:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda x: twisted_char(ModuleLabel("RLambda", 1, 1), x),
+            lambda x: untwisted_char(ModuleLabel("SLambda", 1, 1), "character", x),
+            lambda x: character_series(ModuleLabel("SPi", 1, 1), "supercharacter", x),
+            lambda x: ramond_irred_char(0, 0, 1, x),
+            lambda x: fock_char(0, 1, x),
+            lambda x: triplet_char_bridge(1, x)["Lambda"][1],
+        ],
+    )
+    def test_builders_refuse_a_float_cutoff(self, build):
+        with pytest.raises(QSeriesError, match="float"):
+            build(2.5)
+        assert build(Fraction(5, 2)).cutoff == Fraction(5, 2)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import supertriplet
 from supertriplet import cli, suites
 from supertriplet.cli import EXIT_BROKEN_PIPE, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from supertriplet.qseries import QSeriesError
 from supertriplet.suites import CheckResult, run_suite
 
 
@@ -60,11 +61,14 @@ class TestSuites:
         assert [c.to_json() for c in fresh] == [c.to_json() for c in cached]
 
     def test_fermion_suite_returns_fresh_list(self):
+        # the dispatch hands out the cached tuple itself; run_suite copies it
+        assert suites._SUITES["fermion"](3, Fraction(7)) is suites._fermion_checks()
         first = run_suite("fermion", 1)
         expected = [c.to_json() for c in first]
+        second = run_suite("fermion", 1)
+        assert type(first) is list and first is not second and first == second
         first.clear()
-        run_suite("fermion", 1).append(CheckResult("extra", False, ""))
-        suites._fermion_suite(1, Fraction(30)).pop()
+        second.append(CheckResult("extra", False, ""))
         assert [c.to_json() for c in run_suite("fermion", 1)] == expected
 
     def test_zhu_suite_ignores_cutoff(self):
@@ -83,11 +87,27 @@ class TestSuites:
             assert [c.to_json() for c in fresh] == [c.to_json() for c in results]
 
     def test_zhu_suite_returns_fresh_list(self):
+        # the dispatch hands out the cached tuple of that m itself; run_suite copies it
+        assert suites._SUITES["zhu"](1, Fraction(7)) is suites._zhu_checks(1)
+        assert suites._SUITES["zhu"](2, Fraction(7)) is suites._zhu_checks(2)
         first = run_suite("zhu", 1)
         expected = [c.to_json() for c in first]
+        second = run_suite("zhu", 1)
+        assert type(first) is list and first is not second and first == second
         first.clear()
-        suites._zhu_suite(1, Fraction(30)).append(CheckResult("extra", False, ""))
-        assert [c.to_json() for c in suites._zhu_suite(1, Fraction(30))] == expected
+        second.append(CheckResult("extra", False, ""))
+        assert [c.to_json() for c in run_suite("zhu", 1)] == expected
+
+    @pytest.mark.parametrize("cutoff", [Fraction(1, 12), 1, Fraction(5, 2), 7, Fraction(51, 2)])
+    def test_eta_pentagonal_expansion_passes(self, cutoff):
+        # 1/12 keeps only q^{1/24}; each larger cutoff ends between two exponents 1/24 + s(3s-1)/2
+        check = next(c for c in run_suite("theta", 1, cutoff) if c.name == "eta-pentagonal-expansion")
+        assert check.passed
+
+    @pytest.mark.parametrize("suite", suites.SUITE_NAMES)
+    def test_float_cutoff_refused(self, suite):
+        with pytest.raises(QSeriesError, match="float"):
+            run_suite(suite, 1, 0.5)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("cutoff", [Fraction(1, 2), 1, 2, 3])

@@ -24,6 +24,7 @@ from supertriplet.fermion import (
     virasoro_mode,
     virasoro_mode_quadratic,
 )
+from supertriplet.qseries import QSeriesError
 from supertriplet.specialfn import frak_f2
 
 
@@ -256,6 +257,12 @@ class TestGradedDimension:
     def test_equals_twice_f2(self):
         cutoff = Fraction(12)
         assert (graded_dimension_M(cutoff) - frak_f2(cutoff).scale(2)).is_zero()
+
+    @pytest.mark.parametrize("build", [graded_dimension_M, graded_dimension_M_half])
+    def test_float_cutoff_refused(self, build):
+        with pytest.raises(QSeriesError, match="float"):
+            build(12.0)
+        assert build(Fraction(12)).cutoff == 12
 
     def test_halves(self):
         cutoff = Fraction(12)

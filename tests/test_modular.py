@@ -31,7 +31,7 @@ from supertriplet.modular import (
     t_transform_residual,
     theta_transform_grid,
 )
-from supertriplet.qseries import QExpansion
+from supertriplet.qseries import QExpansion, QSeriesError
 from supertriplet.specialfn import ThetaIndex, theta
 from supertriplet.zhu import classify_twisted
 
@@ -76,6 +76,12 @@ class TestBasis:
     def test_standard_grid_size(self):
         for m in (1, 2):
             assert len(standard_grid(m).points) >= 3 * (9 * m + 3)
+
+    @pytest.mark.parametrize("build", [lambda x: standard_grid(1, x), theta_transform_grid])
+    def test_grid_refuses_a_float_cutoff(self, build):
+        with pytest.raises(QSeriesError, match="float"):
+            build(100.0)
+        assert build(Fraction(100)).cutoff == 100
 
 
 class TestThetaTransforms:
@@ -480,3 +486,49 @@ class TestMdeOutOfSample:
         result = find_mde(2, q_order=2, allow_large_m=True)
         assert result.success and result.verified_q_order == 2
         assert _residual_support(result, 20)[:1] == [8]
+
+
+class TestReportSchema:
+    """The keys of every report's ``to_json`` are its dataclass fields, so a new
+    field changes the JSON of schema "1"; these sets make that change deliberate."""
+
+    def test_rank_report(self, rank_grid_m1):
+        report = closure_rank(1, rank_grid_m1)
+        data = report.to_json()
+        assert set(data) == {"m", "rank", "expected", "gap", "singular_values", "threshold_rank"}
+        data["rank"] = -1
+        assert report.rank == 12  # the dict is a copy, not the report's own namespace
+
+    def test_closure_report(self, rank_grid_m1):
+        data = closure_under_s_t(1, rank_grid_m1).to_json()
+        assert set(data) == {
+            "m",
+            "worst_s_residual",
+            "worst_t_residual",
+            "negative_control_residual",
+            "negative_control_pointwise",
+            "per_member",
+        }
+        assert len(data["per_member"]) == 12
+        assert all(set(row) == {"name", "s_residual", "t_residual"} for row in data["per_member"])
+
+    def test_mde_result(self, mde_m1):
+        data = mde_m1.to_json()
+        assert set(data) == {
+            "m",
+            "order",
+            "success",
+            "verified_q_order",
+            "coefficients",
+            "negative_control_nonzero",
+            "message",
+        }
+        assert data["coefficients"]
+        assert all(set(c) == {"derivative_order", "monomial", "value"} for c in data["coefficients"])
+
+    def test_twisted_module_record(self):
+        for rec in classify_twisted(2):
+            data = rec.to_json()
+            assert set(data) == {"family", "index", "i_index", "lowest_weight", "top_dim_graded", "g0_squared"}
+            assert data["lowest_weight"] == [str(rec.lowest_weight.numerator), str(rec.lowest_weight.denominator)]
+            assert data["g0_squared"] == [str(rec.g0_squared.numerator), str(rec.g0_squared.denominator)]

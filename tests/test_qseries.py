@@ -48,6 +48,37 @@ class TestConstruction:
         with pytest.raises(QSeriesError):
             QExpansion({0: 1, 5: 0.5}, cutoff=2)
 
+    def test_float_cutoff_is_not_read_as_a_binary_fraction(self):
+        # float 0.1 is 3602879701896397/2^55, just above 1/10, which would keep q^{1/10}
+        with pytest.raises(QSeriesError, match="float"):
+            QExpansion({Fraction(1, 10): 1}, cutoff=0.1)
+        assert QExpansion({Fraction(1, 10): 1}, cutoff=Fraction(1, 10)).is_zero()
+
+    @pytest.mark.parametrize("value", [0.5, 0.1, np.float64(0.5)])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda x: QExpansion({x: 1}),
+            lambda x: QExpansion({0: 1}, cutoff=x),
+            lambda x: QExpansion.monomial(x),
+            lambda x: QExpansion.zero(x),
+            lambda x: QExpansion.one(x),
+            lambda x: QExpansion.from_lattice(x, 1, [1]),
+            lambda x: QExpansion.from_lattice(0, 1, [1], 1, x),
+            lambda x: QExpansion({0: 1}, cutoff=1).truncated(x),
+            lambda x: QExpansion({0: 1}).shifted(x),
+            lambda x: QExpansion({0: 1}).coeff(x),
+            lambda x: product_expansion(-1, x, 0, 2),
+            lambda x: product_expansion(-1, 0, x, 2),
+            lambda x: product_expansion(-1, 0, 0, x),
+        ],
+    )
+    def test_float_exponents_offsets_shifts_and_cutoffs_refused(self, build, value):
+        # refused even where the float is exactly a dyadic rational
+        with pytest.raises(QSeriesError, match="float"):
+            build(value)
+        build(Fraction(1, 2))
+
 
 class TestArithmetic:
     def test_add_same_exponent(self):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from supertriplet.modular import character_theta_indices
-from supertriplet.qseries import QExpansion
+from supertriplet.qseries import QExpansion, QSeriesError
 from supertriplet.specialfn import (
     ThetaIndex,
     eisenstein,
@@ -226,3 +226,25 @@ class TestEisenstein:
         assert e2.coeff(0) == 1
         for n in range(1, 12):
             assert e2.coeff(n) == -24 * divisor_power_sum(n, 1)
+
+
+class TestFloatCutoffRefused:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda x: theta((Fraction(1, 2), Fraction(3, 2)), x),
+            lambda x: theta_deriv((Fraction(1, 2), Fraction(3, 2)), x),
+            lambda x: g_series((1, Fraction(3, 2)), x),
+            lambda x: g_deriv((1, Fraction(3, 2)), x),
+            eta,
+            frak_f,
+            frak_f1,
+            frak_f2,
+            lambda x: eisenstein(1, "full", x),
+        ],
+    )
+    def test_builders_refuse_a_float_cutoff(self, build):
+        # float 0.3 would be 5404319552844595/2^54, not 3/10
+        with pytest.raises(QSeriesError, match="float"):
+            build(0.3)
+        assert build(Fraction(3, 10)).cutoff == Fraction(3, 10)
