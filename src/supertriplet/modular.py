@@ -23,6 +23,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Rational
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -242,15 +243,20 @@ class RankReport:
 def _evaluation_matrix(
     fns: Sequence[BasisFunction], points: Sequence[complex], cutoff: Fraction
 ) -> np.ndarray:
-    """Basis members (columns) at ``points`` (rows); every distinct prefactor
-    and theta series is summed over the whole grid in one call."""
+    """Basis members (columns) at ``points`` (rows) from one grid sum of their series,
+    read-only and kept for the last three grids (base, S, T), so both closure checks share them."""
+    return _grid_matrix(tuple(fns), tuple(points), cutoff)
+
+
+@lru_cache(maxsize=3)
+def _grid_matrix(fns: Tuple[BasisFunction, ...], points: Tuple[complex, ...], cutoff: Fraction) -> np.ndarray:
     taus = np.asarray(points, dtype=complex)
     prefs = {tag: _quotient(tag, cutoff) for tag in dict.fromkeys(fn.prefactor for fn in fns)}
     parts = {key: _theta_series(*key, cutoff) for key in dict.fromkeys((fn.kind, fn.j, fn.k) for fn in fns)}
     value = dict(zip([*prefs, *parts], _evaluate_grid([*prefs.values(), *parts.values()], taus).value.T))
-    return np.column_stack(
-        [value[fn.prefactor] * value[fn.kind, fn.j, fn.k] * taus ** fn.tau_power for fn in fns]
-    )
+    mat = np.column_stack([value[fn.prefactor] * value[fn.kind, fn.j, fn.k] * taus ** fn.tau_power for fn in fns])
+    mat.flags.writeable = False
+    return mat
 
 
 def _normalize_columns(mat: np.ndarray) -> np.ndarray:

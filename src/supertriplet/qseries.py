@@ -22,7 +22,9 @@ Coefficients and scalars are exact rationals; a float or complex one is
 refused with :class:`QSeriesError`, as is a float exponent, offset, shift or
 cutoff.  Floats appear only in :func:`_evaluate_grid` (whose one-series case
 is :meth:`QExpansion.evaluate`) and :meth:`QExpansion.shift_tau_deviation`,
-which return numbers, never series.
+which return numbers, never series.  A grid sum drops the highest terms that
+total at most 2^-60 of the rest's absolute sum at the grid's largest |q|, and
+so, lying above every kept exponent, at each of its points.
 
 Cutoff propagation: addition takes the minimum of the operand cutoffs, and a
 product of ``A`` and ``B`` is exact below
@@ -153,6 +155,8 @@ class QExpansion:
         or above ``cutoff`` are dropped and zero entries at either end are
         trimmed.
         """
+        if isinstance(scale, float):
+            raise QSeriesError(f"coefficients must be exact rationals, not {scale!r}")
         offset = _exponent(offset)
         hi = len(coeffs)
         if cutoff is not None:
@@ -474,7 +478,10 @@ def _evaluate_grid(series: Sequence[QExpansion], taus, growth_bound: float = 2.0
 
     One table ``exp(2 pi i tau (x) e)`` over the union of the exponents, each
     an exact integer over the lcm of the denominators, times the exponents x
-    series matrix of float coefficients.  A term too large for a float raises
+    series matrix of float coefficients, both over the terms a double sees: a
+    series drops its highest terms while they total at most 2^-60 (2^-7 ulp)
+    of the rest's absolute sum at the grid's largest |q|, so, all lying above
+    the kept exponents, at every point.  A term too large for a float raises
     ``FloatingPointError`` for the whole batch.  The tail bound, once per
     distinct cutoff and point, is ``growth_bound`` (a caller-supplied cap on
     coefficient magnitude) times |q|^cutoff / (1 - |q|).
@@ -485,16 +492,23 @@ def _evaluate_grid(series: Sequence[QExpansion], taus, growth_bound: float = 2.0
     taus = taus.reshape(-1)
     if (taus.imag <= 0).any():
         raise QSeriesError("evaluation requires Im(tau) > 0")
+    log_absq = -2 * math.pi * taus.imag.min() if taus.size else 0.0
     ratios = [s._exponent_ratio() for s in series]
     lcm = math.lcm(*(den for _, _, den in ratios))
     keys, coeffs, cols = [], [], []
     for col, (s, (base, step, den)) in enumerate(zip(series, ratios)):
         sn, sd, f = s._scale.numerator, s._scale.denominator, lcm // den
         nonzero = list(compress(range(len(s._coeffs)), s._coeffs))
-        keys += [(base + i * step) * f for i in nonzero]
+        # log |c q^e| of each term at the largest |q|: there |q|^400 does not underflow, nor a Laurent term overflow
+        logs = np.array([math.log(abs(s._coeffs[i])) + (base + i * step) / den * log_absq for i in nonzero])
+        size = np.exp(logs - logs.max(initial=-np.inf))
+        # visible[k]: the terms after the k-th total at most 2^-60 of the first k+1; the first one always stays
+        visible = np.append(np.cumsum(size[::-1])[-2::-1] <= 2.0 ** -60 * np.cumsum(size)[:-1], True)
+        kept = nonzero[: int(np.argmax(visible)) + 1]
+        keys += [(base + i * step) * f for i in kept]
         # c * sn / sd is the correctly rounded float of the exact coefficient
-        coeffs += [c * sn / sd for c in s._coeffs if c]
-        cols += [col] * len(nonzero)
+        coeffs += [s._coeffs[i] * sn / sd for i in kept]
+        cols += [col] * len(kept)
     keys, rows = np.unique(np.array(keys), return_inverse=True)
     mat = np.zeros((len(keys), len(series)))
     mat[rows, cols] = coeffs

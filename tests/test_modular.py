@@ -248,6 +248,37 @@ class TestClosureFit:
         assert 0 < report.negative_control_pointwise < 1e-2
 
 
+class TestSharedMatrices:
+    @pytest.mark.parametrize("order", [(closure_rank, closure_under_s_t), (closure_under_s_t, closure_rank)])
+    def test_either_order_matches_an_empty_cache(self, order):
+        grid = standard_grid(1, Fraction(100))
+        cold = {}
+        for check in order:
+            modular._grid_matrix.cache_clear()
+            cold[check] = check(1, grid)
+        modular._grid_matrix.cache_clear()
+        assert {check: check(1, grid) for check in order} == cold
+        # the second check reads the first one's base and S matrices
+        assert modular._grid_matrix.cache_info().hits == 2
+
+    def test_matrix_is_read_only(self):
+        grid = standard_grid(1, Fraction(100))
+        mat = _evaluation_matrix(basis_functions(1), grid.points, grid.cutoff)
+        with pytest.raises(ValueError):
+            mat[0, 0] = 0
+
+    def test_grids_of_one_m_share_no_entry(self):
+        # the benchmark's seeded grids: standard_grid moved along the real axis
+        base = standard_grid(1, Fraction(100))
+        moved = SampleGrid(tuple(tau + 0.0137 for tau in base.points), base.cutoff)
+        fns = basis_functions(1)
+        modular._grid_matrix.cache_clear()
+        mats = [_evaluation_matrix(fns, grid.points, grid.cutoff) for grid in (base, moved)]
+        assert modular._grid_matrix.cache_info().misses == 2
+        assert not np.allclose(*mats)
+        assert _evaluation_matrix(fns, moved.points, moved.cutoff) is mats[1]
+
+
 class TestExactSolver:
     def test_unique_system(self):
         rows = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]

@@ -54,6 +54,14 @@ class TestConstruction:
             QExpansion({Fraction(1, 10): 1}, cutoff=0.1)
         assert QExpansion({Fraction(1, 10): 1}, cutoff=Fraction(1, 10)).is_zero()
 
+    @pytest.mark.parametrize("value", [0.1, np.float64(0.5)])
+    @pytest.mark.parametrize("coeffs", [[1], [0, 2, 0], []])
+    def test_float_scale_refused(self, coeffs, value):
+        # from_lattice stored 0.1 as 3602879701896397/2^55; scale() and * already refuse it
+        with pytest.raises(QSeriesError, match="exact rationals"):
+            QExpansion.from_lattice(0, 1, coeffs, value)
+        assert QExpansion.from_lattice(0, 1, [1], Fraction(1, 10)).terms == ((0, Fraction(1, 10)),)
+
     @pytest.mark.parametrize("value", [0.5, 0.1, np.float64(0.5)])
     @pytest.mark.parametrize(
         "build",

@@ -12,18 +12,21 @@ lattices agree.  ``_convolve`` itself gets runs of 0-8 or 24-60 negative,
 zero, small and 200-bit entries, empty runs, unequal strides and
 truncations shorter and longer than the full product; a spy on
 ``_kronecker`` shows which branch ran.  Float sums must agree within a rounding bound derived from the terms,
-and tail bounds exactly.
+and tail bounds exactly; the terms a grid sum drops must total at most 2^-60 of those it keeps.
 """
 
 import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from supertriplet import qseries
+from supertriplet.characters import _quotient, _theta_series
+from supertriplet.modular import basis_functions, standard_grid
 from supertriplet.qseries import QExpansion
 
 from oracles import SparseSeries, rounding_bound, termwise_evaluate
@@ -295,3 +298,35 @@ def test_batched_grid_matches_termwise_per_series(series, points, growth):
         laurent.evaluate(points + [200j])
     with pytest.raises(FloatingPointError):
         qseries._evaluate_grid(series + [laurent], points + [200j], growth)
+
+
+def test_grid_drops_only_terms_below_rounding(monkeypatch):
+    # the cutoff-400 prefactor quotients, with coefficients of 78-79 bits, and the m=2 theta
+    # series on the m=2 grid and on its S-images: each series keeps a run of leading terms,
+    # and at every point the dropped ones total at most 2^-60 of the kept ones' absolute sum
+    grid = standard_grid(2, 400)
+    parts = dict.fromkeys((fn.kind, fn.j, fn.k) for fn in basis_functions(2))
+    quotients = [_quotient(tag, grid.cutoff) for tag in ("f", "f1", "f2")]
+    series = quotients + [_theta_series(*part, grid.cutoff) for part in parts]
+    assert max(abs(c.numerator).bit_length() for s in quotients for _, c in s.terms) >= 78
+    for points in (list(grid.points), [-1 / tau for tau in grid.points]):
+        values, bounds = qseries._evaluate_grid(series, points)
+        for col, s in enumerate(series):
+            # the exponent table of the series alone holds the terms it keeps
+            unique, tables = np.unique, []
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "unique", lambda keys, **kw: tables.append(len(keys)) or unique(keys, **kw))
+                qseries._evaluate_grid([s], points)
+            kept = tables[0]
+            if col < len(quotients):
+                assert kept < len(s) // 3
+            terms = [(float(e), math.log(abs(c.numerator)) - math.log(c.denominator)) for e, c in s.terms]
+            for i, tau in enumerate(points):
+                value, bound = termwise_evaluate(s, tau)
+                assert abs(values[i, col] - value) <= rounding_bound(s, tau)
+                assert bounds[i, col] == bound
+                # log |c q^e| term by term, scaled by the largest so that nothing underflows
+                logs = [log_c - 2 * math.pi * e * tau.imag for e, log_c in terms]
+                top = max(logs)
+                sizes = [math.exp(x - top) for x in logs]
+                assert math.fsum(sizes[kept:]) <= 2.0 ** -60 * math.fsum(sizes[:kept])
