@@ -171,11 +171,6 @@ class BasisFunction:
 _THETA_BUILDERS = {"theta": theta, "g": g_series, "dtheta": theta_deriv, "dg": g_deriv}
 
 
-@lru_cache(maxsize=None)
-def _theta_series(kind: str, j: Fraction, k: Fraction, cutoff: Fraction) -> QExpansion:
-    return _THETA_BUILDERS[kind](ThetaIndex(j, k), cutoff)
-
-
 def character_terms(label: ModuleLabel, flavor: Flavor) -> Tuple[Tuple[Fraction, BasisFunction], ...]:
     """The theta part of a character as ``(coefficient, BasisFunction)`` pairs.
 
@@ -202,9 +197,9 @@ def _character(label: ModuleLabel, flavor: Flavor, cutoff, factor: int) -> QExpa
     cutoff = _exponent(cutoff)
     build = cutoff + 1
     (a, first), *rest = character_terms(label, flavor)
-    body = _theta_series(first.kind, first.j, first.k, build) * a
+    body = _THETA_BUILDERS[first.kind](ThetaIndex(first.j, first.k), build) * a
     for b, fn in rest:
-        body = body + _theta_series(fn.kind, fn.j, fn.k, build) * b
+        body = body + _THETA_BUILDERS[fn.kind](ThetaIndex(fn.j, fn.k), build) * b
     return (_quotient(first.prefactor, build) * body).scale(factor).truncated(cutoff)
 
 
@@ -248,10 +243,8 @@ def ramond_irred_char(i: int, n: int, m: int, cutoff, halve: bool = False) -> QE
     if h1 > h2:
         h1, h2 = h2, h1
     c = central_charge(m)
-    build = cutoff + 1
-    pref = _quotient("f2", build)
-    body = QExpansion([(h1 - c / 24, 1), (h2 - c / 24, -1)])
-    return (pref * body).scale(1 if halve else 2).truncated(cutoff)
+    pref = _quotient("f2", cutoff + 1)
+    return (pref.shifted(h1 - c / 24) - pref.shifted(h2 - c / 24)).scale(1 if halve else 2).truncated(cutoff)
 
 
 def fock_char(i: int, m: int, cutoff) -> QExpansion:

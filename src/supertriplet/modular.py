@@ -31,7 +31,7 @@ import numpy as np
 
 # _PREFACTOR_BUILDERS names the BasisFunction prefactors; perfbench/selftest.py reads it here
 from .characters import (
-    _PREFACTOR_BUILDERS, _SECTORS, BasisFunction, ModuleLabel, _quotient, _theta_series, theta_rows, twisted_char,
+    _PREFACTOR_BUILDERS, _SECTORS, _THETA_BUILDERS, BasisFunction, ModuleLabel, _quotient, theta_rows, twisted_char,
 )
 from .qseries import QExpansion, _convolve, _evaluate_grid, _exponent
 from .specialfn import ThetaIndex, _as_index, eisenstein, eta, g_deriv, g_series, theta, theta_deriv
@@ -252,7 +252,7 @@ def _evaluation_matrix(
 def _grid_matrix(fns: Tuple[BasisFunction, ...], points: Tuple[complex, ...], cutoff: Fraction) -> np.ndarray:
     taus = np.asarray(points, dtype=complex)
     prefs = {tag: _quotient(tag, cutoff) for tag in dict.fromkeys(fn.prefactor for fn in fns)}
-    parts = {key: _theta_series(*key, cutoff) for key in dict.fromkeys((fn.kind, fn.j, fn.k) for fn in fns)}
+    parts = {key: _THETA_BUILDERS[key[0]](key[1:], cutoff) for key in dict.fromkeys((fn.kind, fn.j, fn.k) for fn in fns)}
     value = dict(zip([*prefs, *parts], _evaluate_grid([*prefs.values(), *parts.values()], taus).value.T))
     mat = np.column_stack([value[fn.prefactor] * value[fn.kind, fn.j, fn.k] * taus ** fn.tau_power for fn in fns])
     mat.flags.writeable = False
@@ -357,7 +357,7 @@ def closure_under_s_t(m: int, grid: Optional[SampleGrid] = None) -> ClosureRepor
     coeffs, pointwise = _fit(mat, eta(grid.cutoff).evaluate(grid.points).value)
     build = _CONTROL_WINDOW + 1
     window = [
-        (_quotient(fn.prefactor, build) * _theta_series(fn.kind, fn.j, fn.k, build)).truncated(
+        (_quotient(fn.prefactor, build) * _THETA_BUILDERS[fn.kind](ThetaIndex(fn.j, fn.k), build)).truncated(
             _CONTROL_WINDOW
         )
         for fn in fns

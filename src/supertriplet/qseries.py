@@ -17,11 +17,13 @@ scale; shifts, ``tau -> tau/2`` and ``tau -> 2 tau`` move only the offset and
 the step.  Memory is the exponent span times ``d``, so the lattice suits
 series whose exponents share a small denominator, as every series of this
 package does; a run longer than ``MAX_RUN`` is refused before it is allocated.
+An operation that changes only the header (negation, scaling, a shift, either
+exponent substitution on a lattice it keeps) shares the trimmed, immutable run.
 
 Coefficients and scalars are exact rationals; a float or complex one is
-refused with :class:`QSeriesError`, as is a float exponent, offset, shift or
-cutoff.  Floats appear only in :func:`_evaluate_grid` (whose one-series case
-is :meth:`QExpansion.evaluate`) and :meth:`QExpansion.shift_tau_deviation`,
+refused with :class:`QSeriesError`, as is a float or complex exponent, offset,
+shift or cutoff.  Floats appear only in :func:`_evaluate_grid` (whose one-series
+case is :meth:`QExpansion.evaluate`) and :meth:`QExpansion.shift_tau_deviation`,
 which return numbers, never series.  A grid sum drops the highest terms that
 total at most 2^-60 of the rest's absolute sum at the grid's largest |q|, and
 so, lying above every kept exponent, at each of its points.
@@ -37,7 +39,7 @@ import cmath
 import math
 from fractions import Fraction
 from itertools import compress, repeat
-from numbers import Number, Rational
+from numbers import Complex, Number, Rational
 from operator import add, mul, sub
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -83,11 +85,18 @@ def _exact(value) -> Fraction:
     return Fraction(value)
 
 
+def _inexact(value) -> bool:
+    """A float, which ``Fraction`` reads as a binary fraction (0.1 as 3602879701896397/2^55),
+    or another number that is not rational (a NumPy float, a complex), which it refuses."""
+    return isinstance(value, float) or not isinstance(value, Rational) and isinstance(value, Complex)
+
+
 def _exponent(value) -> Fraction:
-    """``value`` (an exponent, offset, shift or cutoff) as a Fraction; a float is
-    refused, since it would become a binary fraction (0.1 as 3602879701896397/2^55)."""
-    if isinstance(value, float):
-        raise QSeriesError(f"exponents and cutoffs must be exact, not the float {value!r}")
+    """``value`` (an exponent, offset, shift or cutoff) as a Fraction; an inexact number is refused."""
+    if type(value) is Fraction:
+        return value
+    if _inexact(value):
+        raise QSeriesError(f"exponents and cutoffs must be exact, not the float or complex {value!r}")
     return Fraction(value)
 
 
@@ -155,7 +164,7 @@ class QExpansion:
         or above ``cutoff`` are dropped and zero entries at either end are
         trimmed.
         """
-        if isinstance(scale, float):
+        if _inexact(scale):
             raise QSeriesError(f"coefficients must be exact rationals, not {scale!r}")
         offset = _exponent(offset)
         hi = len(coeffs)
@@ -289,8 +298,14 @@ class QExpansion:
         return self._with(scale=-self._scale)
 
     def _with(self, **changes) -> "QExpansion":
+        """This series with only its header (offset, d, scale, cutoff) changed, the cutoff
+        keeping its place past the run: the run is trimmed and immutable, so it is shared."""
+        if not self._coeffs:
+            return QExpansion.zero(changes.get("cutoff", self._cutoff))
         fields = {name[1:]: getattr(self, name) for name in self.__slots__}
-        return QExpansion.from_lattice(**{**fields, **changes})
+        series = object.__new__(QExpansion)
+        _init(series, *{**fields, **changes}.values())
+        return series
 
     def scale(self, scalar: CoeffLike) -> "QExpansion":
         scalar = _exact(scalar)
@@ -373,7 +388,7 @@ class QExpansion:
         cut = _exponent(cutoff)
         if self._cutoff is not None and cut > self._cutoff:
             raise QSeriesError(f"cannot extend cutoff {self._cutoff} to {cut}")
-        return self._with(cutoff=cut)
+        return QExpansion.from_lattice(self._offset, self._d, self._coeffs, self._scale, cut)
 
     def shifted(self, delta: ExpLike) -> "QExpansion":
         """Multiply by q^delta: every exponent moves by ``delta``."""
@@ -393,7 +408,7 @@ class QExpansion:
             return self._with(offset=self._offset * 2, d=self._d // 2, cutoff=cut)
         spread: List[int] = [0] * (2 * len(self._coeffs) - 1)
         spread[::2] = self._coeffs
-        return self._with(offset=self._offset * 2, coeffs=spread, cutoff=cut)
+        return QExpansion.from_lattice(self._offset * 2, self._d, spread, self._scale, cut)
 
     # -- numerics --
 
@@ -407,14 +422,21 @@ class QExpansion:
         of ``target``.
         """
         cuts = [c for c in (self._cutoff, target._cutoff) if c is not None]
-        cut = min(cuts) if cuts else None
-        ours, theirs = dict(self.terms), dict(target.terms)
+        ratios = [s._exponent_ratio() for s in (self, target)]
+        # exponents as integer keys over the lcm L: e < cut iff key < ceil(cut L), frac(e) = (key mod L) / L
+        lcm = math.lcm(*(den for _, _, den in ratios))
+        stop = math.ceil(min(cuts) * lcm) if cuts else math.inf
+        runs = []
+        for s, (base, step, den) in zip((self, target), ratios):
+            f, sn, sd = lcm // den, s._scale.numerator, s._scale.denominator
+            keys = range(base * f, (base + len(s._coeffs) * step) * f, step * f)
+            # c * sn / sd is the correctly rounded float of the exact coefficient
+            runs.append({key: c * sn / sd for key, c in zip(keys, s._coeffs) if c and key < stop})
+        ours, theirs = runs
         worst = 0.0
-        for e in ours.keys() | theirs.keys():
-            if cut is None or e < cut:
-                turn = cmath.exp(2j * math.pi * ((e.numerator % e.denominator) / e.denominator))
-                shifted = complex(ours.get(e, 0)) * turn
-                worst = max(worst, abs(shifted - complex(theirs.get(e, 0)) * phase))
+        for key in ours.keys() | theirs.keys():
+            turn = cmath.exp(2j * math.pi * ((key % lcm) / lcm))
+            worst = max(worst, abs(complex(ours.get(key, 0)) * turn - complex(theirs.get(key, 0)) * phase))
         return worst
 
     def evaluate(self, tau, growth_bound: float = 2.0 ** 64) -> EvalResult:

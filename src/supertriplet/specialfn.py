@@ -84,6 +84,12 @@ def _as_index(idx: IndexLike) -> ThetaIndex:
 
 
 def _lattice_sum(idx: IndexLike, cutoff, weighted: bool, alternating: bool) -> QExpansion:
+    """:func:`_lattice_run`, memoised on the key ``(ThetaIndex, Fraction cutoff, ...)``."""
+    return _lattice_run(_as_index(idx), _exponent(cutoff), weighted, alternating)
+
+
+@lru_cache(maxsize=None)
+def _lattice_run(idx: ThetaIndex, cutoff: Fraction, weighted: bool, alternating: bool) -> QExpansion:
     """Sum of ``w_n q^{(2kn+j)^2/4k}`` over the window below ``cutoff``.
 
     The weight ``w_n`` is ``2kn+j`` when ``weighted`` and 1 otherwise, times
@@ -93,10 +99,8 @@ def _lattice_sum(idx: IndexLike, cutoff, weighted: bool, alternating: bool) -> Q
     run (under scale ``1/L`` when weighted) on the coarsest lattice through
     all its exponents.
     """
-    idx = _as_index(idx)
     if alternating and not idx.j_is_integer:
         raise ValueError("alternating theta series require an integer first index")
-    cutoff = _exponent(cutoff)
     if cutoff <= 0:
         raise QSeriesError("theta cutoff must be positive")
     lat = math.lcm((2 * idx.k).denominator, idx.j.denominator)

@@ -89,7 +89,13 @@ def _theta_suite(m: int, cutoff: Fraction) -> Tuple[CheckResult, ...]:
     checks.append(
         _ok("theta-shift-law", worst < 1e-12, f"max coefficient deviation {worst:.2e}")
     )
+    return (*checks, *_cutoff_checks(cutoff))
 
+
+@lru_cache(maxsize=None)
+def _cutoff_checks(cutoff: Fraction) -> Tuple[CheckResult, ...]:
+    """The theta-suite checks that do not depend on m, run once per cutoff."""
+    checks: List[CheckResult] = []
     # eta against the pentagonal-number expansion: s(3s-1)/2 >= s^2, so |s|^2 < cutoff
     r = math.isqrt(math.ceil(cutoff))
     pent = {Fraction(1, 24) + Fraction(s * (3 * s - 1), 2): (-1) ** (s & 1) for s in range(-r, r + 1)}
@@ -119,12 +125,15 @@ def _theta_suite(m: int, cutoff: Fraction) -> Tuple[CheckResult, ...]:
 # ----------------------------------------------------------------------
 
 
+# under the scale sn/sd in lowest terms, c sn/sd is an integer iff sd | c, and nonnegative iff c sn >= 0
 def _is_nonneg_int_series(series: QExpansion) -> bool:
-    return all(c.denominator == 1 and c >= 0 for _, c in series.terms)
+    sn = series.lattice[3].numerator
+    return _is_int_series(series) and all(c * sn >= 0 for c in series.lattice[2])
 
 
 def _is_int_series(series: QExpansion) -> bool:
-    return all(c.denominator == 1 for _, c in series.terms)
+    sd = series.lattice[3].denominator
+    return not any(c % sd for c in series.lattice[2])
 
 
 @lru_cache(maxsize=None)
@@ -181,8 +190,7 @@ def _characters_suite(m: int, cutoff: Fraction) -> Tuple[CheckResult, ...]:
         for n in range(N + 1):
             total = total + ch.ramond_irred_char(i, n, m, cutoff).scale(2 * n + 1)
         target = ch.twisted_char(ch.ModuleLabel("RLambda", i + 1, m), cutoff)
-        diff = total - target
-        if any(e < window and coeff != 0 for e, coeff in diff.terms):
+        if not (total - target).truncated(window).is_zero():
             ok = False
     checks.append(_ok("ramond-telescoping-safe-window", ok))
 
@@ -251,10 +259,11 @@ def _fermion_checks() -> Tuple[CheckResult, ...]:
     basis = [fm.FockVector({mono: 1}, fock_cut) for mono in fm.basis_monomials(grade)]
 
     ok = True
+    inner = {(b, i): fm.phi(b, v) for b in range(-4, 5) for i, v in enumerate(basis)}
     for a in range(-4, 5):
-        for b in range(-4, 5):
-            for v in basis:
-                lhs = fm.phi(a, fm.phi(b, v)) + fm.phi(b, fm.phi(a, v))
+        for b in range(a, 5):  # the anti-bracket is symmetric in a and b
+            for i, v in enumerate(basis):
+                lhs = fm.phi(a, inner[b, i]) + fm.phi(b, inner[a, i])
                 if not lhs.truncated and not (lhs - v.scale(int(a + b == 0))).is_zero():
                     ok = False
     checks = [_ok("clifford-anticommutators", ok)]
@@ -315,7 +324,8 @@ def _fermion_checks() -> Tuple[CheckResult, ...]:
     return tuple(checks)
 
 
-# memoised per (m, cutoff), per m (zhu) or once (fermion); run_suite copies results into a fresh list
+# memoised per (m, cutoff), per m (zhu) or once (fermion), the m-free theta checks once per
+# cutoff (_cutoff_checks); run_suite copies results into a fresh list
 _SUITES: Dict[str, Callable[[int, Fraction], Tuple[CheckResult, ...]]] = {
     "theta": _theta_suite,
     "characters": _characters_suite,

@@ -623,3 +623,42 @@ def character_oracle(label, flavor: str, cutoff, halve: bool = False):
         idx = ThetaIndex(Fraction(m - i), k)
         body = series(idx, build) * Fraction(2 * m - 2 * i, p) - series_deriv(idx, build) * Fraction(2, p)
     return (pref * body).truncated(cutoff)
+
+
+def shift_tau_deviation(src, target, phase: complex) -> float:
+    """``QExpansion.shift_tau_deviation`` as it read both series through ``terms``:
+    dicts keyed by ``Fraction`` exponent, each coefficient and ``frac(e)`` turned
+    into a float from its ``Fraction``."""
+    cuts = [c for c in (src.cutoff, target.cutoff) if c is not None]
+    cut = min(cuts) if cuts else None
+    ours, theirs = dict(src.terms), dict(target.terms)
+    worst = 0.0
+    for e in ours.keys() | theirs.keys():
+        if cut is None or e < cut:
+            turn = cmath.exp(2j * math.pi * ((e.numerator % e.denominator) / e.denominator))
+            shifted = complex(ours.get(e, 0)) * turn
+            worst = max(worst, abs(shifted - complex(theirs.get(e, 0)) * phase))
+    return worst
+
+
+def is_int_terms(series) -> bool:
+    """Every coefficient of ``series.terms`` is an integer."""
+    return all(c.denominator == 1 for _, c in series.terms)
+
+
+def is_nonneg_int_terms(series) -> bool:
+    """Every coefficient of ``series.terms`` is a nonnegative integer."""
+    return all(c.denominator == 1 and c >= 0 for _, c in series.terms)
+
+
+def ramond_product(i: int, n: int, m: int, cutoff, halve: bool = False):
+    """``characters.ramond_irred_char`` as the product of the ``f2/eta`` quotient
+    with the two-term series ``q^{h1 - c/24} - q^{h2 - c/24}``."""
+    from supertriplet.characters import _quotient, central_charge, conformal_weight
+    from supertriplet.qseries import QExpansion
+
+    cutoff = Fraction(cutoff)
+    h1, h2 = sorted((conformal_weight(i, n, m), conformal_weight(i, -n - 1, m)))
+    c = central_charge(m)
+    body = QExpansion([(h1 - c / 24, 1), (h2 - c / 24, -1)])
+    return (_quotient("f2", cutoff + 1) * body).scale(1 if halve else 2).truncated(cutoff)

@@ -1,6 +1,8 @@
 """Differential tests: characters built from the theta-row table of
 ``characters`` against ``oracles.character_oracle``, the per-family row
-formulas the table replaced, and the closure basis and theta indices that
+formulas the table replaced; Ramond characters, two shifts of the ``f2/eta``
+quotient, against ``oracles.ramond_product``, its product with the two-term
+series; and the closure basis and theta indices that
 ``modular`` derives from the same table against their pinned lists.
 
 The closure-rank and closure reports list basis members in the order of
@@ -14,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supertriplet.characters import all_labels, character_series, character_terms, twisted_char
+from supertriplet.characters import all_labels, character_series, character_terms, ramond_irred_char, twisted_char
 from supertriplet.modular import basis_functions, character_theta_indices
 
-from oracles import character_oracle
+from oracles import character_oracle, ramond_product
 
 CUTOFFS = (Fraction(1, 2), Fraction(7), Fraction(30))
 
@@ -71,6 +73,15 @@ def test_every_character_matches_the_row_formulas(m, cutoff):
             half = twisted_char(label, cutoff, halve=True)
             assert half == character_oracle(label, flavor, cutoff, halve=True), label
             assert half.scale(2) == got, label
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("cutoff", CUTOFFS, ids=str)
+def test_ramond_characters_match_the_product_form(m, cutoff):
+    for i in range(2 * m + 1):
+        for n in range(7):
+            for halve in (False, True):
+                assert ramond_irred_char(i, n, m, cutoff, halve) == ramond_product(i, n, m, cutoff, halve), (i, n)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -11,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import supertriplet
-from supertriplet import cli, suites
+from supertriplet import arith, characters, cli, fermion, modular, qseries, specialfn, suites, zhu
 from supertriplet.cli import EXIT_BROKEN_PIPE, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 from supertriplet.qseries import QSeriesError
 from supertriplet.suites import CheckResult, run_suite
+
+PACKAGE_MODULES = (arith, characters, cli, fermion, modular, qseries, specialfn, suites, zhu)
 
 
 class TestSuites:
@@ -180,6 +183,35 @@ class TestSuiteMemo:
             assert main(["verify", "--suite", suite, "--m", "1", "--out", str(out)]) == EXIT_OK
         assert main(argv) == EXIT_OK
         assert out.read_bytes() == cold
+
+    def test_m_free_theta_checks_run_once_per_cutoff(self):
+        suites._theta_suite.cache_clear()
+        suites._cutoff_checks.cache_clear()
+        runs = [run_suite("theta", m, Fraction(17)) for m in (1, 2, 3)]
+        info = suites._cutoff_checks.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
+        tails = [run[-3:] for run in runs]
+        assert [c.name for c in tails[0]] == [
+            "eta-pentagonal-expansion", "f2-is-eta-doubling-quotient", "eisenstein-divisor-sum-coefficients"
+        ]
+        assert all(a is b for tail in tails for a, b in zip(tail, tails[0]))
+
+    @pytest.mark.parametrize("order", ["ascending", "descending"])
+    def test_verify_grid_bytes_from_cleared_caches(self, tmp_path, order):
+        # every verify reply over suite x m x cutoff, joined in that order, is pinned; the
+        # requests meet cold caches of every module, in either order
+        for obj in [getattr(module, name) for module in PACKAGE_MODULES for name in vars(module)]:
+            if hasattr(obj, "cache_clear") and obj.__module__.startswith("supertriplet."):
+                obj.cache_clear()
+        out = tmp_path / "verify.json"
+        grid = [(s, m, c) for s in ("theta", "characters", "zhu", "fermion") for m in (1, 2, 3) for c in (20, 30, 40)]
+        replies = {}
+        for suite, m, cutoff in grid if order == "ascending" else grid[::-1]:
+            argv = ["verify", "--suite", suite, "--m", str(m), "--cutoff", str(cutoff), "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            replies[suite, m, cutoff] = out.read_bytes()
+        digest = hashlib.sha256(b"".join(replies[key] for key in grid)).hexdigest()
+        assert digest == "027a4ab1339cdd38779869651f25d890279b39c81a1916af0e36f43c2ec38136"
 
 
 class TestCharCommand:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supertriplet import modular
-from supertriplet.characters import ModuleLabel, _quotient, _theta_series, twisted_char
+from supertriplet.characters import _THETA_BUILDERS, ModuleLabel, _quotient, twisted_char
 from supertriplet.modular import (
     _ROW_PRIME,
     MdeResult,
@@ -158,14 +158,14 @@ class TestThetaTransforms:
         import math as _math
 
         from supertriplet.characters import _quotient
-        from supertriplet.modular import _theta_series
+        from supertriplet.specialfn import g_series
 
         j, k = Fraction(1), Fraction(3, 2)
         phase = cmath.exp(1j * _math.pi * (-0.125 + float(j * j / (2 * k))))
         lhs_pref = _quotient("f", small_grid.cutoff)
-        lhs_theta = _theta_series("theta", j, k, small_grid.cutoff)
+        lhs_theta = theta((j, k), small_grid.cutoff)
         rhs_pref = _quotient("f1", small_grid.cutoff)
-        rhs_theta = _theta_series("g", j, k, small_grid.cutoff)
+        rhs_theta = g_series((j, k), small_grid.cutoff)
         for tau in small_grid.points:
             lhs = lhs_pref.evaluate(tau + 1).value * lhs_theta.evaluate(tau + 1).value
             rhs = phase * rhs_pref.evaluate(tau).value * rhs_theta.evaluate(tau).value
@@ -213,7 +213,7 @@ class TestClosureRank:
         fns = basis_functions(m)
         mat = _evaluation_matrix(fns, points, grid.cutoff)
         series = {fn.prefactor: _quotient(fn.prefactor, grid.cutoff) for fn in fns}
-        series.update({(fn.kind, fn.j, fn.k): _theta_series(fn.kind, fn.j, fn.k, grid.cutoff) for fn in fns})
+        series.update({(fn.kind, fn.j, fn.k): _THETA_BUILDERS[fn.kind]((fn.j, fn.k), grid.cutoff) for fn in fns})
         for i, tau in enumerate(points):
             sums = {key: (termwise_evaluate(s, tau)[0], rounding_bound(s, tau)) for key, s in series.items()}
             for col, fn in enumerate(fns):

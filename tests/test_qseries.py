@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -86,6 +87,25 @@ class TestConstruction:
         with pytest.raises(QSeriesError, match="float"):
             build(value)
         build(Fraction(1, 2))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: QExpansion.from_lattice(0, 1, [1], np.float32(0.5)),
+            lambda: QExpansion({np.float32(0.5): 1}),
+            lambda: QExpansion({0: 1}, cutoff=3).truncated(np.float32(2)),
+            lambda: theta((Fraction(1, 2), Fraction(3, 2)), np.float32(4)),
+            lambda: QExpansion({0: 1}).shifted(1j),
+        ],
+    )
+    def test_numpy_floats_and_complex_numbers_refused(self, build):
+        # neither is a float nor a Rational, and Fraction() would raise a bare TypeError
+        with pytest.raises(QSeriesError):
+            build()
+
+    def test_strings_and_decimals_still_accepted(self):
+        assert QExpansion({"1/3": 1}, cutoff=Decimal("0.5")).terms == ((Fraction(1, 3), 1),)
+        assert QExpansion.from_lattice(0, 1, [1], "1/2").terms == ((0, Fraction(1, 2)),)
 
 
 class TestArithmetic:

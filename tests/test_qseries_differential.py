@@ -24,12 +24,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from supertriplet import qseries
-from supertriplet.characters import _quotient, _theta_series
+from supertriplet import qseries, suites
+from supertriplet.characters import _THETA_BUILDERS, _quotient
 from supertriplet.modular import basis_functions, standard_grid
 from supertriplet.qseries import QExpansion
 
-from oracles import SparseSeries, rounding_bound, termwise_evaluate
+from oracles import SparseSeries, is_int_terms, is_nonneg_int_terms, rounding_bound, shift_tau_deviation, termwise_evaluate
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -307,7 +307,7 @@ def test_grid_drops_only_terms_below_rounding(monkeypatch):
     grid = standard_grid(2, 400)
     parts = dict.fromkeys((fn.kind, fn.j, fn.k) for fn in basis_functions(2))
     quotients = [_quotient(tag, grid.cutoff) for tag in ("f", "f1", "f2")]
-    series = quotients + [_theta_series(*part, grid.cutoff) for part in parts]
+    series = quotients + [_THETA_BUILDERS[kind]((j, k), grid.cutoff) for kind, j, k in parts]
     assert max(abs(c.numerator).bit_length() for s in quotients for _, c in s.terms) >= 78
     for points in (list(grid.points), [-1 / tau for tau in grid.points]):
         values, bounds = qseries._evaluate_grid(series, points)
@@ -330,3 +330,60 @@ def test_grid_drops_only_terms_below_rounding(monkeypatch):
                 top = max(logs)
                 sizes = [math.exp(x - top) for x in logs]
                 assert math.fsum(sizes[kept:]) <= 2.0 ** -60 * math.fsum(sizes[:kept])
+
+
+@st.composite
+def scaled_series(draw):
+    """A series from ``series_terms`` (cutoff or None), its coefficients rounded
+    to integers half of the time, under a scale that may be negative or not an integer."""
+    terms, cutoff = draw(series_terms())
+    if draw(st.booleans()):
+        terms = [(e, math.floor(c)) for e, c in terms]
+    scale = draw(st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6)]))
+    return QExpansion(terms, cutoff=cutoff).scale(scale)
+
+
+phases = st.sampled_from([1, -1, 1j, cmath.exp(0.25j * math.pi), cmath.exp(-0.7j)])
+
+
+@SETTINGS
+@given(scaled_series(), scaled_series(), phases)
+@example(QExpansion({0: 1}, cutoff=1), QExpansion({0: 1, 1: 5}), 1)  # a term of b at the cutoff of a
+def test_shift_tau_deviation_matches_the_terms_version(a, b, phase):
+    # the same correctly rounded floats in the same operations, so equal to the last bit
+    assert a.shift_tau_deviation(b, phase) == shift_tau_deviation(a, b, phase)
+    assert a.shift_tau_deviation(a, phase) == shift_tau_deviation(a, a, phase)
+
+
+@SETTINGS
+@given(scaled_series())
+@example(QExpansion({0: 2, Fraction(1, 3): 3}))
+@example(QExpansion({0: 2, Fraction(1, 3): -3}, cutoff=1))
+def test_integrality_predicates_match_the_terms_versions(a):
+    assert suites._is_int_series(a) == is_int_terms(a)
+    assert suites._is_nonneg_int_series(a) == is_nonneg_int_terms(a)
+
+
+@SETTINGS
+@given(
+    scaled_series(),
+    st.fractions(min_value=-3, max_value=3, max_denominator=48),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool),
+)
+def test_header_changes_share_the_run(a, delta, factor):
+    # negation, scale, shifts and both exponent substitutions (the doubling on an even d) give
+    # the series a from_lattice build gives, holding the very run tuple of the operand
+    offset, d, coeffs, scale = a.lattice
+    cut = a.cutoff
+    moved = lambda f: None if cut is None else f(cut)  # noqa: E731
+    cases = [
+        (-a, (offset, d, coeffs, -scale, cut)),
+        (a.scale(factor), (offset, d, coeffs, scale * factor, cut)),
+        (a.shifted(delta), (offset + delta, d, coeffs, scale, moved(lambda c: c + delta))),
+        (a.half_exponents(), (offset / 2, 2 * d, coeffs, scale, moved(lambda c: c / 2))),
+        (a.half_exponents().double_exponents(), (offset, d, coeffs, scale, cut)),
+    ]
+    for fast, header in cases:
+        built = QExpansion.from_lattice(*header)
+        assert fast.lattice == built.lattice and fast.cutoff == built.cutoff
+        assert fast.lattice[2] is coeffs

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from supertriplet import specialfn
 from supertriplet.modular import character_theta_indices
 from supertriplet.qseries import QExpansion, QSeriesError
 from supertriplet.specialfn import (
@@ -248,3 +249,18 @@ class TestFloatCutoffRefused:
         with pytest.raises(QSeriesError, match="float"):
             build(0.3)
         assert build(Fraction(3, 10)).cutoff == Fraction(3, 10)
+
+
+class TestThetaCache:
+    @pytest.mark.parametrize("build", [theta, theta_deriv, g_series, g_deriv])
+    def test_tuple_and_theta_index_share_one_entry(self, build):
+        j, k = 1, Fraction(5, 2)
+        assert build((j, k), 10) is build(ThetaIndex(j, k), Fraction(10))
+
+    def test_float_cutoff_refused_before_the_cache(self):
+        idx = ThetaIndex(Fraction(1, 2), Fraction(3, 2))
+        before = specialfn._lattice_run.cache_info()
+        with pytest.raises(QSeriesError, match="float"):
+            theta(idx, 10.0)
+        after = specialfn._lattice_run.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses, before.currsize)
