@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Literal, Optional, Tuple
+from typing import Dict, List, Literal, Tuple
 
 from .qseries import QExpansion, _exponent
 from .specialfn import ThetaIndex, eta, frak_f, frak_f1, frak_f2, g_deriv, g_series, theta, theta_deriv
@@ -53,7 +53,6 @@ __all__ = [
     "triplet_char_bridge",
     "super_vs_t_deviation",
     "all_labels",
-    "char_table_rows",
 ]
 
 
@@ -308,8 +307,11 @@ def super_vs_t_deviation(label: ModuleLabel, cutoff) -> float:
     and eps is the parity of the lowest level (the sign of the
     supercharacter's leading coefficient; the SPi modules have odd tops).
     """
-    chi = untwisted_char(label, "character", cutoff)
-    schi = untwisted_char(label, "supercharacter", cutoff)
+    return _shift_deviation(untwisted_char(label, "character", cutoff), untwisted_char(label, "supercharacter", cutoff))
+
+
+def _shift_deviation(chi: QExpansion, schi: QExpansion) -> float:
+    """:func:`super_vs_t_deviation` for the character ``chi`` and supercharacter ``schi`` of one module."""
     lead = chi.min_exponent
     if lead is None:
         return 0.0
@@ -319,7 +321,7 @@ def super_vs_t_deviation(label: ModuleLabel, cutoff) -> float:
 
 
 # ----------------------------------------------------------------------
-# tables and export
+# tables
 # ----------------------------------------------------------------------
 
 
@@ -342,24 +344,3 @@ def character_series(label: ModuleLabel, flavor: Flavor, cutoff) -> QExpansion:
             raise ValueError("twisted modules have no separate supercharacter row")
         return twisted_char(label, cutoff)
     return untwisted_char(label, flavor, cutoff)
-
-
-def char_table_rows(m: int, cutoff, labels: Optional[Iterable[Tuple[ModuleLabel, Flavor]]] = None) -> List[dict]:
-    """JSON-friendly character table: one row per (label, flavor)."""
-    rows = []
-    for label, flavor in labels if labels is not None else all_labels(m):
-        series = character_series(label, flavor, cutoff)
-        lead = series.min_exponent
-        rows.append(
-            {
-                "family": label.family,
-                "index": label.index,
-                "flavor": flavor,
-                "m": m,
-                "leading_exponent": [str(lead.numerator), str(lead.denominator)]
-                if lead is not None
-                else None,
-                "series": series.to_json_dict(),
-            }
-        )
-    return rows

@@ -90,14 +90,6 @@ def _frac_str(pair) -> str:
     return f"{pair[0]}/{pair[1]}"
 
 
-def _csv(header: List[str], rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 # ----------------------------------------------------------------------
 # char
 # ----------------------------------------------------------------------
@@ -110,7 +102,7 @@ def _cmd_char(args) -> int:
         print("char: cutoff must be positive", file=sys.stderr)
         return EXIT_USAGE
     if args.all:
-        labels = tuple(ch.all_labels(m))
+        labels = _all_labels(m)
     else:
         if not args.family or args.index is None:
             print("char: provide --family and --index, or --all", file=sys.stderr)
@@ -126,7 +118,7 @@ def _cmd_char(args) -> int:
             return EXIT_USAGE
         labels = ((label, flavor),)
     try:
-        payload = _char_payload(m, cutoff, labels, args.format)
+        payload = _char_payload(cutoff, labels, args.format)
     except ValueError as exc:
         print(f"char: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -135,14 +127,54 @@ def _cmd_char(args) -> int:
 
 
 @lru_cache(maxsize=None)
-def _char_payload(m: int, cutoff: Fraction, labels: tuple, fmt: str) -> str:
-    """The JSON or CSV reply for the ``(label, flavor)`` rows, rendered once per process."""
-    rows = ch.char_table_rows(m, cutoff, labels)
+def _all_labels(m: int) -> tuple:
+    """``characters.all_labels(m)`` as a tuple, built once per process."""
+    return tuple(ch.all_labels(m))
+
+
+def _char_payload(cutoff: Fraction, labels: tuple, fmt: str) -> str:
+    """The JSON or CSV reply for the ``(label, flavor)`` rows: ``json.dumps({"schema": ..., "rows":
+    ...}, sort_keys=True, indent=2)`` or the ``csv.writer`` lines, joined from rows rendered once."""
+    rows = [_char_row(label, flavor, cutoff, fmt) for label, flavor in labels]
     if fmt == "json":
-        return _json_dump({"schema": SCHEMA, "rows": rows})
-    header = ["family", "index", "flavor", "m", "exponent", "coefficient"]
-    return _csv(header, ([r["family"], r["index"], r["flavor"], r["m"], _frac_str(t["exp"]), _frac_str(t["coef"])]
-                         for r in rows for t in r["series"]["terms"]))
+        return '{\n  "rows": [\n    ' + ",\n    ".join(rows) + f'\n  ],\n  "schema": "{SCHEMA}"\n}}'
+    return "family,index,flavor,m,exponent,coefficient\r\n" + "".join(rows)
+
+
+# a row object and one of its terms, indented as json.dumps(..., indent=2) places them inside "rows"
+_JSON_TERM = (
+    '\n          {\n            "coef": [\n              "%s",\n              "%s"\n            ],'
+    '\n            "exp": [\n              "%s",\n              "%s"\n            ]\n          }'
+)
+_JSON_ROW = (
+    '{\n      "family": "%s",\n      "flavor": "%s",\n      "index": %s,\n      "leading_exponent": %s,'
+    '\n      "m": %s,\n      "series": {\n        "cutoff": %s,\n        "domain": "exact-rational",'
+    '\n        "terms": %s\n      }\n    }'
+)
+
+
+@lru_cache(maxsize=None)
+def _char_row(label: ch.ModuleLabel, flavor: str, cutoff: Fraction, fmt: str) -> str:
+    """One character row, rendered once per process from the series' integer run: the row
+    object as it sits inside ``"rows"`` of the JSON reply, or its CSV lines."""
+    series = ch.character_series(label, flavor, cutoff)
+    offset, d, coeffs, scale = series.lattice
+    # entry i sits at exponent (base + i * step) / den with coefficient c * sn / sd
+    base, step, den = offset.numerator * d, offset.denominator, offset.denominator * d
+    sn, sd = scale.numerator, scale.denominator
+    terms = []
+    for i, c in enumerate(coeffs):
+        if c:
+            e = base + i * step
+            g, h = math.gcd(e, den), math.gcd(c, sd)
+            terms.append((e // g, den // g, c // h * sn, sd // h))
+    if fmt == "csv":
+        head = f"{label.family},{label.index},{flavor},{label.m}"
+        return "".join(f"{head},{en}/{ed},{cn}/{cd}\r\n" for en, ed, cn, cd in terms)
+    lead = '[\n        "%s",\n        "%s"\n      ]' % terms[0][:2] if terms else "null"
+    cut = '[\n          "%s",\n          "%s"\n        ]' % (series.cutoff.numerator, series.cutoff.denominator)
+    body = "[" + ",".join(_JSON_TERM % (cn, cd, en, ed) for en, ed, cn, cd in terms) + "\n        ]" if terms else "[]"
+    return _JSON_ROW % (label.family, flavor, label.index, lead, label.m, cut, body)
 
 
 # ----------------------------------------------------------------------
@@ -186,10 +218,12 @@ def _cmd_classify(args) -> int:
         payload = {"schema": SCHEMA, "m": args.m, "modules": [r.to_json() for r in records]}
         _emit(_json_dump(payload), args.out)
     else:
-        header = ["family", "index", "i_index", "lowest_weight", "top_dim_graded", "g0_squared"]
-        rows = ([r.family, r.index, r.i_index, _frac_str(r.lowest_weight.as_integer_ratio()),
-                 r.top_dim_graded, _frac_str(r.g0_squared.as_integer_ratio())] for r in records)
-        _emit(_csv(header, rows), args.out)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["family", "index", "i_index", "lowest_weight", "top_dim_graded", "g0_squared"])
+        writer.writerows([r.family, r.index, r.i_index, _frac_str(r.lowest_weight.as_integer_ratio()),
+                          r.top_dim_graded, _frac_str(r.g0_squared.as_integer_ratio())] for r in records)
+        _emit(buf.getvalue(), args.out)
     return EXIT_OK
 
 

@@ -19,6 +19,9 @@ series whose exponents share a small denominator, as every series of this
 package does; a run longer than ``MAX_RUN`` is refused before it is allocated.
 An operation that changes only the header (negation, scaling, a shift, either
 exponent substitution on a lattice it keeps) shares the trimmed, immutable run.
+The header of a sum (common offset, lattice, scale and start positions) and the
+cut ``ceil((cutoff - offset) d)`` of every rebuilt run come from integer
+numerators and denominators, not from ``Fraction`` arithmetic.
 
 Coefficients and scalars are exact rationals; a float or complex one is
 refused with :class:`QSeriesError`, as is a float or complex exponent, offset,
@@ -100,14 +103,6 @@ def _exponent(value) -> Fraction:
     return Fraction(value)
 
 
-def _common_scale(values: Iterable[Fraction]) -> Fraction:
-    """The largest rational of which every value is an integer multiple."""
-    values = list(values)
-    return Fraction(
-        math.gcd(*(v.numerator for v in values)), math.lcm(*(v.denominator for v in values))
-    )
-
-
 def _run_length(n: int) -> int:
     """``n``, refused with :class:`QSeriesError` when longer than ``MAX_RUN``."""
     if n > MAX_RUN:
@@ -142,7 +137,9 @@ class QExpansion:
         if values:
             offset = min(values)
             d = math.lcm(*((e - offset).denominator for e in values))
-            scale = _common_scale(values.values())
+            # the largest rational of which every value is an integer multiple
+            scale = Fraction(math.gcd(*(c.numerator for c in values.values())),
+                             math.lcm(*(c.denominator for c in values.values())))
             coeffs = [0] * _run_length(int((max(values) - offset) * d) + 1)
             for e, c in values.items():
                 coeffs[int((e - offset) * d)] = int(c / scale)
@@ -166,25 +163,7 @@ class QExpansion:
         """
         if _inexact(scale):
             raise QSeriesError(f"coefficients must be exact rationals, not {scale!r}")
-        offset = _exponent(offset)
-        hi = len(coeffs)
-        if cutoff is not None:
-            cutoff = _exponent(cutoff)
-            hi = max(0, min(hi, math.ceil((cutoff - offset) * d)))
-        while hi and not coeffs[hi - 1]:
-            hi -= 1
-        lo = 0
-        while lo < hi and not coeffs[lo]:
-            lo += 1
-        series = object.__new__(cls)
-        _run_length(hi - lo)
-        if lo == hi:
-            _init(series, Fraction(0), 1, (), Fraction(1), cutoff)
-        else:
-            if lo:
-                offset += Fraction(lo, d)
-            _init(series, offset, d, tuple(coeffs[lo:hi]), Fraction(scale), cutoff)
-        return series
+        return _build(_exponent(offset), d, coeffs, Fraction(scale), None if cutoff is None else _exponent(cutoff))
 
     @classmethod
     def zero(cls, cutoff: Optional[ExpLike] = None) -> "QExpansion":
@@ -257,34 +236,34 @@ class QExpansion:
             other = QExpansion.monomial(0, other)
         if not isinstance(other, QExpansion):
             return NotImplemented
-        cuts = [c for c in (self._cutoff, other._cutoff) if c is not None]
-        cut = min(cuts) if cuts else None
-        if cut is not None and self._coeffs and other._coeffs:
-            lead = min(self._offset, other._offset)
-            if cut <= lead:
-                raise CutoffUnderflowError(
-                    f"additive cutoff {cut} at or below leading exponent {lead}"
-                )
+        cut = min((c for c in (self._cutoff, other._cutoff) if c is not None), default=None)
         parts = [s for s in (self, other) if s._coeffs]
         if not parts:
             return QExpansion.zero(cut)
-        offset = min(s._offset for s in parts)
-        d = math.lcm(*(s._d for s in parts), *((s._offset - offset).denominator for s in parts))
-        scale = _common_scale(s._scale for s in parts)
-        starts = [int((s._offset - offset) * d) for s in parts]
+        # every offset as an integer over the common denominator den, the scales as integer pairs
+        den = math.lcm(*(s._offset.denominator for s in parts))
+        nums = [s._offset.numerator * (den // s._offset.denominator) for s in parts]
+        low = min(nums)
+        offset = parts[nums.index(low)]._offset
+        if cut is not None and len(parts) == 2 and cut.numerator * den <= low * cut.denominator:
+            raise CutoffUnderflowError(f"additive cutoff {cut} at or below leading exponent {offset}")
+        d = math.lcm(*(s._d for s in parts), *(den // math.gcd(num - low, den) for num in nums))
+        sn, sd = math.gcd(*(s._scale.numerator for s in parts)), math.lcm(*(s._scale.denominator for s in parts))
+        scale = next((s._scale for s in parts if (s._scale.numerator, s._scale.denominator) == (sn, sd)), None)
+        starts = [(num - low) * d // den for num in nums]
         n = max(start + (len(s._coeffs) - 1) * (d // s._d) + 1 for s, start in zip(parts, starts))
         if cut is not None:
-            n = max(0, min(n, math.ceil((cut - offset) * d)))
+            n = max(0, min(n, _span(cut, offset, d)))
         out: List[int] = [0] * _run_length(n)
         for s, start in zip(parts, starts):
             if start >= n:
                 continue
             stride = d // s._d
-            factor = int(s._scale / scale)
+            factor = s._scale.numerator // sn * (sd // s._scale.denominator)
             vals = s._coeffs if factor == 1 else map(mul, s._coeffs, repeat(factor))
             stop = min(n, start + len(s._coeffs) * stride)
             out[start:stop:stride] = map(add, out[start:stop:stride], vals)
-        return QExpansion.from_lattice(offset, d, out, scale, cut)
+        return _build(offset, d, out, Fraction(sn, sd) if scale is None else scale, cut)
 
     __radd__ = __add__
 
@@ -295,23 +274,21 @@ class QExpansion:
         return (-self) + other
 
     def __neg__(self) -> "QExpansion":
-        return self._with(scale=-self._scale)
+        return self._with(self._offset, self._d, -self._scale, self._cutoff)
 
-    def _with(self, **changes) -> "QExpansion":
-        """This series with only its header (offset, d, scale, cutoff) changed, the cutoff
-        keeping its place past the run: the run is trimmed and immutable, so it is shared."""
+    def _with(self, offset: Fraction, d: int, scale: Fraction, cutoff: Optional[Fraction]) -> "QExpansion":
+        """This series under a new header, sharing its trimmed, immutable run; the cutoff stays past the run."""
         if not self._coeffs:
-            return QExpansion.zero(changes.get("cutoff", self._cutoff))
-        fields = {name[1:]: getattr(self, name) for name in self.__slots__}
+            return QExpansion.zero(cutoff)
         series = object.__new__(QExpansion)
-        _init(series, *{**fields, **changes}.values())
+        _init(series, offset, d, self._coeffs, scale, cutoff)
         return series
 
     def scale(self, scalar: CoeffLike) -> "QExpansion":
         scalar = _exact(scalar)
         if scalar == 0:
             return QExpansion.zero(self._cutoff)
-        return self._with(scale=self._scale * scalar)
+        return self._with(self._offset, self._d, self._scale * scalar, self._cutoff)
 
     def __mul__(self, other) -> "QExpansion":
         if isinstance(other, Number):
@@ -334,9 +311,9 @@ class QExpansion:
         r_self, r_other = d // self._d, d // other._d
         n = (len(self._coeffs) - 1) * r_self + (len(other._coeffs) - 1) * r_other + 1
         if cut is not None:
-            n = min(n, math.ceil((cut - offset) * d))
+            n = min(n, _span(cut, offset, d))
         out = _convolve(self._coeffs, r_self, other._coeffs, r_other, _run_length(n))
-        return QExpansion.from_lattice(offset, d, out, self._scale * other._scale, cut)
+        return _build(offset, d, out, self._scale * other._scale, cut)
 
     __rmul__ = __mul__
 
@@ -358,7 +335,7 @@ class QExpansion:
             return QExpansion.monomial(-e0, 1 / (c0 * self._scale), new_cut)
         if self._cutoff is None:
             raise QSeriesError("reciprocal of an exact multi-term series is not finite")
-        length = math.ceil((self._cutoff - e0) * self._d)
+        length = _span(self._cutoff, e0, self._d)
         support = [(j, c) for j, c in enumerate(self._coeffs[1:length], 1) if c]
         t: List[int] = [0] * _run_length(length)
         t[0] = c0 ** (length - 1)
@@ -370,7 +347,7 @@ class QExpansion:
                 acc += s * t[n - j]
             t[n] = -(acc // c0)
         scale = 1 / (self._scale * c0**length)
-        return QExpansion.from_lattice(-e0, self._d, t, scale, new_cut)
+        return _build(-e0, self._d, t, scale, new_cut)
 
     def __truediv__(self, other) -> "QExpansion":
         if isinstance(other, Number):
@@ -388,27 +365,27 @@ class QExpansion:
         cut = _exponent(cutoff)
         if self._cutoff is not None and cut > self._cutoff:
             raise QSeriesError(f"cannot extend cutoff {self._cutoff} to {cut}")
-        return QExpansion.from_lattice(self._offset, self._d, self._coeffs, self._scale, cut)
+        return _build(self._offset, self._d, self._coeffs, self._scale, cut)
 
     def shifted(self, delta: ExpLike) -> "QExpansion":
         """Multiply by q^delta: every exponent moves by ``delta``."""
         d = _exponent(delta)
         cut = self._cutoff + d if self._cutoff is not None else None
-        return self._with(offset=self._offset + d, cutoff=cut)
+        return self._with(self._offset + d, self._d, self._scale, cut)
 
     def half_exponents(self) -> "QExpansion":
         """The substitution tau -> tau/2, i.e. q^r -> q^{r/2}."""
         cut = self._cutoff / 2 if self._cutoff is not None else None
-        return self._with(offset=self._offset / 2, d=2 * self._d, cutoff=cut)
+        return self._with(self._offset / 2, 2 * self._d, self._scale, cut)
 
     def double_exponents(self) -> "QExpansion":
         """The substitution tau -> 2 tau, inverse of :meth:`half_exponents`."""
         cut = self._cutoff * 2 if self._cutoff is not None else None
         if self._d % 2 == 0:
-            return self._with(offset=self._offset * 2, d=self._d // 2, cutoff=cut)
+            return self._with(self._offset * 2, self._d // 2, self._scale, cut)
         spread: List[int] = [0] * (2 * len(self._coeffs) - 1)
         spread[::2] = self._coeffs
-        return QExpansion.from_lattice(self._offset * 2, self._d, spread, self._scale, cut)
+        return _build(self._offset * 2, self._d, spread, self._scale, cut)
 
     # -- numerics --
 
@@ -598,6 +575,34 @@ def _kronecker(a: Sequence[int], b: Sequence[int], n: int) -> List[int]:
 def _init(series: QExpansion, *fields) -> None:
     for name, value in zip(QExpansion.__slots__, fields):
         object.__setattr__(series, name, value)
+
+
+def _span(cutoff: Fraction, offset: Fraction, d: int) -> int:
+    """ceil((cutoff - offset) * d): the number of lattice points from ``offset`` below ``cutoff``."""
+    on, od, cn, cd = offset.numerator, offset.denominator, cutoff.numerator, cutoff.denominator
+    return -((on * cd - cn * od) * d // (od * cd))
+
+
+def _build(offset: Fraction, d: int, run: Sequence[int], scale: Fraction, cutoff: Optional[Fraction]) -> QExpansion:
+    """The series ``scale * run[i]`` at ``q^(offset + i/d)``, cut below ``cutoff`` and
+    trimmed to nonzero ends, from checked Fractions and an int ``d``."""
+    hi = len(run)
+    if cutoff is not None:
+        hi = max(0, min(hi, _span(cutoff, offset, d)))
+    while hi and not run[hi - 1]:
+        hi -= 1
+    lo = 0
+    while lo < hi and not run[lo]:
+        lo += 1
+    series = object.__new__(QExpansion)
+    _run_length(hi - lo)
+    if lo == hi:
+        _init(series, Fraction(0), 1, (), Fraction(1), cutoff)
+    else:
+        if lo:
+            offset = Fraction(offset.numerator * d + lo * offset.denominator, offset.denominator * d)
+        _init(series, offset, d, tuple(run[lo:hi]), scale, cutoff)
+    return series
 
 
 def product_expansion(

@@ -108,7 +108,9 @@ def _lattice_run(idx: ThetaIndex, cutoff: Fraction, weighted: bool, alternating:
     den = 2 * step * lat
     # the exponent T^2 / den with T = step*n + base is below cutoff iff |T| <= root
     root = math.isqrt(math.ceil(cutoff * den) - 1)
-    window = range(-((root + base) // step), (root - base) // step + 1)
+    first, stop = -((root + base) // step), (root - base) // step + 1
+    _run_length(-((first - stop) // 2))  # T -> T^2 is at most 2-to-1: the run holds at least half the window
+    window = range(first, stop)
     squares = [(step * n + base) ** 2 for n in window]
     if not squares:
         return QExpansion.zero(cutoff)

@@ -198,7 +198,8 @@ def _characters_suite(m: int, cutoff: Fraction) -> Tuple[CheckResult, ...]:
     shift_window = min(cutoff, Fraction(12))  # float phases scale with coefficient size
     for label, flavor in ch.all_labels(m):
         if flavor == "supercharacter":
-            worst = max(worst, ch.super_vs_t_deviation(label, shift_window))
+            chi, schi = (ch.untwisted_char(label, f, cutoff).truncated(shift_window) for f in ("character", flavor))
+            worst = max(worst, ch._shift_deviation(chi, schi))
     checks.append(
         _ok(
             "supercharacter-shift-consistency",

@@ -662,3 +662,79 @@ def ramond_product(i: int, n: int, m: int, cutoff, halve: bool = False):
     c = central_charge(m)
     body = QExpansion([(h1 - c / 24, 1), (h2 - c / 24, -1)])
     return (_quotient("f2", cutoff + 1) * body).scale(1 if halve else 2).truncated(cutoff)
+
+
+def char_table_rows(m: int, cutoff, labels=None) -> List[dict]:
+    """The character table as the nested dicts ``cli`` once rendered through
+    ``json.dumps``: one row per ``(label, flavor)``, every row of ``m`` by
+    default, each series as ``QExpansion.to_json_dict``."""
+    from supertriplet.characters import all_labels, character_series
+
+    rows = []
+    for label, flavor in labels if labels is not None else all_labels(m):
+        series = character_series(label, flavor, cutoff)
+        lead = series.min_exponent
+        rows.append(
+            {
+                "family": label.family,
+                "index": label.index,
+                "flavor": flavor,
+                "m": m,
+                "leading_exponent": [str(lead.numerator), str(lead.denominator)] if lead is not None else None,
+                "series": series.to_json_dict(),
+            }
+        )
+    return rows
+
+
+def lattice_from_run(offset: Fraction, d: int, coeffs, scale, cutoff):
+    """``(lattice, cutoff)`` of ``QExpansion.from_lattice`` by its Fraction header
+    arithmetic from before the integer one: the run cut at ceil((cutoff - offset) d)
+    and trimmed to nonzero ends, the empty run as ``(0, 1, (), 1)``."""
+    from supertriplet.qseries import MAX_RUN, QSeriesError
+
+    hi = len(coeffs)
+    if cutoff is not None:
+        hi = max(0, min(hi, math.ceil((cutoff - offset) * d)))
+    while hi and not coeffs[hi - 1]:
+        hi -= 1
+    lo = 0
+    while lo < hi and not coeffs[lo]:
+        lo += 1
+    if hi - lo > MAX_RUN:
+        raise QSeriesError("run too long")
+    if lo == hi:
+        return (Fraction(0), 1, (), Fraction(1)), cutoff
+    return (offset + Fraction(lo, d), d, tuple(coeffs[lo:hi]), Fraction(scale)), cutoff
+
+
+def lattice_sum(a, b):
+    """``(lattice, cutoff)`` of the sum of two series given as such pairs, by the
+    Fraction header arithmetic of ``QExpansion.__add__`` from before the integer
+    one: both runs on the lattice through both offsets under the rational gcd of
+    the scales, added entry by entry."""
+    from supertriplet.qseries import MAX_RUN, CutoffUnderflowError, QSeriesError
+
+    (a_lat, a_cut), (b_lat, b_cut) = a, b
+    cuts = [c for c in (a_cut, b_cut) if c is not None]
+    cut = min(cuts) if cuts else None
+    if cut is not None and a_lat[2] and b_lat[2] and cut <= min(a_lat[0], b_lat[0]):
+        raise CutoffUnderflowError("additive cutoff at or below the leading exponent")
+    parts = [lat for lat in (a_lat, b_lat) if lat[2]]
+    if not parts:
+        return lattice_from_run(Fraction(0), 1, (), 1, cut)
+    offset = min(o for o, _, _, _ in parts)
+    d = math.lcm(*(pd for _, pd, _, _ in parts), *((o - offset).denominator for o, _, _, _ in parts))
+    scale = Fraction(math.gcd(*(s.numerator for *_, s in parts)), math.lcm(*(s.denominator for *_, s in parts)))
+    starts = [int((o - offset) * d) for o, *_ in parts]
+    n = max(start + (len(run) - 1) * (d // pd) + 1 for (_, pd, run, _), start in zip(parts, starts))
+    if cut is not None:
+        n = max(0, min(n, math.ceil((cut - offset) * d)))
+    if n > MAX_RUN:
+        raise QSeriesError("run too long")
+    out = [0] * n
+    for (_, pd, run, s), start in zip(parts, starts):
+        for i, c in enumerate(run):
+            if start + i * (d // pd) < n:
+                out[start + i * (d // pd)] += c * int(s / scale)
+    return lattice_from_run(offset, d, out, scale, cut)

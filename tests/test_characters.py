@@ -1,14 +1,15 @@
 import cmath
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
+from supertriplet import cli
 from supertriplet.characters import (
     ModuleLabel,
     all_labels,
     central_charge,
-    char_table_rows,
     character_series,
     conformal_weight,
     fock_char,
@@ -22,7 +23,7 @@ from supertriplet.qseries import QExpansion, QSeriesError
 from supertriplet.specialfn import frak_f2, frak_f, eta, theta
 from supertriplet.zhu import classify_twisted
 
-from oracles import shift_law_violations, w_algebra_char_oracle
+from oracles import char_table_rows, shift_law_violations, w_algebra_char_oracle
 
 
 class TestConformalData:
@@ -331,6 +332,8 @@ class TestExport:
         assert sample["family"] == "RLambda"
         assert sample["series"]["terms"]
         assert sample["leading_exponent"] == ["1", "24"]
+        reply = cli._char_payload(Fraction(6), tuple(all_labels(1)), "json")
+        assert json.loads(reply) == {"schema": "1", "rows": rows}
 
 
 class TestFloatCutoffRefused:

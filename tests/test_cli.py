@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ from supertriplet import arith, characters, cli, fermion, modular, qseries, spec
 from supertriplet.cli import EXIT_BROKEN_PIPE, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 from supertriplet.qseries import QSeriesError
 from supertriplet.suites import CheckResult, run_suite
+
+from oracles import char_table_rows
 
 PACKAGE_MODULES = (arith, characters, cli, fermion, modular, qseries, specialfn, suites, zhu)
 
@@ -289,6 +292,20 @@ class TestCharCommand:
         assert captured.err.startswith("char: ") and "MAX_RUN" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["char", "--all"], ["verify", "--suite", "theta"], ["verify", "--suite", "characters"]],
+        ids=["char", "verify-theta", "verify-characters"],
+    )
+    def test_astronomic_cutoff_is_refused_at_once(self, capsys, argv):
+        # the theta window of about 10^15 entries is refused before its squares are listed
+        start = time.perf_counter()
+        assert main([*argv, "--m", "1", "--cutoff", "1e30"]) == EXIT_USAGE
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{argv[0]}: ") and "MAX_RUN" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_twisted_supercharacter_rejected(self, capsys):
         code = main(
             ["char", "--m", "1", "--family", "RPi", "--index", "1", "--flavor", "supercharacter"]
@@ -304,12 +321,30 @@ class TestCharCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+def oracle_reply(m, cutoff, labels, fmt) -> str:
+    """The reply as the nested-dict renderer wrote it: ``json.dumps`` of the oracle rows, or ``csv.writer`` lines."""
+    rows = char_table_rows(m, Fraction(cutoff), labels)
+    if fmt == "json":
+        return json.dumps({"schema": "1", "rows": rows}, sort_keys=True, indent=2)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["family", "index", "flavor", "m", "exponent", "coefficient"])
+    for r in rows:
+        for t in r["series"]["terms"]:
+            writer.writerow([r["family"], r["index"], r["flavor"], r["m"], "/".join(t["exp"]), "/".join(t["coef"])])
+    return buf.getvalue()
+
+
 class TestRenderCache:
     @staticmethod
     def _reply(tmp_path, argv) -> bytes:
         out = tmp_path / "reply"
         assert main(list(argv) + ["--out", str(out)]) == EXIT_OK
         return out.read_bytes()
+
+    @staticmethod
+    def _single(label, flavor):
+        return ["--family", label.family, "--index", str(label.index), "--flavor", flavor]
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("cutoff", [20, 30, 40])
@@ -318,36 +353,68 @@ class TestRenderCache:
         argv = ["char", "--all", "--m", str(m), "--cutoff", str(cutoff), "--format", fmt]
         first = self._reply(tmp_path, argv)
         assert all(self._reply(tmp_path, argv) == first for _ in range(3))
-        labels = tuple(cli.ch.all_labels(m))
-        fresh = cli._char_payload.__wrapped__(m, Fraction(cutoff), labels, fmt)
-        assert first == fresh.encode("utf-8")
+        assert first == oracle_reply(m, cutoff, None, fmt).encode("utf-8")
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("cutoff", ["1/100", "1/3", "7/2", "20", "40"])
+    def test_rows_match_the_oracle_in_either_order(self, tmp_path, m, cutoff):
+        # every label and flavor alone and in the --all table, rows rendered first by the one and then by the other
+        labels = characters.all_labels(m)
+        for all_first in (True, False):
+            cli._char_row.cache_clear()
+            for fmt in ("json", "csv") if all_first else ("csv", "json"):
+                common = ["char", "--m", str(m), "--cutoff", cutoff, "--format", fmt]
+                table = lambda: self._reply(tmp_path, common + ["--all"])  # noqa: E731
+                if all_first:
+                    assert table() == oracle_reply(m, cutoff, None, fmt).encode("utf-8")
+                for label, flavor in labels:
+                    reply = self._reply(tmp_path, common + self._single(label, flavor))
+                    assert reply == oracle_reply(m, cutoff, [(label, flavor)], fmt).encode("utf-8")
+                if not all_first:
+                    assert table() == oracle_reply(m, cutoff, None, fmt).encode("utf-8")
+
+    def test_payload_is_not_cached(self):
+        assert not hasattr(cli._char_payload, "cache_info")
 
     def test_repeat_does_not_rebuild_rows(self, tmp_path, monkeypatch):
         calls = []
-        build = cli.ch.char_table_rows
-        monkeypatch.setattr(cli.ch, "char_table_rows", lambda *a: calls.append(a) or build(*a))
-        cli._char_payload.cache_clear()
+        build = cli.ch.character_series
+        monkeypatch.setattr(cli.ch, "character_series", lambda *a: calls.append(a) or build(*a))
+        cli._char_row.cache_clear()
         argv = ["char", "--all", "--m", "2", "--cutoff", "9"]
         first = self._reply(tmp_path, argv)
-        assert len(calls) == 1
+        assert len(calls) == 15
         assert self._reply(tmp_path, argv) == first
         assert self._reply(tmp_path, argv + ["--format", "json"]) == first
-        assert len(calls) == 1
+        assert len(calls) == 15
         self._reply(tmp_path, argv + ["--format", "csv"])
-        assert len(calls) == 2
+        assert len(calls) == 30
+
+    def test_single_row_after_the_table_renders_nothing_new(self, tmp_path):
+        cli._char_row.cache_clear()
+        common = ["char", "--m", "2", "--cutoff", "8"]
+        self._reply(tmp_path, common + ["--all"])
+        before = cli._char_row.cache_info()
+        reply = self._reply(tmp_path, common + ["--family", "SPi", "--index", "2", "--flavor", "supercharacter"])
+        after = cli._char_row.cache_info()
+        assert (after.misses, after.hits, after.currsize) == (before.misses, before.hits + 1, 15)
+        assert [(r["family"], r["index"], r["flavor"]) for r in json.loads(reply)["rows"]] == [
+            ("SPi", 2, "supercharacter")
+        ]
 
     def test_equal_cutoffs_share_one_entry(self, tmp_path):
-        cli._char_payload.cache_clear()
+        # one row entry per label and flavor for cutoffs 30, 60/2 and the default
+        cli._char_row.cache_clear()
         argv = ["char", "--all", "--m", "1", "--format", "csv"]
         first = self._reply(tmp_path, argv + ["--cutoff", "30"])
         assert self._reply(tmp_path, argv + ["--cutoff", "60/2"]) == first
         assert self._reply(tmp_path, argv) == first  # the default cutoff is 30
-        info = cli._char_payload.cache_info()
-        assert (info.currsize, info.hits, info.misses) == (1, 2, 1)
+        info = cli._char_row.cache_info()
+        assert (info.currsize, info.hits, info.misses) == (9, 18, 9)
 
     @pytest.mark.parametrize("all_first", [True, False])
     def test_table_and_single_row_never_collide(self, tmp_path, all_first):
-        cli._char_payload.cache_clear()
+        cli._char_row.cache_clear()
         common = ["char", "--m", "2", "--cutoff", "8"]
         single = common + ["--family", "SPi", "--index", "2", "--flavor", "supercharacter"]
         order = [common + ["--all"], single] if all_first else [single, common + ["--all"]]
@@ -357,7 +424,7 @@ class TestRenderCache:
             assert [(r["family"], r["index"], r["flavor"]) for r in replies["supercharacter"]["rows"]] == [
                 ("SPi", 2, "supercharacter")
             ]
-        assert cli._char_payload.cache_info().currsize == 2
+        assert cli._char_row.cache_info().currsize == 15
 
 
 class TestVerifyCommand:

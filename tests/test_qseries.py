@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -343,6 +344,13 @@ class TestDenseRunLimit:
             theta(ThetaIndex(Fraction(0), Fraction(3, 2)), 10 ** 7)
         with pytest.raises(QSeriesError):
             eisenstein(1, "full", MAX_RUN + 1)
+
+    def test_astronomic_theta_window_refused_at_once(self):
+        # a window of about 10^15 entries: refused from its length, not after listing its squares
+        start = time.perf_counter()
+        with pytest.raises(QSeriesError, match="exceeds MAX_RUN"):
+            theta((Fraction(0), Fraction(3, 2)), 10 ** 30)
+        assert time.perf_counter() - start < 1
 
 
 class TestProductExpansion:

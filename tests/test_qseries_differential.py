@@ -29,7 +29,16 @@ from supertriplet.characters import _THETA_BUILDERS, _quotient
 from supertriplet.modular import basis_functions, standard_grid
 from supertriplet.qseries import QExpansion
 
-from oracles import SparseSeries, is_int_terms, is_nonneg_int_terms, rounding_bound, shift_tau_deviation, termwise_evaluate
+from oracles import (
+    SparseSeries,
+    is_int_terms,
+    is_nonneg_int_terms,
+    lattice_from_run,
+    lattice_sum,
+    rounding_bound,
+    shift_tau_deviation,
+    termwise_evaluate,
+)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -387,3 +396,56 @@ def test_header_changes_share_the_run(a, delta, factor):
         built = QExpansion.from_lattice(*header)
         assert fast.lattice == built.lattice and fast.cutoff == built.cutoff
         assert fast.lattice[2] is coeffs
+
+
+# any rational: on or between lattice points, at, below or above a lead, or no cutoff at all
+cutoffs = st.one_of(st.none(), st.fractions(min_value=-3, max_value=9, max_denominator=60))
+header_series = st.one_of(scaled_series(), scaled_series(), st.builds(QExpansion.zero, cutoffs))
+
+
+def header(series):
+    return series.lattice, series.cutoff
+
+
+def check_header(fast_op, slow_op):
+    fast, fast_err = outcome(fast_op)
+    slow, slow_err = outcome(slow_op)
+    assert fast_err == slow_err
+    if fast_err is None:
+        assert header(fast) == slow
+
+
+@SETTINGS
+@given(header_series, header_series)
+@example(QExpansion({0: 1, 1: 1}, cutoff=2), QExpansion({Fraction(1, 2): 1}, cutoff=0))  # the cut at the lead
+@example(QExpansion({5: 1}), QExpansion.zero(3))  # below the one nonzero operand's lead: no underflow
+@example(QExpansion({Fraction(-1, 3): 2}).scale(Fraction(-3, 4)), QExpansion({Fraction(1, 4): 3}, cutoff=Fraction(7, 5)))
+def test_sum_and_difference_headers_match_the_fraction_headers(a, b):
+    (o, d, run, s), cut = header(b)
+    negated = (o, d, run, -s), cut
+    check_header(lambda: a + b, lambda: lattice_sum(header(a), header(b)))
+    check_header(lambda: a - b, lambda: lattice_sum(header(a), negated))
+    check_header(lambda: b + 3, lambda: lattice_sum(header(b), header(QExpansion.monomial(0, 3))))
+
+
+@SETTINGS
+@given(header_series, cutoffs.filter(lambda c: c is not None))
+def test_truncated_header_matches_the_fraction_header(a, cut):
+    if a.cutoff is not None and cut > a.cutoff:
+        with pytest.raises(qseries.QSeriesError, match="cannot extend"):
+            a.truncated(cut)
+    else:
+        assert header(a.truncated(cut)) == lattice_from_run(*a.lattice, cut)
+
+
+@SETTINGS
+@given(
+    st.fractions(min_value=-4, max_value=4, max_denominator=24),
+    st.integers(1, 12),
+    st.lists(st.integers(-3, 3), max_size=14),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12).filter(bool),
+    cutoffs,
+)
+def test_from_lattice_header_matches_the_fraction_header(offset, d, run, scale, cut):
+    series = QExpansion.from_lattice(offset, d, run, scale, cut)
+    assert header(series) == lattice_from_run(offset, d, run, scale, cut)
