@@ -130,12 +130,13 @@ def _quotient(tag: str, cutoff: Fraction) -> QExpansion:
 # ----------------------------------------------------------------------
 
 
-def theta_rows(m: int) -> List[Tuple[Fraction, Fraction]]:
+@lru_cache(maxsize=None)
+def theta_rows(m: int) -> Tuple[Tuple[Fraction, Fraction], ...]:
     """The ``(integer j, half-odd j)`` theta rows of the m-th family, all at
     k = (2m+1)/2: the top row ``(0, (2m+1)/2)``, then ``(m-i, m-i-1/2)`` for i < m."""
-    return [(Fraction(0), Fraction(2 * m + 1, 2))] + [
+    return ((Fraction(0), Fraction(2 * m + 1, 2)),) + tuple(
         (Fraction(m - i), Fraction(2 * (m - i) - 1, 2)) for i in range(m)
-    ]
+    )
 
 
 # prefactor, theta kind, derivative kind and row entry (0: integer j, 1: half-odd j)
@@ -325,7 +326,8 @@ def _shift_deviation(chi: QExpansion, schi: QExpansion) -> float:
 # ----------------------------------------------------------------------
 
 
-def all_labels(m: int) -> List[Tuple[ModuleLabel, Flavor]]:
+@lru_cache(maxsize=None)
+def all_labels(m: int) -> Tuple[Tuple[ModuleLabel, Flavor], ...]:
     """All character rows for a given m: twisted, untwisted, supercharacters."""
     rows: List[Tuple[ModuleLabel, Flavor]] = []
     for family in TWISTED_FAMILIES:
@@ -335,7 +337,7 @@ def all_labels(m: int) -> List[Tuple[ModuleLabel, Flavor]]:
         for family in UNTWISTED_FAMILIES:
             for index in _index_range(family, m):
                 rows.append((ModuleLabel(family, index, m), flavor))
-    return rows
+    return tuple(rows)
 
 
 def character_series(label: ModuleLabel, flavor: Flavor, cutoff) -> QExpansion:

@@ -19,7 +19,6 @@ import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii
 from typing import List, Optional
 
 from . import characters as ch
@@ -34,7 +33,10 @@ EXIT_BROKEN_PIPE = 141  # what a shell reports for a writer killed by SIGPIPE
 
 
 def _parse_rational(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):  # argparse would not catch a zero denominator
+        raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}") from None
 
 
 class _OutError(Exception):
@@ -59,31 +61,8 @@ def _emit(payload: str, out: Optional[str]) -> None:
 
 
 def _json_dump(data) -> str:
-    """``json.dumps(data, sort_keys=True, indent=2)`` byte for byte (str keys), without
-    the pure-Python encoder that ``indent`` selects: strings go through the C
-    ``encode_basestring_ascii``, other scalars through the compact ``json.dumps``."""
-    out: List[str] = []
-    _json_write(data, "\n", out.append)
-    return "".join(out)
-
-
-def _json_write(value, newline: str, write) -> None:
-    if isinstance(value, str):
-        return write(encode_basestring_ascii(value))
-    if not isinstance(value, (dict, list, tuple)) or not value:
-        return write(json.dumps(value))
-    inner = newline + "  "
-    if not isinstance(value, dict) and all(isinstance(item, str) for item in value):
-        return write("[" + inner + ("," + inner).join(map(encode_basestring_ascii, value)) + newline + "]")
-    if isinstance(value, dict):
-        for i, key in enumerate(sorted(value)):
-            write(("," if i else "{") + inner + encode_basestring_ascii(key) + ": ")
-            _json_write(value[key], inner, write)
-        return write(newline + "}")
-    for i, item in enumerate(value):
-        write(("," if i else "[") + inner)
-        _json_write(item, inner, write)
-    write(newline + "]")
+    """Every reply but ``char``'s: sorted keys, two-space indent."""
+    return json.dumps(data, sort_keys=True, indent=2)
 
 
 def _frac_str(pair) -> str:
@@ -102,7 +81,7 @@ def _cmd_char(args) -> int:
         print("char: cutoff must be positive", file=sys.stderr)
         return EXIT_USAGE
     if args.all:
-        labels = _all_labels(m)
+        labels = ch.all_labels(m)
     else:
         if not args.family or args.index is None:
             print("char: provide --family and --index, or --all", file=sys.stderr)
@@ -124,12 +103,6 @@ def _cmd_char(args) -> int:
         return EXIT_USAGE
     _emit(payload, args.out)
     return EXIT_OK
-
-
-@lru_cache(maxsize=None)
-def _all_labels(m: int) -> tuple:
-    """``characters.all_labels(m)`` as a tuple, built once per process."""
-    return tuple(ch.all_labels(m))
 
 
 def _char_payload(cutoff: Fraction, labels: tuple, fmt: str) -> str:
@@ -185,12 +158,7 @@ def _char_row(label: ch.ModuleLabel, flavor: str, cutoff: Fraction, fmt: str) ->
 def _cmd_verify(args) -> int:
     cutoff = args.cutoff if args.cutoff is not None else Fraction(30)
     try:
-        results = suites.run_suite(
-            args.suite,
-            args.m,
-            cutoff=cutoff,
-            inject_fault=args.inject_fault,
-        )
+        results = suites.run_suite(args.suite, args.m, cutoff=cutoff)
     except ValueError as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -337,12 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run named invariant suites")
     add_common(p_verify)
     p_verify.add_argument("--suite", choices=list(suites.SUITE_NAMES), default="all")
-    p_verify.add_argument(
-        "--inject-fault",
-        type=str,
-        default=None,
-        help="test hook: adds a deliberately failing check with this name",
-    )
     p_verify.set_defaults(func=_cmd_verify)
 
     p_classify = sub.add_parser("classify", help="emit the twisted module table")

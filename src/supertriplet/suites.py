@@ -13,12 +13,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from . import characters as ch
 from . import fermion as fm
 from . import zhu
-from .arith import QuadRational, bernoulli_number
+from .arith import QuadRational
 from .modular import character_theta_indices
 from .qseries import QExpansion, _exponent
 from .specialfn import ThetaIndex, eisenstein, eta, frak_f2, g_series, theta, theta_deriv
@@ -335,17 +335,8 @@ _SUITES: Dict[str, Callable[[int, Fraction], Tuple[CheckResult, ...]]] = {
 }
 
 
-def run_suite(
-    name: str,
-    m: int,
-    cutoff=Fraction(30),
-    inject_fault: Optional[str] = None,
-) -> List[CheckResult]:
-    """Run one named suite (or all of them) and return the check results.
-
-    ``inject_fault`` deliberately corrupts a constant in a synthetic check,
-    exercising the failure-reporting path end to end.
-    """
+def run_suite(name: str, m: int, cutoff=Fraction(30)) -> List[CheckResult]:
+    """Run one named suite (or all of them) and return the check results."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     cutoff = _exponent(cutoff)
@@ -355,13 +346,4 @@ def run_suite(
     results: List[CheckResult] = []
     for suite in names:
         results.extend(_SUITES[suite](m, cutoff))
-    if inject_fault is not None:
-        corrupted = bernoulli_number(4) + Fraction(1, 30)
-        results.append(
-            _ok(
-                f"injected-fault:{inject_fault}",
-                corrupted == bernoulli_number(4),
-                "deliberately corrupted constant, this check must fail",
-            )
-        )
     return results

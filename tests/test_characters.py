@@ -11,10 +11,12 @@ from supertriplet.characters import (
     all_labels,
     central_charge,
     character_series,
+    character_terms,
     conformal_weight,
     fock_char,
     ramond_irred_char,
     super_vs_t_deviation,
+    theta_rows,
     triplet_char_bridge,
     twisted_char,
     untwisted_char,
@@ -139,6 +141,17 @@ class TestMemoisedCharacters:
         fresh = [character_series(*call) for call in calls]
         assert all(a is not b and a == b for a, b in zip(fresh, cached))
         assert [twisted_char(label, 12, halve=True) for label in twisted] == halves
+
+    def test_label_and_theta_row_tables_built_once(self):
+        all_labels.cache_clear()
+        theta_rows.cache_clear()
+        labels = all_labels(300)
+        for label, flavor in all_labels(300):
+            character_terms(label, flavor)
+        assert all_labels(300) is labels and len(labels) == 3 * 601
+        assert all_labels.cache_info().misses == 1
+        assert theta_rows.cache_info().misses == 1
+        assert theta_rows.cache_info().hits == len(labels) - 1
 
 
 class TestUntwistedCharacters:
