@@ -581,6 +581,14 @@ class TestUsageErrors:
         assert "argument --cutoff: invalid rational value: '1/0'" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", ["abc", "1/2/3", "inf"])
+    def test_malformed_cutoff(self, capsys, value):
+        # every value Fraction refuses reads the same way, whatever the exception
+        assert main(["verify", "--m", "1", "--cutoff", value]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"argument --cutoff: invalid rational value: {value!r}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
 
 def _run_cli(*argv, unbuffered: bool = False) -> subprocess.Popen:
     """``python -m supertriplet.cli ARGV`` with piped stdout and stderr.
@@ -676,3 +684,34 @@ class TestParserReuse:
         assert main(common + ["--family", "RPi", "--index", "2"]) == EXIT_OK
         rows = json.loads(out.read_text())["rows"]
         assert [(r["family"], r["index"]) for r in rows] == [("RPi", 2)]
+
+
+class TestJsonReplies:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--m", "1", "--suite", "theta"],
+            ["verify", "--m", "1", "--suite", "characters"],
+            ["verify", "--m", "1", "--suite", "zhu"],
+            ["verify", "--m", "1", "--suite", "fermion"],
+            ["verify", "--m", "2", "--suite", "all", "--cutoff", "7/2"],
+            ["classify", "--m", "3"],
+            ["modular", "rank", "--m", "1", "--cutoff", "120"],
+            ["modular", "closure", "--m", "1", "--cutoff", "120"],
+            ["modular", "s-transform", "--m", "1", "--cutoff", "150"],
+            ["modular", "mde", "--m", "1"],
+            ["char", "--m", "2", "--all", "--cutoff", "11/2"],
+            ["char", "--m", "2", "--family", "SLambda", "--index", "1", "--flavor", "supercharacter"],
+        ],
+        ids=lambda argv: "-".join(a for a in argv if not a.startswith("--")),
+    )
+    def test_reply_is_canonical_json(self, tmp_path, argv):
+        # the property CI checks on the reports it writes: sorted keys, two-space indent
+        out = tmp_path / "reply.json"
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        text = out.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2)
+
+    def test_unserialisable_value_raises(self):
+        with pytest.raises(TypeError):
+            cli._json_dump({"x": [Fraction(1, 2)]})
