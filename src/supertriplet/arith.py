@@ -101,10 +101,6 @@ class QuadRational:
             return QuadRational(value, 0)
         raise TypeError(f"cannot coerce {type(value).__name__} to QuadRational")
 
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def conjugate(self) -> "QuadRational":
         return QuadRational(self.a, -self.b)
 
@@ -198,10 +194,6 @@ class UniPoly:
     @classmethod
     def one(cls) -> "UniPoly":
         return cls((1,))
-
-    @classmethod
-    def x(cls) -> "UniPoly":
-        return cls((0, 1))
 
     @classmethod
     def constant(cls, c: RationalLike) -> "UniPoly":

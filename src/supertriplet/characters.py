@@ -23,8 +23,6 @@ flag.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -51,7 +49,6 @@ __all__ = [
     "ramond_irred_char",
     "fock_char",
     "triplet_char_bridge",
-    "super_vs_t_deviation",
     "all_labels",
 ]
 
@@ -254,6 +251,8 @@ def fock_char(i: int, m: int, cutoff) -> QExpansion:
     (t - m)^2 / (2 (2m+1)) with t = 1/2 + i + n (2m+1), n over the integers,
     each Fock summand contributing 2 q^{h - c/24} f2/eta.
     """
+    if m < 1:
+        raise ValueError("m must be >= 1")
     if not 0 <= i <= 2 * m:
         raise ValueError(f"Fock index must lie in [0, {2 * m}] for m={m}")
     cutoff = _exponent(cutoff)
@@ -298,29 +297,6 @@ def triplet_char_bridge(m: int, cutoff) -> Dict[str, Dict[int, QExpansion]]:
     return table
 
 
-def super_vs_t_deviation(label: ModuleLabel, cutoff) -> float:
-    """Max coefficient deviation between the tau -> tau+1 image of a character
-    and the phase-rotated supercharacter of the same module.
-
-    The expected identity: with lowest exponent L = h - c/24, the shifted
-    character equals eps e^{2 pi i L} times the supercharacter, where the
-    even and odd subspaces sit at integer and half-integer offsets from L
-    and eps is the parity of the lowest level (the sign of the
-    supercharacter's leading coefficient; the SPi modules have odd tops).
-    """
-    return _shift_deviation(untwisted_char(label, "character", cutoff), untwisted_char(label, "supercharacter", cutoff))
-
-
-def _shift_deviation(chi: QExpansion, schi: QExpansion) -> float:
-    """:func:`super_vs_t_deviation` for the character ``chi`` and supercharacter ``schi`` of one module."""
-    lead = chi.min_exponent
-    if lead is None:
-        return 0.0
-    eps = 1 if schi.leading()[1] > 0 else -1
-    phase = eps * cmath.exp(2j * math.pi * float(lead - math.floor(lead)))
-    return chi.shift_tau_deviation(schi, phase)
-
-
 # ----------------------------------------------------------------------
 # tables
 # ----------------------------------------------------------------------
@@ -329,6 +305,8 @@ def _shift_deviation(chi: QExpansion, schi: QExpansion) -> float:
 @lru_cache(maxsize=None)
 def all_labels(m: int) -> Tuple[Tuple[ModuleLabel, Flavor], ...]:
     """All character rows for a given m: twisted, untwisted, supercharacters."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     rows: List[Tuple[ModuleLabel, Flavor]] = []
     for family in TWISTED_FAMILIES:
         for index in _index_range(family, m):

@@ -11,8 +11,6 @@ variables, so identical invocations produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -63,10 +61,6 @@ def _emit(payload: str, out: Optional[str]) -> None:
 def _json_dump(data) -> str:
     """Every reply but ``char``'s: sorted keys, two-space indent."""
     return json.dumps(data, sort_keys=True, indent=2)
-
-
-def _frac_str(pair) -> str:
-    return f"{pair[0]}/{pair[1]}"
 
 
 # ----------------------------------------------------------------------
@@ -186,12 +180,9 @@ def _cmd_classify(args) -> int:
         payload = {"schema": SCHEMA, "m": args.m, "modules": [r.to_json() for r in records]}
         _emit(_json_dump(payload), args.out)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["family", "index", "i_index", "lowest_weight", "top_dim_graded", "g0_squared"])
-        writer.writerows([r.family, r.index, r.i_index, _frac_str(r.lowest_weight.as_integer_ratio()),
-                          r.top_dim_graded, _frac_str(r.g0_squared.as_integer_ratio())] for r in records)
-        _emit(buf.getvalue(), args.out)
+        lines = [f"{r.family},{r.index},{r.i_index},{r.lowest_weight.numerator}/{r.lowest_weight.denominator},"
+                 f"{r.top_dim_graded},{r.g0_squared.numerator}/{r.g0_squared.denominator}\r\n" for r in records]
+        _emit("family,index,i_index,lowest_weight,top_dim_graded,g0_squared\r\n" + "".join(lines), args.out)
     return EXIT_OK
 
 

@@ -75,8 +75,9 @@ class FockVector:
         self,
         terms: Union[Dict[Monomial, Scalar], Iterable[Tuple[Monomial, Scalar]]] = (),
         cutoff: Optional[int] = DEFAULT_GRADE_CUTOFF,
-        truncated: bool = False,
     ) -> None:
+        if cutoff is not None and (not isinstance(cutoff, int) or cutoff < 0):
+            raise ValueError(f"grade cutoff must be None or an int >= 0, not {cutoff!r}")
         items = terms.items() if isinstance(terms, dict) else terms
         acc: Dict[Monomial, Scalar] = {}
         for mono, coeff in items:
@@ -86,7 +87,7 @@ class FockVector:
             if mono and mono[-1] < 0:
                 raise ValueError(f"monomial {mono} has a negative mode")
             acc[mono] = acc[mono] + coeff if mono in acc else coeff
-        self._fill(acc, cutoff, truncated)
+        self._fill(acc, cutoff, False)
 
     def _fill(self, acc: Dict[Monomial, Scalar], cutoff: Optional[int], truncated: bool) -> "FockVector":
         """Store ``acc``, whose monomials are valid and exact by construction:

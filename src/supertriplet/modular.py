@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
+from operator import mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -240,16 +241,10 @@ class RankReport:
         return {**vars(self)}
 
 
-def _evaluation_matrix(
-    fns: Sequence[BasisFunction], points: Sequence[complex], cutoff: Fraction
-) -> np.ndarray:
-    """Basis members (columns) at ``points`` (rows) from one grid sum of their series,
-    read-only and kept for the last three grids (base, S, T), so both closure checks share them."""
-    return _grid_matrix(tuple(fns), tuple(points), cutoff)
-
-
 @lru_cache(maxsize=3)
 def _grid_matrix(fns: Tuple[BasisFunction, ...], points: Tuple[complex, ...], cutoff: Fraction) -> np.ndarray:
+    """Basis members (columns) at ``points`` (rows) from one grid sum of their series,
+    read-only and kept for the last three grids (base, S, T), so both closure checks share them."""
     taus = np.asarray(points, dtype=complex)
     prefs = {tag: _quotient(tag, cutoff) for tag in dict.fromkeys(fn.prefactor for fn in fns)}
     parts = {key: _THETA_BUILDERS[key[0]](key[1:], cutoff) for key in dict.fromkeys((fn.kind, fn.j, fn.k) for fn in fns)}
@@ -265,10 +260,10 @@ def _normalize_columns(mat: np.ndarray) -> np.ndarray:
     return mat / norms
 
 
-def _basis_and_grid(m: int, grid: Optional[SampleGrid]) -> Tuple[List[BasisFunction], SampleGrid]:
+def _basis_and_grid(m: int, grid: Optional[SampleGrid]) -> Tuple[Tuple[BasisFunction, ...], SampleGrid]:
     """The basis of level m and ``grid`` (``standard_grid(m)`` if None),
     refused unless the grid has at least two points per basis member."""
-    fns = basis_functions(m)
+    fns = tuple(basis_functions(m))
     grid = grid or standard_grid(m)
     if len(grid.points) < 2 * len(fns):
         raise ValueError("grid must contain at least two points per basis function")
@@ -288,11 +283,11 @@ def closure_rank(m: int, grid: Optional[SampleGrid] = None) -> RankReport:
     why the scale-free gap rule decides.
     """
     fns, grid = _basis_and_grid(m, grid)
-    base = _normalize_columns(_evaluation_matrix(fns, grid.points, grid.cutoff))
+    base = _normalize_columns(_grid_matrix(fns, grid.points, grid.cutoff))
     svals = np.linalg.svd(base, compute_uv=False)
     threshold_rank = int(np.sum(svals >= svals[0] * _RANK_THRESHOLD))
 
-    s_cols = _evaluation_matrix(fns, [-1 / tau for tau in grid.points], grid.cutoff)
+    s_cols = _grid_matrix(fns, tuple(-1 / tau for tau in grid.points), grid.cutoff)
     aug = np.hstack([base, _normalize_columns(s_cols)])
     aug_svals = np.linalg.svd(aug, compute_uv=False)
     ratios = aug_svals[:-1] / aug_svals[1:]
@@ -348,9 +343,9 @@ def closure_under_s_t(m: int, grid: Optional[SampleGrid] = None) -> ClosureRepor
     eta it is order one.  The pointwise control value is reported alongside.
     """
     fns, grid = _basis_and_grid(m, grid)
-    mat = _evaluation_matrix(fns, grid.points, grid.cutoff)
-    s_targets = _evaluation_matrix(fns, [-1 / tau for tau in grid.points], grid.cutoff)
-    t_targets = _evaluation_matrix(fns, [tau + 1 for tau in grid.points], grid.cutoff)
+    mat = _grid_matrix(fns, grid.points, grid.cutoff)
+    s_targets = _grid_matrix(fns, tuple(-1 / tau for tau in grid.points), grid.cutoff)
+    t_targets = _grid_matrix(fns, tuple(tau + 1 for tau in grid.points), grid.cutoff)
     (_, rs), (_, rt) = _fit(mat, s_targets), _fit(mat, t_targets)
     per = tuple((fn.name, float(s), float(t)) for fn, s, t in zip(fns, rs, rt))
 
@@ -378,15 +373,6 @@ def closure_under_s_t(m: int, grid: Optional[SampleGrid] = None) -> ClosureRepor
 # ----------------------------------------------------------------------
 # modular differential operator
 # ----------------------------------------------------------------------
-
-
-def _q_derivative(series: QExpansion) -> QExpansion:
-    """D = q d/dq on an exact series: entry i gains its exponent as a factor,
-    an integer numerator over the lattice denominator."""
-    offset, d, coeffs, scale = series.lattice
-    base, step = offset.numerator * d, offset.denominator
-    derived = [c * (base + i * step) for i, c in enumerate(coeffs)]
-    return QExpansion.from_lattice(offset, d, derived, scale / (step * d), series.cutoff)
 
 
 def _aligned_runs(
@@ -450,15 +436,18 @@ def _operator_rows(
 ) -> Tuple[List[List[int]], List[int]]:
     """The integer rows and right-hand sides of ``D^order s + sum(x * mono * D^j s)
     = 0`` over the ``columns`` (j, mono of weight 2(order - j) in ``pool``), one
-    per exponent of the derivatives' common lattice from ``lead`` below ``stop``;
-    a column is one kernel product under the monomial's scale times the
-    derivative's, one integer factor clears every scale denominator, and
-    all-zero rows are dropped, since any ``x`` satisfies them."""
-    derivs = [series]
-    for _ in range(order):
-        derivs.append(_q_derivative(derivs[-1]))
-    d, runs = _aligned_runs(derivs, lead, stop)
+    per exponent of the series' lattice from ``lead`` below ``stop``; D = q d/dq
+    multiplies the run's entry at lead + i/d by lead.numerator d + i
+    lead.denominator and its scale by 1 / (lead.denominator d).  A column is
+    one kernel product under the monomial's scale times the derivative's, one
+    integer factor clears every scale denominator, and all-zero rows are
+    dropped, since any ``x`` satisfies them."""
+    d, runs = _aligned_runs([series], lead, stop)
     n = len(runs[0][0])
+    exponents = range(lead.numerator * d, lead.numerator * d + n * lead.denominator, lead.denominator)
+    for _ in range(order):
+        run, scale = runs[-1]
+        runs.append((list(map(mul, run, exponents)), scale / (lead.denominator * d)))
     cols = [runs[order]]
     for j, key in columns:
         mono, mono_scale = pool[2 * (order - j)][key]

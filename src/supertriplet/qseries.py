@@ -17,9 +17,11 @@ scale; shifts, ``tau -> tau/2`` and ``tau -> 2 tau`` move only the offset and
 the step.  Memory is the exponent span times ``d``, so the lattice suits
 series whose exponents share a small denominator, as every series of this
 package does; a run longer than ``MAX_RUN`` is refused before it is allocated.
-An operation that changes only the header (negation, scaling, a shift, either
-exponent substitution on a lattice it keeps) shares the trimmed, immutable run.
-The header of a sum (common offset, lattice, scale and start positions) and the
+Every run goes through one trim-and-cut, :func:`_build`.  An operation that
+changes only the header (negation, scaling, a shift, either exponent
+substitution on a lattice it keeps) passes it the trimmed run, whose full
+slice is that immutable tuple itself, so both series share one run.  The
+header of a sum (common offset, lattice, scale and start positions) and the
 cut ``ceil((cutoff - offset) d)`` of every rebuilt run come from integer
 numerators and denominators, not from ``Fraction`` arithmetic.
 
@@ -29,7 +31,8 @@ shift or cutoff.  Floats appear only in :func:`_evaluate_grid` (whose one-series
 case is :meth:`QExpansion.evaluate`) and :meth:`QExpansion.shift_tau_deviation`,
 which return numbers, never series.  A grid sum drops the highest terms that
 total at most 2^-60 of the rest's absolute sum at the grid's largest |q|, and
-so, lying above every kept exponent, at each of its points.
+so, lying above every kept exponent, at each of its points.  Its tail bound
+past a cutoff assumes no coefficient there exceeds ``_GROWTH_BOUND`` = 2^64.
 
 Cutoff propagation: addition takes the minimum of the operand cutoffs, and a
 product of ``A`` and ``B`` is exact below
@@ -56,6 +59,9 @@ EXACT = "exact-rational"
 # Longest dense run any operation may allocate; the longest a package path
 # builds is 807 entries (lattice d <= 2, cutoff 400).
 MAX_RUN = 1 << 16
+
+# assumed cap on the coefficients past a cutoff, in the tail bound of _evaluate_grid
+_GROWTH_BOUND = 2.0 ** 64
 
 __all__ = [
     "QExpansion",
@@ -274,21 +280,13 @@ class QExpansion:
         return (-self) + other
 
     def __neg__(self) -> "QExpansion":
-        return self._with(self._offset, self._d, -self._scale, self._cutoff)
-
-    def _with(self, offset: Fraction, d: int, scale: Fraction, cutoff: Optional[Fraction]) -> "QExpansion":
-        """This series under a new header, sharing its trimmed, immutable run; the cutoff stays past the run."""
-        if not self._coeffs:
-            return QExpansion.zero(cutoff)
-        series = object.__new__(QExpansion)
-        _init(series, offset, d, self._coeffs, scale, cutoff)
-        return series
+        return _build(self._offset, self._d, self._coeffs, -self._scale, self._cutoff)
 
     def scale(self, scalar: CoeffLike) -> "QExpansion":
         scalar = _exact(scalar)
         if scalar == 0:
             return QExpansion.zero(self._cutoff)
-        return self._with(self._offset, self._d, self._scale * scalar, self._cutoff)
+        return _build(self._offset, self._d, self._coeffs, self._scale * scalar, self._cutoff)
 
     def __mul__(self, other) -> "QExpansion":
         if isinstance(other, Number):
@@ -371,18 +369,18 @@ class QExpansion:
         """Multiply by q^delta: every exponent moves by ``delta``."""
         d = _exponent(delta)
         cut = self._cutoff + d if self._cutoff is not None else None
-        return self._with(self._offset + d, self._d, self._scale, cut)
+        return _build(self._offset + d, self._d, self._coeffs, self._scale, cut)
 
     def half_exponents(self) -> "QExpansion":
         """The substitution tau -> tau/2, i.e. q^r -> q^{r/2}."""
         cut = self._cutoff / 2 if self._cutoff is not None else None
-        return self._with(self._offset / 2, 2 * self._d, self._scale, cut)
+        return _build(self._offset / 2, 2 * self._d, self._coeffs, self._scale, cut)
 
     def double_exponents(self) -> "QExpansion":
         """The substitution tau -> 2 tau, inverse of :meth:`half_exponents`."""
         cut = self._cutoff * 2 if self._cutoff is not None else None
         if self._d % 2 == 0:
-            return self._with(self._offset * 2, self._d // 2, self._scale, cut)
+            return _build(self._offset * 2, self._d // 2, self._coeffs, self._scale, cut)
         spread: List[int] = [0] * (2 * len(self._coeffs) - 1)
         spread[::2] = self._coeffs
         return _build(self._offset * 2, self._d, spread, self._scale, cut)
@@ -416,10 +414,10 @@ class QExpansion:
             worst = max(worst, abs(complex(ours.get(key, 0)) * turn - complex(theirs.get(key, 0)) * phase))
         return worst
 
-    def evaluate(self, tau, growth_bound: float = 2.0 ** 64) -> EvalResult:
+    def evaluate(self, tau) -> EvalResult:
         """The one-series case of :func:`_evaluate_grid`: at one point ``tau``
         a complex value and a float bound, on a 1-D grid an array of each."""
-        values, bounds = _evaluate_grid([self], tau, growth_bound)
+        values, bounds = _evaluate_grid([self], tau)
         if np.ndim(tau) == 0:
             return EvalResult(complex(values[0, 0]), float(bounds[0, 0]))
         return EvalResult(values[:, 0], bounds[:, 0])
@@ -471,7 +469,7 @@ class QExpansion:
         return f"QExpansion([{shown}], cutoff={self._cutoff})"
 
 
-def _evaluate_grid(series: Sequence[QExpansion], taus, growth_bound: float = 2.0 ** 64) -> EvalResult:
+def _evaluate_grid(series: Sequence[QExpansion], taus) -> EvalResult:
     """Values and tail bounds, as points x series arrays, of every series at
     ``q = e^{2 pi i tau}`` for each ``tau`` of one point or a 1-D grid.
 
@@ -482,7 +480,7 @@ def _evaluate_grid(series: Sequence[QExpansion], taus, growth_bound: float = 2.0
     of the rest's absolute sum at the grid's largest |q|, so, all lying above
     the kept exponents, at every point.  A term too large for a float raises
     ``FloatingPointError`` for the whole batch.  The tail bound, once per
-    distinct cutoff and point, is ``growth_bound`` (a caller-supplied cap on
+    distinct cutoff and point, is ``_GROWTH_BOUND`` (an assumed cap on
     coefficient magnitude) times |q|^cutoff / (1 - |q|).
     """
     taus = np.asarray(taus, dtype=complex)
@@ -520,7 +518,7 @@ def _evaluate_grid(series: Sequence[QExpansion], taus, growth_bound: float = 2.0
         tails[cut] = []
         for absq in absqs:
             try:
-                tails[cut].append(growth_bound * absq ** float(cut) / (1 - absq))
+                tails[cut].append(_GROWTH_BOUND * absq ** float(cut) / (1 - absq))
             except (OverflowError, ZeroDivisionError):  # |q| too large, or 0.0 ** negative cutoff
                 tails[cut].append(math.inf)
     bounds = np.array([tails[s._cutoff] for s in series]).reshape(len(series), len(taus))

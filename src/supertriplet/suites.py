@@ -194,12 +194,17 @@ def _characters_suite(m: int, cutoff: Fraction) -> Tuple[CheckResult, ...]:
             ok = False
     checks.append(_ok("ramond-telescoping-safe-window", ok))
 
+    # chi(tau + 1) = eps e^{2 pi i L} schi(tau): L the leading exponent, eps the sign of schi's lead
     worst = 0.0
     shift_window = min(cutoff, Fraction(12))  # float phases scale with coefficient size
     for label, flavor in ch.all_labels(m):
         if flavor == "supercharacter":
             chi, schi = (ch.untwisted_char(label, f, cutoff).truncated(shift_window) for f in ("character", flavor))
-            worst = max(worst, ch._shift_deviation(chi, schi))
+            lead = chi.min_exponent
+            if lead is not None:  # an empty window deviates by 0.0
+                eps = 1 if schi.leading()[1] > 0 else -1
+                phase = eps * cmath.exp(2j * math.pi * float(lead - math.floor(lead)))
+                worst = max(worst, chi.shift_tau_deviation(schi, phase))
     checks.append(
         _ok(
             "supercharacter-shift-consistency",
@@ -339,6 +344,8 @@ def run_suite(name: str, m: int, cutoff=Fraction(30)) -> List[CheckResult]:
     """Run one named suite (or all of them) and return the check results."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    if m < 1:
+        raise ValueError("m must be >= 1")
     cutoff = _exponent(cutoff)
     if cutoff <= 0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")

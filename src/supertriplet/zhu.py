@@ -248,7 +248,8 @@ def relation_suite(m: int) -> List[RelationCheck]:
     g0sq = _g0sq_poly(m)
     b = _binom_shift_poly(m)
     h0sq = b * b * Fraction(1, 2)
-    hhat0 = b * UniPoly([Fraction(m, p), Fraction(-1, p)])
+    # ((m - t)/(2m+1)) C(t - 1/2, 2m) from its own roots, not from b, so the mixed relations compare two forms
+    hhat0 = UniPoly.from_roots([m, *(r + Fraction(1, 2) for r in range(2 * m))]) * Fraction(-1, p * math.factorial(2 * m))
     hab = hab_polynomial(m)
     heads = [conformal_weight(i, 0, m) for i in range(m)]
 

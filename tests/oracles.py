@@ -491,18 +491,28 @@ def eisenstein_monomials(max_weight: int, cutoff: Fraction):
     return pool
 
 
-def operator_rows(series, order: int, columns, pool, lead: Fraction, stop: Fraction):
-    """The integer rows and right-hand sides of ``modular._operator_rows``,
-    built the way it built them before the kernel took the columns: every
-    column ``mono * D^j s`` one ``QExpansion`` product with its monomial from
-    the series pool of :func:`eisenstein_monomials`, then the target and all
-    columns aligned together, one integer factor clearing every scale
-    denominator, and all-zero rows dropped."""
-    from supertriplet.modular import _aligned_runs, _q_derivative
+def q_derivatives(series, order: int) -> list:
+    """``[s, D s, ..., D^order s]`` for D = q d/dq, each a ``QExpansion`` built
+    from the ``terms`` of the one before, every coefficient times its exponent."""
+    from supertriplet.qseries import QExpansion
 
     derivs = [series]
     for _ in range(order):
-        derivs.append(_q_derivative(derivs[-1]))
+        derivs.append(QExpansion([(e, e * c) for e, c in derivs[-1].terms], cutoff=series.cutoff))
+    return derivs
+
+
+def operator_rows(series, order: int, columns, pool, lead: Fraction, stop: Fraction):
+    """The integer rows and right-hand sides of ``modular._operator_rows``, up
+    to one positive factor, built the way it built them before the kernel took
+    the columns: every column ``mono * D^j s`` one ``QExpansion`` product with
+    its monomial from the series pool of :func:`eisenstein_monomials` and D^j s
+    from :func:`q_derivatives`, then the target and all columns aligned
+    together, one integer factor clearing every scale denominator, and
+    all-zero rows dropped."""
+    from supertriplet.modular import _aligned_runs
+
+    derivs = q_derivatives(series, order)
     cols = [derivs[order]] + [pool[2 * (order - j)][key] * derivs[j] for j, key in columns]
     _, runs = _aligned_runs(cols, lead, stop)
     den = math.lcm(*(scale.denominator for _, scale in runs))
@@ -523,11 +533,7 @@ def apply_operator(coeffs, order: int, series, monomials_by_weight):
     :func:`eisenstein_monomials`: the operator application ``modular.find_mde``
     ran, with its own derivative tower, before the operator columns were
     built once per series and reused after the solve."""
-    from supertriplet.modular import _q_derivative
-
-    derivs = [series]
-    for _ in range(order):
-        derivs.append(_q_derivative(derivs[-1]))
+    derivs = q_derivatives(series, order)
     total = derivs[order]
     for (j, key), value in coeffs.items():
         if value == 0:

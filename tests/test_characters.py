@@ -15,7 +15,6 @@ from supertriplet.characters import (
     conformal_weight,
     fock_char,
     ramond_irred_char,
-    super_vs_t_deviation,
     theta_rows,
     triplet_char_bridge,
     twisted_char,
@@ -73,6 +72,12 @@ class TestLabels:
     def test_bad_m(self):
         with pytest.raises(ValueError):
             ModuleLabel("RLambda", 1, 0)
+
+    @pytest.mark.parametrize("m", [0, -1, -5])
+    def test_no_label_table_below_m1(self, m):
+        # at m <= -1 every index range is empty, so no ModuleLabel would refuse the m
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            all_labels(m)
 
     def test_row_count(self):
         for m in (1, 2, 3):
@@ -250,6 +255,11 @@ class TestFockCharacters:
             rhs = twisted_char(ModuleLabel("RPi", m + 1, m), 25)
             assert (lhs - rhs).is_zero()
 
+    @pytest.mark.parametrize("i, m", [(0, 0), (0, -1)])
+    def test_m_below_1_refused(self, i, m):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            fock_char(i, m, 5)
+
     def test_reflected_rows_match(self):
         for m in (2, 3):
             for i in range(m, 2 * m):
@@ -311,17 +321,24 @@ class TestBridge:
                 assert deviation < 1e-12, (family, index, m)
 
 
+def _shift_law_violations(label, cutoff):
+    """Where chi(tau + 1) = eps e^{2 pi i L} schi(tau) fails for the module of ``label``,
+    L the leading exponent of chi and eps the sign of schi's leading coefficient."""
+    chi, schi = (untwisted_char(label, flavor, cutoff) for flavor in ("character", "supercharacter"))
+    return shift_law_violations(chi, schi, chi.min_exponent, 1 if schi.leading()[1] > 0 else -1)
+
+
 class TestSuperVsT:
     def test_slambda_top(self):
-        assert super_vs_t_deviation(ModuleLabel("SLambda", 2, 1), 12) < 1e-12
+        assert not _shift_law_violations(ModuleLabel("SLambda", 2, 1), 12)
 
     def test_spi(self):
-        assert super_vs_t_deviation(ModuleLabel("SPi", 1, 1), 12) < 1e-12
+        assert not _shift_law_violations(ModuleLabel("SPi", 1, 1), 12)
 
     def test_all_untwisted_labels_m2(self):
         for family, indices in (("SLambda", range(1, 4)), ("SPi", range(1, 3))):
             for index in indices:
-                assert super_vs_t_deviation(ModuleLabel(family, index, 2), 12) < 1e-12
+                assert not _shift_law_violations(ModuleLabel(family, index, 2), 12)
 
     def test_shift_twice_matches_squared_phase(self):
         # exact form of chi(tau+1) = eps e^{2 pi i L} schi(tau), L the leading

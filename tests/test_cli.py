@@ -11,14 +11,12 @@ from fractions import Fraction
 import pytest
 
 import supertriplet
-from supertriplet import arith, characters, cli, fermion, modular, qseries, specialfn, suites, zhu
+from supertriplet import characters, cli, suites, zhu
 from supertriplet.cli import EXIT_BROKEN_PIPE, EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
 from supertriplet.qseries import QSeriesError
 from supertriplet.suites import CheckResult, run_suite
 
 from oracles import char_table_rows
-
-PACKAGE_MODULES = (arith, characters, cli, fermion, modular, qseries, specialfn, suites, zhu)
 
 
 class TestSuites:
@@ -33,6 +31,12 @@ class TestSuites:
         results = run_suite("characters", 2, cutoff=Fraction(20))
         for check in results:
             assert check.passed, check.name
+
+    @pytest.mark.parametrize("suite, m", [("theta", 0), ("fermion", -5), ("characters", -1), ("zhu", 0), ("all", 0)])
+    def test_m_below_1_refused(self, suite, m):
+        # a suite over an empty family would report every one of its checks as passed
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            run_suite(suite, m)
 
     def test_all_runs_everything(self):
         results = run_suite("all", 1, cutoff=Fraction(15))
@@ -183,12 +187,9 @@ class TestSuiteMemo:
         assert all(a is b for tail in tails for a, b in zip(tail, tails[0]))
 
     @pytest.mark.parametrize("order", ["ascending", "descending"])
-    def test_verify_grid_bytes_from_cleared_caches(self, tmp_path, order):
+    def test_verify_grid_bytes_from_cleared_caches(self, cleared_caches, tmp_path, order):
         # every verify reply over suite x m x cutoff, joined in that order, is pinned; the
         # requests meet cold caches of every module, in either order
-        for obj in [getattr(module, name) for module in PACKAGE_MODULES for name in vars(module)]:
-            if hasattr(obj, "cache_clear") and obj.__module__.startswith("supertriplet."):
-                obj.cache_clear()
         out = tmp_path / "verify.json"
         grid = [(s, m, c) for s in ("theta", "characters", "zhu", "fermion") for m in (1, 2, 3) for c in (20, 30, 40)]
         replies = {}

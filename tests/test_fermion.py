@@ -80,6 +80,17 @@ class TestCliffordAction:
         v = FockVector({(1,): Fraction(1, 2), (2,): QuadRational(0, 1), (3,): -2})
         assert v.scale(Fraction(1, 3)).coeff((1,)) == QuadRational(Fraction(1, 6))
 
+    @pytest.mark.parametrize("cutoff", [-1, 1.5, Fraction(3), "3"])
+    def test_bad_grade_cutoff_refused(self, cutoff):
+        # a negative cutoff drops even the vacuum, and a float one never equals the int cutoff of a vector to add
+        with pytest.raises(ValueError, match="grade cutoff"):
+            vacuum(cutoff)
+
+    @pytest.mark.parametrize("cutoff", [0, 3, None])
+    def test_grade_cutoff_kept(self, cutoff):
+        v = FockVector({(): 1}, cutoff)
+        assert v.cutoff == cutoff and not v.truncated and v.coeff(()) == QuadRational(1)
+
     def test_truncation_flagged(self):
         v = phi(-CUT, phi(-(CUT - 1), vacuum(CUT)))
         assert v.truncated

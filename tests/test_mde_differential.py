@@ -7,8 +7,10 @@ classification's lowest weight - c/24 (``_operator_rows``: the aligned
 derivative tower times integer runs of the Eisenstein monomials, one kernel
 product per column).  ``oracles.operator_rows`` builds the same rows as the
 package did before: ``QExpansion`` columns over the series pool of
-``oracles.eisenstein_monomials``, aligned together.  The two must give
-identical lists, rows and right-hand sides, for every character and for eta.
+``oracles.eisenstein_monomials`` and derivatives taken from ``terms``, aligned
+together.  The two must give the same rows and right-hand sides up to one
+positive factor, which ``_solve_exact`` divides out of every row, for every
+character and for eta.
 
 The solve returns only a solution that passes ``_violated`` on every row.
 The eta control is ``_violated`` on eta's rows below eta's cutoff, built from
@@ -43,6 +45,18 @@ def _windows(m, span, cutoff):
     return windows
 
 
+def _one_positive_multiple(got, expected) -> bool:
+    """True if the rows and right-hand sides ``got`` are one positive rational
+    multiple of ``expected``, row for row and entry for entry."""
+    (rows, rhs), (expected_rows, expected_rhs) = got, expected
+    if [len(row) for row in rows] != [len(row) for row in expected_rows] or len(rhs) != len(expected_rhs):
+        return False
+    flat = [x for row in rows for x in row] + rhs
+    expected_flat = [x for row in expected_rows for x in row] + expected_rhs
+    factor = next((Fraction(x, y) for x, y in zip(flat, expected_flat) if y), None)
+    return factor is not None and factor > 0 and all(x == factor * y for x, y in zip(flat, expected_flat))
+
+
 @pytest.mark.parametrize("m, q_order", [(1, 40), (2, 2), (2, 12), (4, 1)])
 def test_rows_match_oracle_rows(m, q_order):
     order, span = 3 * m + 1, q_order + _MDE_MARGIN
@@ -54,7 +68,8 @@ def test_rows_match_oracle_rows(m, q_order):
     assert len(windows) == 2 * m + 2
     for series, lead, stop in windows:
         rows, rhs = _operator_rows(series, order, columns, pool, lead, stop)
-        assert rows and (rows, rhs) == operator_rows(series, order, columns, oracle_pool, lead, stop)
+        expected = operator_rows(series, order, columns, oracle_pool, lead, stop)
+        assert rows and _one_positive_multiple((rows, rhs), expected)
 
 
 @pytest.mark.parametrize("m, q_order", [(1, 40), (2, 12)])

@@ -16,9 +16,9 @@ from supertriplet.modular import (
     SampleGrid,
     _aligned_runs,
     _eisenstein_monomials,
-    _evaluation_matrix,
+    _grid_matrix,
     _normalize_columns,
-    _q_derivative,
+    _operator_rows,
     _solve_exact,
     _violated,
     basis_functions,
@@ -196,7 +196,7 @@ class TestClosureRank:
     def test_duplicate_column_sanity(self, rank_grid_m1):
         fns = basis_functions(1)
         mat = _normalize_columns(
-            _evaluation_matrix(fns, rank_grid_m1.points, rank_grid_m1.cutoff)
+            _grid_matrix(tuple(fns), rank_grid_m1.points, rank_grid_m1.cutoff)
         )
         dup = np.hstack([mat, mat[:, :1]])
         sv = np.linalg.svd(dup, compute_uv=False)
@@ -211,7 +211,7 @@ class TestClosureRank:
         grid = standard_grid(m, Fraction(100))
         points = [*grid.points, *(-1 / tau for tau in grid.points)]
         fns = basis_functions(m)
-        mat = _evaluation_matrix(fns, points, grid.cutoff)
+        mat = _grid_matrix(tuple(fns), tuple(points), grid.cutoff)
         series = {fn.prefactor: _quotient(fn.prefactor, grid.cutoff) for fn in fns}
         series.update({(fn.kind, fn.j, fn.k): _THETA_BUILDERS[fn.kind]((fn.j, fn.k), grid.cutoff) for fn in fns})
         for i, tau in enumerate(points):
@@ -263,7 +263,7 @@ class TestSharedMatrices:
 
     def test_matrix_is_read_only(self):
         grid = standard_grid(1, Fraction(100))
-        mat = _evaluation_matrix(basis_functions(1), grid.points, grid.cutoff)
+        mat = _grid_matrix(tuple(basis_functions(1)), grid.points, grid.cutoff)
         with pytest.raises(ValueError):
             mat[0, 0] = 0
 
@@ -271,12 +271,12 @@ class TestSharedMatrices:
         # the benchmark's seeded grids: standard_grid moved along the real axis
         base = standard_grid(1, Fraction(100))
         moved = SampleGrid(tuple(tau + 0.0137 for tau in base.points), base.cutoff)
-        fns = basis_functions(1)
+        fns = tuple(basis_functions(1))
         modular._grid_matrix.cache_clear()
-        mats = [_evaluation_matrix(fns, grid.points, grid.cutoff) for grid in (base, moved)]
+        mats = [_grid_matrix(fns, grid.points, grid.cutoff) for grid in (base, moved)]
         assert modular._grid_matrix.cache_info().misses == 2
         assert not np.allclose(*mats)
-        assert _evaluation_matrix(fns, moved.points, moved.cutoff) is mats[1]
+        assert _grid_matrix(fns, moved.points, moved.cutoff) is mats[1]
 
 
 class TestExactSolver:
@@ -337,15 +337,17 @@ class TestExactSolver:
             assert len(candidates) >= 2
 
 
-class TestQDerivative:
+class TestOperatorDerivative:
+    # with no columns, the right-hand sides of _operator_rows are -D^order s under one positive factor
     def test_multiplies_by_exponent(self):
         s = QExpansion({Fraction(1, 24): 2, Fraction(3): 5}, cutoff=10)
-        d = _q_derivative(s)
-        assert d.coeff(Fraction(1, 24)) == Fraction(2, 24)
-        assert d.coeff(3) == 15
+        for order in (1, 2):
+            rows, rhs = _operator_rows(s, order, [], {}, Fraction(1, 24), Fraction(4))
+            assert rows == [[], []] and rhs[0] < 0
+            assert Fraction(rhs[1], rhs[0]) == 5 * 3**order / (2 * Fraction(1, 24) ** order)
 
     def test_kills_constants(self):
-        assert _q_derivative(QExpansion({0: 7}, cutoff=4)).is_zero()
+        assert _operator_rows(QExpansion({0: 7}, cutoff=4), 1, [], {}, Fraction(0), Fraction(4)) == ([], [])
 
 
 class TestEisensteinPool:

@@ -268,7 +268,7 @@ class TestEvaluate:
 
     def test_error_bound_reported(self):
         s = QExpansion({0: 1}, cutoff=100)
-        res = s.evaluate(1j, growth_bound=2.0)
+        res = s.evaluate(1j)
         assert res.error_bound < 1e-200
         assert res.error_bound > 0
 

@@ -259,15 +259,15 @@ def test_reshaping_moves_every_term(a, delta, factor):
 
 
 @SETTINGS
-@given(series_terms(), grid_points, st.sampled_from([2.0, 2.0 ** 64]))
-def test_grid_evaluation_matches_termwise(a, points, growth):
+@given(series_terms(), grid_points)
+def test_grid_evaluation_matches_termwise(a, points):
     terms, cutoff = a
     fa = QExpansion(terms, cutoff=cutoff)
-    grid = fa.evaluate(points, growth)
+    grid = fa.evaluate(points)
     assert grid.value.shape == grid.error_bound.shape == (len(points),)
     for i, tau in enumerate(points):
-        value, bound = termwise_evaluate(fa, tau, growth)
-        single = fa.evaluate(tau, growth)
+        value, bound = termwise_evaluate(fa, tau, qseries._GROWTH_BOUND)
+        single = fa.evaluate(tau)
         assert isinstance(single.value, complex) and isinstance(single.error_bound, float)
         tolerance = rounding_bound(fa, tau)
         assert abs(grid.value[i] - value) <= tolerance
@@ -291,14 +291,13 @@ def grid_series(draw):
 @given(
     st.lists(grid_series(), min_size=1, max_size=6),
     grid_points | st.just([]),
-    st.sampled_from([2.0, 2.0 ** 64]),
 )
-def test_batched_grid_matches_termwise_per_series(series, points, growth):
-    values, bounds = qseries._evaluate_grid(series, points, growth)
+def test_batched_grid_matches_termwise_per_series(series, points):
+    values, bounds = qseries._evaluate_grid(series, points)
     assert values.shape == bounds.shape == (len(points), len(series))
     for col, s in enumerate(series):
         for i, tau in enumerate(points):
-            value, bound = termwise_evaluate(s, tau, growth)
+            value, bound = termwise_evaluate(s, tau, qseries._GROWTH_BOUND)
             assert abs(values[i, col] - value) <= rounding_bound(s, tau)
             assert bounds[i, col] == bound
     # one Laurent term too large for a float refuses the whole batch, as it does alone
@@ -306,7 +305,7 @@ def test_batched_grid_matches_termwise_per_series(series, points, growth):
     with pytest.raises(FloatingPointError):
         laurent.evaluate(points + [200j])
     with pytest.raises(FloatingPointError):
-        qseries._evaluate_grid(series + [laurent], points + [200j], growth)
+        qseries._evaluate_grid(series + [laurent], points + [200j])
 
 
 def test_grid_drops_only_terms_below_rounding(monkeypatch):
