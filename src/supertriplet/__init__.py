@@ -2,7 +2,7 @@
 characters, supercharacters and twisted characters, twisted Zhu polynomial
 data, fermionic Fock models, and modular-invariance verification."""
 
-from .arith import QuadRational, Rational, SQRT2, UniPoly, bernoulli_number, bernoulli_poly_at, binom
+from .arith import QuadRational, Rational, SQRT2, bernoulli_number, binom
 from .characters import (
     ModuleLabel,
     central_charge,

@@ -4,8 +4,8 @@ Rationals are ``fractions.Fraction`` throughout (aliased ``Rational``): the
 stdlib type already keeps values reduced with a positive denominator, which
 is the canonical form everything else relies on.  On top of that this module
 provides the quadratic extension Q(sqrt(2)), generalized binomial
-coefficients, Bernoulli numbers and polynomials, and dense univariate
-polynomials with exact coefficients.
+coefficients and Bernoulli numbers.  Exact polynomials are
+:class:`~supertriplet.qseries.QExpansion` series with no cutoff.
 
 Bernoulli convention: B_1 = -1/2 (the recurrence ``sum_j C(n+1, j) B_j = 0``).
 Only even indices reach the Eisenstein constants, so the choice is inert,
@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterable, Optional, Sequence, Union
+from typing import Union
 
 Rational = Fraction
 
@@ -27,10 +27,8 @@ __all__ = [
     "Rational",
     "binom",
     "bernoulli_number",
-    "bernoulli_poly_at",
     "QuadRational",
     "SQRT2",
-    "UniPoly",
 ]
 
 
@@ -64,17 +62,6 @@ def bernoulli_number(k: int) -> Fraction:
     for j in range(k):
         acc += comb(k + 1, j) * bernoulli_number(j)
     return -acc / (k + 1)
-
-
-def bernoulli_poly_at(k: int, x: RationalLike) -> Fraction:
-    """Evaluate the Bernoulli polynomial B_k(x) = sum_j C(k, j) B_j x^{k-j}."""
-    if k < 0:
-        raise ValueError("bernoulli_poly_at: index must be >= 0")
-    x = Fraction(x)
-    acc = Fraction(0)
-    for j in range(k + 1):
-        acc += comb(k, j) * bernoulli_number(j) * x ** (k - j)
-    return acc
 
 
 class QuadRational:
@@ -167,139 +154,3 @@ class QuadRational:
 
 
 SQRT2 = QuadRational(0, 1)
-
-
-class UniPoly:
-    """Dense univariate polynomial over Q, coefficients lowest degree first.
-
-    Canonical form never stores trailing zero coefficients; the zero
-    polynomial has an empty coefficient tuple and ``degree`` is ``None``.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[RationalLike] = ()) -> None:
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
-
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "UniPoly":
-        return cls((1,))
-
-    @classmethod
-    def constant(cls, c: RationalLike) -> "UniPoly":
-        return cls((c,))
-
-    @classmethod
-    def from_roots(cls, roots: Sequence[RationalLike]) -> "UniPoly":
-        """Monic polynomial prod (x - r) over the given roots."""
-        p = cls.one()
-        for r in roots:
-            p = p * cls((-Fraction(r), 1))
-        return p
-
-    @property
-    def degree(self) -> Optional[int]:
-        return len(self.coeffs) - 1 if self.coeffs else None
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            self.coefficient(i) + other.coefficient(i) for i in range(n)
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(-c for c in self.coeffs)
-
-    @staticmethod
-    def _coerce(other) -> "UniPoly":
-        if isinstance(other, UniPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return UniPoly((other,))
-        raise TypeError(f"cannot coerce {type(other).__name__} to UniPoly")
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return UniPoly(c * other for c in self.coeffs)
-        other = self._coerce(other)
-        if not self.coeffs or not other.coeffs:
-            return UniPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "UniPoly":
-        if n < 0:
-            raise ValueError("UniPoly power must be >= 0")
-        result = UniPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def eval_at(self, x: RationalLike) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    __call__ = eval_at
-
-    def compose_linear(self, a: RationalLike, b: RationalLike) -> "UniPoly":
-        """Substitute x -> a*x + b, returning p(a x + b)."""
-        lin = UniPoly((Fraction(b), Fraction(a)))
-        acc = UniPoly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * lin + UniPoly.constant(c)
-        return acc
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (UniPoly, int, Fraction)):
-            return NotImplemented
-        return self.coeffs == self._coerce(other).coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "UniPoly(0)"
-        parts = [f"{c}*x^{i}" for i, c in enumerate(self.coeffs) if c != 0]
-        return "UniPoly(" + " + ".join(parts) + ")"

@@ -131,6 +131,8 @@ def _quotient(tag: str, cutoff: Fraction) -> QExpansion:
 def theta_rows(m: int) -> Tuple[Tuple[Fraction, Fraction], ...]:
     """The ``(integer j, half-odd j)`` theta rows of the m-th family, all at
     k = (2m+1)/2: the top row ``(0, (2m+1)/2)``, then ``(m-i, m-i-1/2)`` for i < m."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     return ((Fraction(0), Fraction(2 * m + 1, 2)),) + tuple(
         (Fraction(m - i), Fraction(2 * (m - i) - 1, 2)) for i in range(m)
     )

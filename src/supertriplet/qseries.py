@@ -36,7 +36,9 @@ past a cutoff assumes no coefficient there exceeds ``_GROWTH_BOUND`` = 2^64.
 
 Cutoff propagation: addition takes the minimum of the operand cutoffs, and a
 product of ``A`` and ``B`` is exact below
-``min(cutoff_A + minexp_B, cutoff_B + minexp_A)``.
+``min(cutoff_A + minexp_B, cutoff_B + minexp_A)``.  A series with no cutoff
+and integer exponents is a Laurent polynomial, as every exact polynomial of
+the package is; :meth:`QExpansion.eval_at` gives its value at a rational point.
 """
 
 from __future__ import annotations
@@ -177,7 +179,7 @@ class QExpansion:
 
     @classmethod
     def one(cls, cutoff: Optional[ExpLike] = None) -> "QExpansion":
-        return cls.monomial(0, 1, cutoff)
+        return cls.from_lattice(0, 1, (1,), 1, cutoff)
 
     @classmethod
     def monomial(cls, exp: ExpLike, coeff: CoeffLike = 1, cutoff: Optional[ExpLike] = None) -> "QExpansion":
@@ -421,6 +423,25 @@ class QExpansion:
         if np.ndim(tau) == 0:
             return EvalResult(complex(values[0, 0]), float(bounds[0, 0]))
         return EvalResult(values[:, 0], bounds[:, 0])
+
+    def eval_at(self, x: CoeffLike) -> Fraction:
+        """The exact value at a rational x = p/r of a Laurent polynomial (no cutoff, integer exponents):
+        one integer Horner pass, one Fraction.  A cut series, a fractional exponent or a float or complex
+        x raises :class:`QSeriesError`; x = 0 under a negative offset raises ZeroDivisionError."""
+        if self._cutoff is not None:
+            raise QSeriesError(f"a series cut at {self._cutoff} has no exact value")
+        if self._d != 1 or self._offset.denominator != 1:
+            raise QSeriesError("exact evaluation needs integer exponents")
+        x = _exact(x)
+        p, r = x.numerator, x.denominator
+        num, den = 0, 1
+        for c in reversed(self._coeffs):  # num / den = Horner value so far, den = r^(entries read)
+            den *= r
+            num = num * p + c * den
+        e = self._offset.numerator
+        if e < 0:  # x^e = (r/p)^-e
+            p, r, e = r, p, -e
+        return Fraction(num * p**e * self._scale.numerator, den * r**e * self._scale.denominator)
 
     # -- serialization --
 

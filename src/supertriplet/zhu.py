@@ -11,7 +11,8 @@ lattice pairing t:
 
 Square roots are never materialized: each +-sqrt quantity is stored as its
 square together with a sign, so every verification below is an exact
-identity of rational polynomials in t.  Sign convention: the "+" module
+identity of rational polynomials in t, each an exact :class:`QExpansion`
+(cutoff ``None``) with t read as q.  Sign convention: the "+" module
 carries +(t - m)/sqrt(2(2m+1)) and +(1/sqrt 2) C(t - 1/2, 2m); the product
 of the two signs is branch-independent, which is what the mixed relation
 uses.
@@ -24,8 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
-from .arith import UniPoly, binom
+from .arith import binom
 from .characters import central_charge, conformal_weight
+from .qseries import QExpansion
 
 __all__ = [
     "SingletEigenvalues",
@@ -58,6 +60,8 @@ class SingletEigenvalues:
 
 
 def singlet_eigen(t, m: int) -> SingletEigenvalues:
+    if m < 1:
+        raise ValueError("m must be >= 1")
     t = Fraction(t)
     p = 2 * m + 1
     g0_sq = (t - m) ** 2 / (2 * p)
@@ -86,7 +90,7 @@ class HabData:
     m: int
     c_m: Fraction
     inner_roots: Tuple[Fraction, ...]
-    inner_in_a2: UniPoly
+    inner_in_a2: QExpansion
 
     def evaluate(self, a_squared, b_squared) -> Fraction:
         """H(a, b) = b^2 - C_m * (prod (a^2 - r_i))^2 at given squares."""
@@ -102,7 +106,7 @@ def hab_polynomial(m: int) -> HabData:
     roots = tuple(
         Fraction((2 * i + 1 - 2 * m) ** 2, 8 * p) for i in range(m)
     )
-    return HabData(m=m, c_m=c_m, inner_roots=roots, inner_in_a2=UniPoly.from_roots(roots))
+    return HabData(m=m, c_m=c_m, inner_roots=roots, inner_in_a2=_from_roots(roots))
 
 
 def fmr_roots(m: int) -> List[Tuple[Fraction, int]]:
@@ -119,20 +123,19 @@ def fmr_roots(m: int) -> List[Tuple[Fraction, int]]:
     return out
 
 
-def fmr_polynomial(m: int) -> UniPoly:
+def fmr_polynomial(m: int) -> QExpansion:
     """Monic polynomial of degree 3m+1 annihilating the conformal generator
     on every irreducible twisted top level: prod over i in [0, 3m] of
     (x - h(2i+2, 1))."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    roots: List[Fraction] = []
-    for r, mult in fmr_roots(m):
-        roots.extend([r] * mult)
-    return UniPoly.from_roots(roots)
+    return _from_roots([r for r, mult in fmr_roots(m) for _ in range(mult)])
 
 
 def coeff_A(m: int) -> Fraction:
     """Prefactor (-1)^m C(2m, m) / C(4m+1, m) of the evaluated screening square."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     return (-1) ** m * Fraction(binom(2 * m, m), binom(4 * m + 1, m))
 
 
@@ -149,6 +152,8 @@ def Fm(t, m: int) -> Fraction:
 def binomial_sum_lhs(t, m: int) -> Fraction:
     """Alternating double-binomial sum that the closed form evaluates:
     sum_k (-1)^k C(2m,k) C(t+1/2, 4m+1-k) C(t-1/2, 2m+1+k)."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     t = Fraction(t)
     acc = Fraction(0)
     for k in range(2 * m + 1):
@@ -218,20 +223,28 @@ class RelationCheck:
     detail: str
 
 
-def _binom_shift_poly(m: int) -> UniPoly:
+def _from_roots(roots) -> QExpansion:
+    """The monic polynomial prod (t - r) over ``roots``, one linear factor at a time."""
+    poly = QExpansion.one()
+    for r in map(Fraction, roots):
+        poly = poly * QExpansion.from_lattice(0, 1, (-r.numerator, r.denominator), Fraction(1, r.denominator))
+    return poly
+
+
+def _binom_shift_poly(m: int) -> QExpansion:
     """C(t - 1/2, 2m) as a polynomial in t."""
     roots = [Fraction(2 * r + 1, 2) for r in range(2 * m)]
-    return UniPoly.from_roots(roots) * Fraction(1, math.factorial(2 * m))
+    return _from_roots(roots) * Fraction(1, math.factorial(2 * m))
 
 
-def _l0_poly(m: int) -> UniPoly:
+def _l0_poly(m: int) -> QExpansion:
     p = 2 * m + 1
-    return UniPoly([Fraction(1, 16), Fraction(-m, p), Fraction(1, 2 * p)])
+    return QExpansion({0: Fraction(1, 16), 1: Fraction(-m, p), 2: Fraction(1, 2 * p)})
 
 
-def _g0sq_poly(m: int) -> UniPoly:
+def _g0sq_poly(m: int) -> QExpansion:
     p = 2 * m + 1
-    return UniPoly.from_roots([m, m]) * Fraction(1, 2 * p)
+    return _from_roots([m, m]) * Fraction(1, 2 * p)
 
 
 def relation_suite(m: int) -> List[RelationCheck]:
@@ -249,19 +262,19 @@ def relation_suite(m: int) -> List[RelationCheck]:
     b = _binom_shift_poly(m)
     h0sq = b * b * Fraction(1, 2)
     # ((m - t)/(2m+1)) C(t - 1/2, 2m) from its own roots, not from b, so the mixed relations compare two forms
-    hhat0 = UniPoly.from_roots([m, *(r + Fraction(1, 2) for r in range(2 * m))]) * Fraction(-1, p * math.factorial(2 * m))
+    hhat0 = _from_roots([m, *(r + Fraction(1, 2) for r in range(2 * m))]) * Fraction(-1, p * math.factorial(2 * m))
     hab = hab_polynomial(m)
     heads = [conformal_weight(i, 0, m) for i in range(m)]
 
-    prod_sq = UniPoly.one()
+    prod_sq = QExpansion.one()
     for h in heads:
-        factor = l0 - UniPoly.constant(h)
+        factor = l0 - h
         prod_sq = prod_sq * factor * factor
 
     checks: List[RelationCheck] = []
 
     lhs = g0sq
-    rhs = l0 - UniPoly.constant(c / 24)
+    rhs = l0 - c / 24
     checks.append(
         RelationCheck(
             "conformal-square: g0^2 = l0 - c/24",
@@ -280,7 +293,7 @@ def relation_suite(m: int) -> List[RelationCheck]:
         )
     )
 
-    lhs = UniPoly([Fraction(-m), Fraction(1)]) * b
+    lhs = _from_roots([m]) * b
     rhs = hhat0 * Fraction(-p)
     checks.append(
         RelationCheck(
@@ -299,7 +312,7 @@ def relation_suite(m: int) -> List[RelationCheck]:
     )
 
     lhs = hhat0 * hhat0
-    rhs = prod_sq * (l0 - UniPoly.constant(c / 24)) * (Fraction(4, p) * hab.c_m)
+    rhs = prod_sq * (l0 - c / 24) * (Fraction(4, p) * hab.c_m)
     checks.append(
         RelationCheck(
             "hatted square: hhat0^2 = (4/(2m+1)) C_m (l0 - c/24) prod (l0 - heads)^2",
@@ -311,9 +324,9 @@ def relation_suite(m: int) -> List[RelationCheck]:
     # the two closed forms of the even-generator square, as polynomials in
     # u = a^2: (1/2) ((1/(2m)!) prod (2(2m+1) u - (2i+1)^2/4))^2
     #          = C_m prod (u - (2i+1-2m)^2 / (8(2m+1)))^2
-    left = UniPoly.one()
+    left = QExpansion.one()
     for i in range(m):
-        left = left * UniPoly([-Fraction((2 * i + 1) ** 2, 4), Fraction(2 * p)])
+        left = left * QExpansion({0: -Fraction((2 * i + 1) ** 2, 4), 1: 2 * p})
     left = left * Fraction(1, math.factorial(2 * m))
     left = left * left * Fraction(1, 2)
     right = hab.inner_in_a2 * hab.inner_in_a2 * hab.c_m

@@ -9,9 +9,7 @@ from oracles import binom_fraction_loop
 from supertriplet.arith import (
     QuadRational,
     SQRT2,
-    UniPoly,
     bernoulli_number,
-    bernoulli_poly_at,
     binom,
 )
 
@@ -72,24 +70,6 @@ class TestBernoulli:
         assert bernoulli_number(3) == 0
         assert bernoulli_number(7) == 0
 
-    def test_poly_at_zero_is_number(self):
-        assert bernoulli_poly_at(2, 0) == Fraction(1, 6)
-
-    def test_poly_b2_at_half(self):
-        # x^2 - x + 1/6 at 1/2
-        assert bernoulli_poly_at(2, Fraction(1, 2)) == Fraction(-1, 12)
-
-    def test_poly_b1_at_half(self):
-        assert bernoulli_poly_at(1, Fraction(1, 2)) == 0
-
-    def test_forward_difference_is_power(self):
-        rng = random.Random(77)
-        for _ in range(25):
-            k = rng.randint(1, 12)
-            x = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
-            lhs = bernoulli_poly_at(k, x + 1) - bernoulli_poly_at(k, x)
-            assert lhs == k * x ** (k - 1)
-
 
 class TestQuadRational:
     def test_sqrt2_squares_to_two(self):
@@ -125,48 +105,3 @@ class TestQuadRational:
     def test_float_value(self):
         assert abs(float(SQRT2) - 2 ** 0.5) < 1e-15
 
-
-class TestUniPoly:
-    def test_mul(self):
-        p = UniPoly([1, 1])  # x + 1
-        q = UniPoly([-1, 1])  # x - 1
-        assert p * q == UniPoly([-1, 0, 1])
-
-    def test_eval(self):
-        assert UniPoly([-1, 0, 1]).eval_at(3) == 8
-
-    def test_compose_linear(self):
-        sq = UniPoly([0, 0, 1])
-        assert sq.compose_linear(2, 1) == UniPoly([1, 4, 4])
-
-    def test_canonical_trailing_zeros(self):
-        assert UniPoly([1, 2, 0, 0]) == UniPoly([1, 2])
-
-    def test_zero_degree_sentinel(self):
-        assert UniPoly.zero().degree is None
-        assert UniPoly([0, 0]).degree is None
-        assert UniPoly([5]).degree == 0
-
-    def test_from_roots(self):
-        p = UniPoly.from_roots([1, -1])
-        assert p == UniPoly([-1, 0, 1])
-
-    def test_pow(self):
-        p = UniPoly([1, 1])
-        assert p ** 3 == UniPoly([1, 3, 3, 1])
-
-    def test_add_sub_random(self):
-        rng = random.Random(4)
-        for _ in range(30):
-            a = UniPoly(Fraction(rng.randint(-9, 9)) for _ in range(rng.randint(0, 6)))
-            b = UniPoly(Fraction(rng.randint(-9, 9)) for _ in range(rng.randint(0, 6)))
-            assert (a + b) - b == a
-
-    def test_eval_respects_ring_ops(self):
-        rng = random.Random(5)
-        for _ in range(20):
-            a = UniPoly(Fraction(rng.randint(-9, 9)) for _ in range(5))
-            b = UniPoly(Fraction(rng.randint(-9, 9)) for _ in range(4))
-            x = Fraction(rng.randint(-12, 12), rng.randint(1, 7))
-            assert (a * b).eval_at(x) == a.eval_at(x) * b.eval_at(x)
-            assert (a + b).eval_at(x) == a.eval_at(x) + b.eval_at(x)

@@ -79,6 +79,12 @@ class TestLabels:
         with pytest.raises(ValueError, match="m must be >= 1"):
             all_labels(m)
 
+    @pytest.mark.parametrize("m", [0, -1, -5])
+    def test_no_theta_rows_below_m1(self, m):
+        # theta_rows(0) would be the one row (0, 1/2) of a family that does not exist
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            theta_rows(m)
+
     def test_row_count(self):
         for m in (1, 2, 3):
             assert len(all_labels(m)) == 3 * (2 * m + 1)

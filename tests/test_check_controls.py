@@ -15,7 +15,6 @@ from fractions import Fraction
 import pytest
 
 from supertriplet import characters, suites, zhu
-from supertriplet.arith import UniPoly
 from supertriplet.characters import ModuleLabel
 from supertriplet.qseries import QExpansion
 from supertriplet.specialfn import _as_index
@@ -85,7 +84,7 @@ CONTROLS = {
         {INTEGRALITY},
     ),
     "g0^2 doubled": (_wrap(zhu, "_g0sq_poly", lambda p, m: p * 2), {CONFORMAL, MIXED}),
-    "l0 plus 1": (_wrap(zhu, "_l0_poly", lambda p, m: p + UniPoly.one()), {CONFORMAL, EVEN, HATTED}),
+    "l0 plus 1": (_wrap(zhu, "_l0_poly", lambda p, m: p + 1), {CONFORMAL, EVEN, HATTED}),
     "C(t - 1/2, 2m) doubled": (_wrap(zhu, "_binom_shift_poly", lambda p, m: p * 2), {MIXED, MIXED_SIGN, EVEN}),
     "c plus 1 as zhu binds it": (_wrap(zhu, "central_charge", lambda c, m: c + 1), {CONFORMAL, HATTED}),
     "C_m doubled": (

@@ -111,6 +111,11 @@ class TestThetaTransforms:
                     assert s_transform_residual(idx, variant, small_grid) < 1e-9
                     assert t_transform_residual(idx, variant, small_grid) < 1e-9
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_no_character_indices_below_m1(self, m):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            character_theta_indices(m)
+
     def test_s_fixed_point_consistency(self, small_grid):
         # at tau = i the S-law relates values at the same point
         idx = (Fraction(1, 2), Fraction(3, 2))

@@ -312,6 +312,57 @@ class TestEvaluate:
         assert QExpansion({1: 1}).evaluate([]).value.shape == (0,)
 
 
+def random_poly(rng, n_terms):
+    """An exact Laurent polynomial with up to ``n_terms`` integer exponents in [-3, 5]."""
+    return QExpansion([(rng.randint(-3, 5), Fraction(rng.randint(-9, 9), rng.randint(1, 4))) for _ in range(n_terms)])
+
+
+class TestEvalAt:
+    def test_product_value(self):
+        x_plus_1, x_minus_1 = QExpansion({0: 1, 1: 1}), QExpansion({0: -1, 1: 1})
+        assert x_plus_1 * x_minus_1 == QExpansion({0: -1, 2: 1})
+        assert (x_plus_1 * x_minus_1).eval_at(3) == 8
+
+    def test_laurent_and_scaled_values(self):
+        assert QExpansion({-2: 1, 0: 3}).eval_at(2) == Fraction(13, 4)
+        assert QExpansion({-1: Fraction(2, 3), 1: Fraction(-1, 6)}).eval_at(Fraction(-1, 2)) == Fraction(-4, 3) + Fraction(1, 12)
+        assert QExpansion({3: 5}).eval_at(0) == 0
+        assert QExpansion.zero().eval_at(Fraction(7, 3)) == 0
+        assert type(QExpansion.one().eval_at(5)) is Fraction
+
+    def test_ring_operations_are_homomorphic(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            a, b = random_poly(rng, rng.randint(0, 6)), random_poly(rng, rng.randint(0, 6))
+            x = Fraction(rng.randint(-12, 12), rng.randint(1, 7)) or Fraction(1, 3)
+            assert (a * b).eval_at(x) == a.eval_at(x) * b.eval_at(x)
+            assert (a + b).eval_at(x) == a.eval_at(x) + b.eval_at(x)
+            assert (a - b).eval_at(x) == a.eval_at(x) - b.eval_at(x)
+            assert (a + b) - b == a
+
+    def test_cut_series_refused(self):
+        with pytest.raises(QSeriesError, match="cut at 5"):
+            QExpansion({0: 1, 1: 2}, cutoff=5).eval_at(2)
+        with pytest.raises(QSeriesError):
+            QExpansion.zero(3).eval_at(2)
+
+    def test_fractional_exponents_refused(self):
+        with pytest.raises(QSeriesError, match="integer exponents"):
+            QExpansion({0: 1, Fraction(1, 2): 1}).eval_at(4)  # d = 2
+        with pytest.raises(QSeriesError, match="integer exponents"):
+            QExpansion({Fraction(1, 3): 1, Fraction(4, 3): 1}).eval_at(8)  # d = 1, offset 1/3
+
+    def test_inexact_points_refused(self):
+        poly = QExpansion({0: 1, 1: 1})
+        for x in (0.5, 2.0, 1 + 1j, np.float64(0.5), Decimal("0.5")):
+            with pytest.raises(QSeriesError):
+                poly.eval_at(x)
+
+    def test_zero_under_a_negative_offset_raises_zero_division(self):
+        with pytest.raises(ZeroDivisionError):
+            QExpansion({-1: 1, 0: 1}).eval_at(0)
+
+
 class TestDenseRunLimit:
     """Every dense run longer than MAX_RUN is refused before it is allocated."""
 

@@ -12,7 +12,8 @@ lattices agree.  ``_convolve`` itself gets runs of 0-8 or 24-60 negative,
 zero, small and 200-bit entries, empty runs, unequal strides and
 truncations shorter and longer than the full product; a spy on
 ``_kronecker`` shows which branch ran.  Float sums must agree within a rounding bound derived from the terms,
-and tail bounds exactly; the terms a grid sum drops must total at most 2^-60 of those it keeps.
+and tail bounds exactly; the terms a grid sum drops must total at most 2^-60 of those it keeps.  The exact
+value ``eval_at`` of a Laurent polynomial must equal the termwise sum of ``c x^e`` in Fractions.
 """
 
 import cmath
@@ -395,6 +396,31 @@ def test_header_changes_share_the_run(a, delta, factor):
         built = QExpansion.from_lattice(*header)
         assert fast.lattice == built.lattice and fast.cutoff == built.cutoff
         assert fast.lattice[2] is coeffs
+
+
+@st.composite
+def laurent_polys(draw):
+    """An exact series with integer exponents in [-6, 8] (a negative offset, a
+    gap, no terms at all), rational coefficients and a scale."""
+    terms = draw(st.lists(st.tuples(st.integers(-6, 8), exact_coeffs), max_size=10))
+    scale = draw(st.sampled_from([1, -1, 3, Fraction(2, 3), Fraction(-5, 4)]))
+    return QExpansion(terms).scale(scale)
+
+
+@SETTINGS
+@given(laurent_polys(), st.fractions(min_value=-4, max_value=4, max_denominator=12))
+@example(QExpansion.zero(), Fraction(5, 7))
+@example(QExpansion.zero(), Fraction(0))
+@example(QExpansion({-3: Fraction(1, 2), 2: -4}), Fraction(-2, 3))
+@example(QExpansion({-1: 1}), Fraction(0))
+def test_eval_at_matches_the_termwise_sum(a, x):
+    if x == 0 and not a.is_zero() and a.min_exponent < 0:
+        with pytest.raises(ZeroDivisionError):
+            a.eval_at(x)
+        return
+    value = a.eval_at(x)
+    assert type(value) is Fraction
+    assert value == sum((c * x**e for e, c in a.terms), Fraction(0))
 
 
 # any rational: on or between lattice points, at, below or above a lead, or no cutoff at all

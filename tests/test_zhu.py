@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from supertriplet import zhu
 from supertriplet.characters import central_charge, conformal_weight
+from supertriplet.qseries import QExpansion
 from supertriplet.zhu import (
     Fm,
     binomial_sum_lhs,
@@ -73,11 +75,25 @@ class TestVanishingPolynomial:
 
     def test_degree(self):
         for m in (1, 2, 3, 4):
-            assert fmr_polynomial(m).degree == 3 * m + 1
+            offset, d, coeffs, _ = fmr_polynomial(m).lattice
+            assert (offset, d) == (0, 1)
+            assert len(coeffs) - 1 == 3 * m + 1
+            assert fmr_polynomial(m).terms[-1][0] == 3 * m + 1
 
     def test_monic(self):
-        p = fmr_polynomial(2)
-        assert p.coeffs[-1] == 1
+        for m in (1, 2, 3, 4):
+            assert fmr_polynomial(m).terms[-1][1] == 1
+
+    def test_values_are_the_root_product(self):
+        rng = random.Random(29)
+        for m in (1, 2, 3, 4, 5):
+            poly, roots = fmr_polynomial(m), fmr_roots(m)
+            for _ in range(20):
+                x = Fraction(rng.randint(-40, 40), rng.randint(1, 48))
+                expected = Fraction(1)
+                for r, mult in roots:
+                    expected *= (x - r) ** mult
+                assert poly.eval_at(x) == expected, (m, x)
 
     def test_central_value_not_root(self):
         for m in (1, 2, 3, 4, 5):
@@ -89,6 +105,55 @@ class TestVanishingPolynomial:
             lows = {conformal_weight(i, 0, m) for i in range(m)}
             mids = {conformal_weight(i, 0, m) for i in range(m, 2 * m)}
             assert lows == mids
+
+
+class TestExactPolynomials:
+    def test_from_roots(self):
+        assert zhu._from_roots([1, -1]) == QExpansion({0: -1, 2: 1})
+        assert zhu._from_roots([-1, -1, -1]) == QExpansion({0: 1, 1: 3, 2: 3, 3: 1})
+        assert zhu._from_roots([Fraction(1, 2), Fraction(-2, 3)]) == QExpansion({0: Fraction(-1, 3), 1: Fraction(1, 6), 2: 1})
+        assert zhu._from_roots([]) == QExpansion.one()
+
+    def test_every_polynomial_is_exact(self):
+        for m in (1, 2, 3):
+            polys = [
+                fmr_polynomial(m),
+                hab_polynomial(m).inner_in_a2,
+                zhu._binom_shift_poly(m),
+                zhu._l0_poly(m),
+                zhu._g0sq_poly(m),
+            ]
+            for poly in polys:
+                assert isinstance(poly, QExpansion) and poly.cutoff is None
+                assert all(e.denominator == 1 for e, _ in poly.terms)
+
+    def test_polynomials_match_their_pointwise_forms(self):
+        rng = random.Random(17)
+        for m in (1, 2, 3):
+            for _ in range(10):
+                t = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+                eig = singlet_eigen(t, m)
+                assert zhu._l0_poly(m).eval_at(t) == eig.l0
+                assert zhu._g0sq_poly(m).eval_at(t) == eig.g0_squared
+                assert zhu._binom_shift_poly(m).eval_at(t) ** 2 / 2 == eig.h0_sq
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_m_below_one_refused(self, m):
+        calls = [
+            lambda: singlet_eigen(1, m),
+            lambda: coeff_A(m),
+            lambda: Fm(1, m),
+            lambda: binomial_sum_lhs(1, m),
+            lambda: fmr_polynomial(m),
+            lambda: hab_polynomial(m),
+            lambda: relation_suite(m),
+            lambda: classify_twisted(m),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="m must be >= 1"):
+                call()
 
 
 class TestScreeningSquare:
