@@ -3,9 +3,10 @@
 Rationals are ``fractions.Fraction`` throughout (aliased ``Rational``): the
 stdlib type already keeps values reduced with a positive denominator, which
 is the canonical form everything else relies on.  On top of that this module
-provides the quadratic extension Q(sqrt(2)), generalized binomial
-coefficients and Bernoulli numbers.  Exact polynomials are
-:class:`~supertriplet.qseries.QExpansion` series with no cutoff.
+provides the ring Q(sqrt(2)) (add, subtract, multiply; nothing divides in
+it), generalized binomial coefficients and Bernoulli numbers.  Exact
+polynomials are :class:`~supertriplet.qseries.QExpansion` series with no
+cutoff.
 
 Bernoulli convention: B_1 = -1/2 (the recurrence ``sum_j C(n+1, j) B_j = 0``).
 Only even indices reach the Eisenstein constants, so the choice is inert,
@@ -65,11 +66,8 @@ def bernoulli_number(k: int) -> Fraction:
 
 
 class QuadRational:
-    """An element a + b*sqrt(2) of the field Q(sqrt 2).
-
-    Equality is componentwise; inversion uses the conjugate and the norm
-    a^2 - 2 b^2, which vanishes only at zero since sqrt(2) is irrational.
-    """
+    """An element a + b*sqrt(2) of Q(sqrt 2), as a ring: the Fock layer only
+    adds, negates and multiplies.  Equality is componentwise."""
 
     __slots__ = ("a", "b")
 
@@ -87,18 +85,6 @@ class QuadRational:
         if isinstance(value, (int, Fraction)):
             return QuadRational(value, 0)
         raise TypeError(f"cannot coerce {type(value).__name__} to QuadRational")
-
-    def conjugate(self) -> "QuadRational":
-        return QuadRational(self.a, -self.b)
-
-    def norm(self) -> Fraction:
-        return self.a * self.a - 2 * self.b * self.b
-
-    def inverse(self) -> "QuadRational":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("QuadRational division by zero")
-        return QuadRational(self.a / n, -self.b / n)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -122,12 +108,6 @@ class QuadRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
-
     def __neg__(self):
         return QuadRational(-self.a, -self.b)
 
@@ -143,9 +123,6 @@ class QuadRational:
 
     def __hash__(self) -> int:
         return hash((self.a, self.b))
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * 2 ** 0.5
 
     def __repr__(self) -> str:
         if self.b == 0:

@@ -224,7 +224,7 @@ def untwisted_char(label: ModuleLabel, flavor: Flavor, cutoff) -> QExpansion:
     return _character(label, flavor, cutoff, 1)
 
 
-def ramond_irred_char(i: int, n: int, m: int, cutoff, halve: bool = False) -> QExpansion:
+def ramond_irred_char(i: int, n: int, m: int, cutoff) -> QExpansion:
     """Graded character of the irreducible Ramond highest-weight module
     on the grid row (i, second index 2n+1).
 
@@ -243,7 +243,7 @@ def ramond_irred_char(i: int, n: int, m: int, cutoff, halve: bool = False) -> QE
         h1, h2 = h2, h1
     c = central_charge(m)
     pref = _quotient("f2", cutoff + 1)
-    return (pref.shifted(h1 - c / 24) - pref.shifted(h2 - c / 24)).scale(1 if halve else 2).truncated(cutoff)
+    return (pref.shifted(h1 - c / 24) - pref.shifted(h2 - c / 24)).scale(2).truncated(cutoff)
 
 
 def fock_char(i: int, m: int, cutoff) -> QExpansion:

@@ -5,17 +5,19 @@ modes, and one Clifford kernel acts on both readings of a stored mode n:
 
 * the parity-twisted module ``M``: n is the integer mode phi(-n) on the
   twisted ground state, with anti-brackets {phi(a), phi(b)} = delta_{a+b,0}
-  and the self-pairing phi(0)^2 = 1/2; sqrt 2 enters through the
+  and the self-pairing phi(0)^2 = 1/2, so phi(0) is the kernel's creation
+  of mode 0 plus half its contraction; sqrt 2 enters through the
   parity-split ground states (1 +- sqrt2 phi(0)) 1,
 * the untwisted space ``F``: n is the creation mode phi(-n-1/2).  The
   lowering-operator coefficient table C and its generating function live
   on this side.
 
 Coefficients stay ints and Fractions until sqrt 2 enters; ``coeff`` reads
-them as ``QuadRational``.  Normal ordering puts annihilators on the right
-with a sign per transposition; at a self-paired mode the product is
-antisymmetrized, which is what makes the diagonal conformal weight come
-out as grade + 1/16 with no further constant.
+them as ``QuadRational``.  The kernel only adds, negates and multiplies, so
+the scalars form a ring and nothing here divides.  Normal ordering puts
+annihilators on the right with a sign per transposition; at a self-paired
+mode the product is antisymmetrized, which is what makes the diagonal
+conformal weight come out as grade + 1/16 with no further constant.
 
 Twisted vectors beyond the grade cutoff are dropped and flagged, never
 silently wrapped around; untwisted vectors have no cutoff.
@@ -45,7 +47,6 @@ __all__ = [
     "vacuum_pm",
     "basis_monomials",
     "cmn",
-    "cmn_table",
     "cmn_generating_check",
     "u_annihilate",
     "u_create",
@@ -218,20 +219,8 @@ def phi(n: int, v: FockVector) -> FockVector:
         return _act(_create, -n, v)
     if n > 0:
         return _act(_contract, n, v)
-    out: Dict[Monomial, Scalar] = {}
-    half = Fraction(1, 2)
-    for mono, coeff in v.terms.items():
-        if 0 in mono:
-            pos = len(mono) - 1  # zero mode is always last
-            new = mono[:pos]
-            sign = -1 if pos & 1 else 1
-            c = coeff * sign * half
-        else:
-            new = mono + (0,)
-            sign = -1 if len(mono) & 1 else 1
-            c = coeff * sign
-        out[new] = out[new] + c if new in out else c
-    return _trusted(out, v.cutoff, v.truncated)
+    # mode 0 is always last, so the kernel's signs are (-1)^len and (-1)^(len-1)
+    return _act(_create, 0, v) + _act(_contract, 0, v).scale(Fraction(1, 2))
 
 
 def virasoro_mode(n: int, v: FockVector) -> FockVector:
@@ -285,10 +274,6 @@ def cmn(m: int, n: int) -> Fraction:
     if m < 0 or n < 0:
         raise ValueError("table indices must be >= 0")
     return Fraction(m - n, 2 * (m + n + 1)) * _central_binom(m) * _central_binom(n)
-
-
-def cmn_table(size: int) -> List[List[Fraction]]:
-    return [[cmn(m, n) for n in range(size + 1)] for m in range(size + 1)]
 
 
 @dataclass(frozen=True)

@@ -183,7 +183,8 @@ class QExpansion:
 
     @classmethod
     def monomial(cls, exp: ExpLike, coeff: CoeffLike = 1, cutoff: Optional[ExpLike] = None) -> "QExpansion":
-        return cls(((exp, coeff),), cutoff=cutoff)
+        coeff = _exact(coeff)
+        return cls.from_lattice(exp, 1, (1,), coeff, cutoff) if coeff else cls.zero(cutoff)
 
     # -- inspection --
 
@@ -458,19 +459,6 @@ class QExpansion:
                 if c
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "QExpansion":
-        domain = data.get("domain", EXACT)
-        if domain != EXACT:
-            raise QSeriesError(f"unsupported coefficient domain {domain!r}")
-        cut = data.get("cutoff")
-        cutoff = Fraction(int(cut[0]), int(cut[1])) if cut is not None else None
-        terms = [
-            (Fraction(int(t["exp"][0]), int(t["exp"][1])), Fraction(int(t["coef"][0]), int(t["coef"][1])))
-            for t in data["terms"]
-        ]
-        return cls(terms, cutoff=cutoff)
 
     # -- comparison / display --
 

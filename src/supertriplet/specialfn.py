@@ -52,8 +52,7 @@ __all__ = [
 class ThetaIndex:
     """Index pair (j, k) with j, k half-integers and k > 0.
 
-    ``canonical_j`` reduces j modulo 2k (theta constants are 2k-periodic in
-    j); the raw j is retained since derivative coefficients depend on it.
+    The raw j is kept, unreduced modulo 2k: derivative coefficients depend on it.
     """
 
     j: Fraction
@@ -66,10 +65,6 @@ class ThetaIndex:
             raise ValueError("theta index requires k > 0")
         if (2 * self.j).denominator != 1 or (2 * self.k).denominator != 1:
             raise ValueError("theta index entries must be half-integers")
-
-    @property
-    def canonical_j(self) -> Fraction:
-        return self.j % (2 * self.k)
 
     @property
     def j_is_integer(self) -> bool:

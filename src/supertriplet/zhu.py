@@ -27,7 +27,7 @@ from typing import List, Tuple
 
 from .arith import binom
 from .characters import central_charge, conformal_weight
-from .qseries import QExpansion
+from .qseries import QExpansion, _exact
 
 __all__ = [
     "SingletEigenvalues",
@@ -62,7 +62,7 @@ class SingletEigenvalues:
 def singlet_eigen(t, m: int) -> SingletEigenvalues:
     if m < 1:
         raise ValueError("m must be >= 1")
-    t = Fraction(t)
+    t = _exact(t)
     p = 2 * m + 1
     g0_sq = (t - m) ** 2 / (2 * p)
     sign = 1 if t >= m else -1
@@ -94,8 +94,8 @@ class HabData:
 
     def evaluate(self, a_squared, b_squared) -> Fraction:
         """H(a, b) = b^2 - C_m * (prod (a^2 - r_i))^2 at given squares."""
-        inner = self.inner_in_a2.eval_at(Fraction(a_squared))
-        return Fraction(b_squared) - self.c_m * inner * inner
+        inner = self.inner_in_a2.eval_at(a_squared)
+        return _exact(b_squared) - self.c_m * inner * inner
 
 
 def hab_polynomial(m: int) -> HabData:
@@ -141,7 +141,7 @@ def coeff_A(m: int) -> Fraction:
 
 def Fm(t, m: int) -> Fraction:
     """Closed form A_m C(t+m+1/2, 3m+1) C(t-1/2, 3m+1)."""
-    t = Fraction(t)
+    t = _exact(t)
     return (
         coeff_A(m)
         * binom(t + m + Fraction(1, 2), 3 * m + 1)
@@ -154,7 +154,7 @@ def binomial_sum_lhs(t, m: int) -> Fraction:
     sum_k (-1)^k C(2m,k) C(t+1/2, 4m+1-k) C(t-1/2, 2m+1+k)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    t = Fraction(t)
+    t = _exact(t)
     acc = Fraction(0)
     for k in range(2 * m + 1):
         acc += (

@@ -75,33 +75,9 @@ class TestQuadRational:
     def test_sqrt2_squares_to_two(self):
         assert SQRT2 * SQRT2 == QuadRational(2)
 
-    def test_inverse_of_random_sample(self):
-        rng = random.Random(9)
-        checked = 0
-        while checked < 100:
-            z = QuadRational(
-                Fraction(rng.randint(-20, 20), rng.randint(1, 9)),
-                Fraction(rng.randint(-20, 20), rng.randint(1, 9)),
-            )
-            if not z:
-                continue
-            assert z * z.inverse() == QuadRational(1)
-            checked += 1
-
-    def test_conjugate_norm(self):
-        z = QuadRational(Fraction(3, 4), Fraction(-2, 5))
-        assert z * z.conjugate() == QuadRational(z.norm())
-
     def test_arithmetic_with_plain_rationals(self):
         z = QuadRational(1, 1)
         assert z + 1 == QuadRational(2, 1)
         assert 2 * z == QuadRational(2, 2)
         assert z - Fraction(1, 2) == QuadRational(Fraction(1, 2), 1)
-
-    def test_division(self):
-        one_over_sqrt2 = 1 / SQRT2
-        assert one_over_sqrt2 == QuadRational(0, Fraction(1, 2))
-
-    def test_float_value(self):
-        assert abs(float(SQRT2) - 2 ** 0.5) < 1e-15
 

@@ -80,8 +80,7 @@ def test_every_character_matches_the_row_formulas(m, cutoff):
 def test_ramond_characters_match_the_product_form(m, cutoff):
     for i in range(2 * m + 1):
         for n in range(7):
-            for halve in (False, True):
-                assert ramond_irred_char(i, n, m, cutoff, halve) == ramond_product(i, n, m, cutoff, halve), (i, n)
+            assert ramond_irred_char(i, n, m, cutoff) == ramond_product(i, n, m, cutoff), (i, n)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

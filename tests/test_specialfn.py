@@ -30,11 +30,6 @@ class TestThetaIndex:
         with pytest.raises(ValueError):
             ThetaIndex(Fraction(1, 2), Fraction(-1))
 
-    def test_canonical_j(self):
-        idx = ThetaIndex(Fraction(7, 2), Fraction(3, 2))
-        assert idx.canonical_j == Fraction(1, 2)
-        assert idx.j == Fraction(7, 2)
-
 
 class TestTheta:
     def test_half_index_window(self):

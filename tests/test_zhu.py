@@ -1,11 +1,13 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from supertriplet import zhu
 from supertriplet.characters import central_charge, conformal_weight
-from supertriplet.qseries import QExpansion
+from supertriplet.qseries import QExpansion, QSeriesError
 from supertriplet.zhu import (
     Fm,
     binomial_sum_lhs,
@@ -154,6 +156,23 @@ class TestRefusals:
         for call in calls:
             with pytest.raises(ValueError, match="m must be >= 1"):
                 call()
+
+    # Fraction(0.1) would read the float as its binary fraction (denominator 2^55)
+    @pytest.mark.parametrize("x", [0.1, np.float64(0.1), 1 + 0j, Decimal("0.1")], ids=repr)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: singlet_eigen(x, 1),
+            lambda x: hab_polynomial(1).evaluate(x, 0),
+            lambda x: hab_polynomial(1).evaluate(0, x),
+            lambda x: Fm(x, 1),
+            lambda x: binomial_sum_lhs(x, 1),
+        ],
+        ids=["singlet_eigen", "evaluate-a2", "evaluate-b2", "Fm", "binomial_sum_lhs"],
+    )
+    def test_inexact_argument_refused(self, call, x):
+        with pytest.raises(QSeriesError, match="exact"):
+            call(x)
 
 
 class TestScreeningSquare:
